@@ -10,25 +10,39 @@ cd "$(dirname "$0")/.."
 # TSAN mode (`scripts/check.sh --tsan`): build the concurrency suites
 # under ThreadSanitizer in a separate tree and run just them — the
 # suites that drive the epoch-scope / pin-handshake /
-# grace-deferred-reclaim protocol and the mesh/split path end to end
-# (the full suite under TSAN is slow and mostly single-threaded). The
-# intentional mark-window copy race is whitelisted in
+# grace-deferred-reclaim protocol, the mesh/split path, and barriers
+# (which read HTE pin counts while other threads pin and unpin) end to
+# end (the full suite under TSAN is slow and mostly single-threaded).
+# The intentional mark-window copy race is whitelisted in
 # base/speculative_copy.h; anything else TSAN reports is a real
 # protocol bug.
 if [ "${1:-}" = "--tsan" ]; then
+    suites="concurrent_reloc_daemon_test handle_shard_stress_test
+            epoch_grace_test telemetry_test mesh_runtime_test
+            defrag_equivalence_test policy_test serve_test barrier_test
+            pin_test batched_defrag_test anchorage_test"
+    targets=""
+    for t in $suites; do
+        targets="$targets --target $t"
+    done
     cmake -B build-tsan -S . -DALASKA_TSAN=ON
-    cmake --build build-tsan -j "$(nproc)" --target \
-        concurrent_reloc_daemon_test --target \
-        handle_shard_stress_test --target epoch_grace_test \
-        --target telemetry_test --target mesh_runtime_test \
-        --target defrag_equivalence_test --target policy_test \
-        --target serve_test
-    for t in concurrent_reloc_daemon_test handle_shard_stress_test \
-             epoch_grace_test telemetry_test mesh_runtime_test \
-             defrag_equivalence_test policy_test serve_test; do
+    cmake --build build-tsan -j "$(nproc)" $targets
+    for t in $suites; do
         ./build-tsan/"$t"
     done
     echo "tsan OK"
+    exit 0
+fi
+
+# ASan+UBSan lane (`scripts/check.sh --asan`): build the whole tree
+# with AddressSanitizer, UndefinedBehaviorSanitizer (no recovery) and
+# libstdc++ assertions in a separate tree, and run the whole test
+# suite. Leaks fail their test too (LeakSanitizer rides along).
+if [ "${1:-}" = "--asan" ]; then
+    cmake -B build-asan -S . -DALASKA_ASAN=ON
+    cmake --build build-asan -j "$(nproc)"
+    (cd build-asan && ctest --output-on-failure -j "$(nproc)")
+    echo "asan OK"
     exit 0
 fi
 

@@ -209,10 +209,7 @@ class HandleTable
     /** Capacity in entries. */
     uint32_t capacity() const { return capacity_; }
 
-    /**
-     * One past the highest ID ever allocated; IDs >= this are untouched.
-     * Barriers size their pinned-set bitmaps from this watermark.
-     */
+    /** One past the highest ID ever allocated; IDs >= this are untouched. */
     uint32_t watermark() const;
 
     /**

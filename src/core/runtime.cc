@@ -26,12 +26,20 @@ namespace
 thread_local ThreadState *tlsState = nullptr;
 } // anonymous namespace
 
+PinnedSet::PinnedSet(const HandleTable &table,
+                     std::vector<uint32_t> frame_pinned)
+    : table_(table), framePinned_(std::move(frame_pinned)),
+      limit_(table.watermark())
+{
+    std::sort(framePinned_.begin(), framePinned_.end());
+}
+
 size_t
 PinnedSet::count() const
 {
     size_t n = 0;
-    for (uint64_t word : bits_)
-        n += static_cast<size_t>(__builtin_popcountll(word));
+    for (uint32_t id = 0; id < limit_; id++)
+        n += contains(id);
     return n;
 }
 
@@ -451,28 +459,20 @@ Runtime::leaveExternal()
 PinnedSet
 Runtime::unifyPinSets()
 {
-    PinnedSet pinned(table_.watermark());
+    // Atomic pin counts are honored in every mode too (a stop-the-world
+    // pass must not move what a ConcurrentPin holds), but
+    // PinnedSet::contains() reads them per query: no per-entry sweep.
+    std::vector<uint32_t> ids;
     for (const auto &thread : threads_) {
         for (const auto &frame : thread->frames) {
             for (uint32_t i = 0; i < frame.count; i++) {
                 const uint64_t v = frame.slots[i];
                 if (isHandle(v))
-                    pinned.add(handleId(v));
+                    ids.push_back(handleId(v));
             }
         }
     }
-    // Atomic pin counts are honored in every mode, not just the
-    // AtomicPins ablation: ConcurrentPin and scoped concurrent
-    // translation pin through the HTE state word, and a Hybrid-mode
-    // stop-the-world pass must not move objects those accessors still
-    // reference. The scan is one relaxed load per watermark entry,
-    // inside an already stopped world.
-    const uint32_t wm = table_.watermark();
-    for (uint32_t id = 0; id < wm; id++) {
-        if (table_.entry(id).atomicPinCount() > 0)
-            pinned.add(id);
-    }
-    return pinned;
+    return PinnedSet(table_, std::move(ids));
 }
 
 void

@@ -12,6 +12,7 @@
 #ifndef ALASKA_CORE_RUNTIME_H
 #define ALASKA_CORE_RUNTIME_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -77,39 +78,37 @@ struct RuntimeConfig
 };
 
 /**
- * The set of handles found pinned during a barrier.
- *
- * Backed by a bitmap sized from the handle-table watermark.
+ * The handles a barrier must not move: those held in any thread's pin
+ * frames, plus those whose HTE atomic pin count is nonzero (ConcurrentPin
+ * and the AtomicPins ablation). The frame pins are collected when the
+ * world stops; the atomic count is read per query, so a barrier never
+ * sweeps the handle table. Valid only inside the barrier callback.
  */
 class PinnedSet
 {
   public:
-    PinnedSet() = default;
-    explicit PinnedSet(uint32_t watermark)
-        : bits_((watermark + 63) / 64, 0), limit_(watermark)
-    {}
-
-    void
-    add(uint32_t id)
-    {
-        if (id < limit_)
-            bits_[id >> 6] |= (1ULL << (id & 63));
-    }
+    /** @param frame_pinned the frame-pinned IDs, in any order. */
+    PinnedSet(const HandleTable &table, std::vector<uint32_t> frame_pinned);
 
     bool
     contains(uint32_t id) const
     {
         if (id >= limit_)
             return false;
-        return bits_[id >> 6] & (1ULL << (id & 63));
+        return table_.entry(id).atomicPinCount() != 0 ||
+               std::binary_search(framePinned_.begin(), framePinned_.end(),
+                                  id);
     }
 
-    /** Number of pinned handles. */
+    /** Number of IDs contains() reports (sweeps the table; for tests). */
     size_t count() const;
 
   private:
-    std::vector<uint64_t> bits_;
-    uint32_t limit_ = 0;
+    const HandleTable &table_;
+    /** Sorted, for binary_search. */
+    std::vector<uint32_t> framePinned_;
+    /** The watermark when the world stopped; no higher ID is live. */
+    uint32_t limit_;
 };
 
 /** Aggregate runtime statistics. */
@@ -431,7 +430,7 @@ class Runtime
     ThreadState *registerThread();
     void unregisterThread(ThreadState *state);
 
-    /** Collect the pinned set from all threads' pin frames. */
+    /** Collect the frame-pinned IDs from all threads' pin frames. */
     PinnedSet unifyPinSets();
 
     RuntimeConfig config_;

@@ -87,6 +87,10 @@ Interpreter::eval(Function &function, const std::vector<int64_t> &args,
             stats_.instructions++;
             auto op0 = [&] { return get(inst->operands[0]); };
             auto op1 = [&] { return get(inst->operands[1]); };
+            // Arithmetic wraps (two's complement): compute it unsigned,
+            // since signed overflow is undefined behaviour in C++.
+            auto u0 = [&] { return static_cast<uint64_t>(op0()); };
+            auto u1 = [&] { return static_cast<uint64_t>(op1()); };
             int64_t result = 0;
             switch (inst->op) {
               case Op::Const:
@@ -95,19 +99,15 @@ Interpreter::eval(Function &function, const std::vector<int64_t> &args,
               case Op::Arg:
                 result = args[static_cast<size_t>(inst->imm)];
                 break;
-              case Op::Add: result = op0() + op1(); break;
-              case Op::Sub: result = op0() - op1(); break;
-              case Op::Mul: result = op0() * op1(); break;
+              case Op::Add: result = static_cast<int64_t>(u0() + u1()); break;
+              case Op::Sub: result = static_cast<int64_t>(u0() - u1()); break;
+              case Op::Mul: result = static_cast<int64_t>(u0() * u1()); break;
               case Op::Div:
                 ALASKA_ASSERT(op1() != 0, "division by zero");
                 result = op0() / op1();
                 break;
-              case Op::Shl: result = op0() << op1(); break;
-              case Op::Shr:
-                result = static_cast<int64_t>(
-                    static_cast<uint64_t>(op0()) >>
-                    static_cast<uint64_t>(op1()));
-                break;
+              case Op::Shl: result = static_cast<int64_t>(u0() << u1()); break;
+              case Op::Shr: result = static_cast<int64_t>(u0() >> u1()); break;
               case Op::And: result = op0() & op1(); break;
               case Op::Or: result = op0() | op1(); break;
               case Op::Xor: result = op0() ^ op1(); break;

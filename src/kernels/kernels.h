@@ -685,13 +685,14 @@ isKernel(size_t scale)
         }
         P::poll();
     }
-    int64_t checksum = 0;
+    // Wrapping fold: unsigned, as signed overflow is undefined.
+    uint64_t checksum = 0;
     for (size_t i = 0; i < n; i += 97)
-        checksum = checksum * 31 + out.load(i);
+        checksum = checksum * 31 + static_cast<uint64_t>(out.load(i));
     P::release(keys_h);
     P::release(count_h);
     P::release(out_h);
-    return checksum;
+    return static_cast<int64_t>(checksum);
 }
 
 // ===== SPEC-like ===========================================================
@@ -824,18 +825,20 @@ xalancTreeKernel(size_t scale)
         nodes.push_back(node);
     }
     // Repeated DFS with tag-dependent work (virtual-dispatch-ish).
-    int64_t checksum = 0;
+    // Wrapping fold: unsigned, as signed overflow is undefined.
+    uint64_t checksum = 0;
     for (int rep = 0; rep < 10; rep++) {
         std::vector<TreeNode *> stack{nodes[0]};
         while (!stack.empty()) {
             TreeNode *node = stack.back();
             stack.pop_back();
             auto *raw = static_cast<TreeNode *>(frame.pin(0, node));
-            switch (raw->tag & 3) {
-              case 0: checksum += raw->tag; break;
-              case 1: checksum ^= raw->tag << 3; break;
-              case 2: checksum -= raw->tag * 7; break;
-              default: checksum = checksum * 31 + raw->tag; break;
+            const auto tag = static_cast<uint64_t>(raw->tag);
+            switch (tag & 3) {
+              case 0: checksum += tag; break;
+              case 1: checksum ^= tag << 3; break;
+              case 2: checksum -= tag * 7; break;
+              default: checksum = checksum * 31 + tag; break;
             }
             for (TreeNode *child : raw->child) {
                 if (child)
@@ -846,7 +849,7 @@ xalancTreeKernel(size_t scale)
     }
     for (TreeNode *node : nodes)
         P::release(node);
-    return checksum;
+    return static_cast<int64_t>(checksum);
 }
 
 /** xz: LZ77-style window matching over one big buffer (hoistable). */

@@ -120,12 +120,15 @@ class ConcurrentRelocDaemon
      * Distribution of per-tick worst-barrier pauses, always in
      * *measured* wall nanoseconds (unlike maxBarrierPauseSec(), which
      * follows useModeledTime — the daemon normally runs a real clock,
-     * where the two agree). In batched StopTheWorld mode a tick runs
-     * exactly one barrier, so this is the exact per-barrier pause
-     * distribution; a Hybrid fallback tick contributes its worst
-     * barrier. A bounded telemetry::Histogram (log2 buckets), not a
-     * LatencyDigest: the daemon is long-lived and must not accumulate
-     * one sample per tick forever. Snapshot copy; any thread.
+     * where the two agree). A sample times only the move work inside
+     * the barrier callback, not the rendezvous and pin-set collection
+     * before it; the `barrier_pause_ns` telemetry histogram records
+     * each barrier's whole stopped window. In batched StopTheWorld
+     * mode a tick runs exactly one barrier; a Hybrid fallback tick
+     * contributes its worst barrier. A bounded telemetry::Histogram
+     * (log2 buckets), not a LatencyDigest: the daemon is long-lived
+     * and must not accumulate one sample per tick forever. Snapshot
+     * copy; any thread.
      */
     telemetry::Histogram barrierPauses() const;
 

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <functional>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "anchorage/anchorage_service.h"
@@ -15,6 +19,7 @@
 #include "core/pin.h"
 #include "core/runtime.h"
 #include "core/translate.h"
+#include "services/concurrent_reloc.h"
 #include "sim/address_space.h"
 
 namespace
@@ -143,6 +148,70 @@ TEST_F(AnchorageTest, PinnedObjectsDoNotMove)
     service_.defragFully();
     for (size_t i = 0; i < handles.size(); i += 2)
         runtime_.hfree(handles[i]);
+}
+
+// An atomic pin (ConcurrentPin: the pin half of pinned<T> under the
+// Scoped discipline) with no pin-frame slot behind it must hold against
+// real stop-the-world moves, whether the pinning thread is the one
+// running the barrier or a second thread parked in poll().
+TEST_F(AnchorageTest, AtomicPinsHoldAgainstStopTheWorldMoves)
+{
+    const std::function<DefragStats()> passes[] = {
+        [&] { return service_.defrag(SIZE_MAX); },
+        [&] { return service_.beginBatchedDefrag(SIZE_MAX).step(16 << 10); },
+    };
+    for (const auto &pass : passes) {
+        for (const bool parked_holder : {false, true}) {
+            // From an empty heap: a 256-byte hole at the bottom, then
+            // 128-byte objects with every other one freed, then the
+            // 256-byte target on top. A pass visits the target first;
+            // the bottom hole is the only one of its size class, so the
+            // 128-byte moves cannot take it and it stays free below.
+            void *hole = runtime_.halloc(256);
+            std::vector<void *> handles;
+            for (int i = 0; i < 256; i++)
+                handles.push_back(runtime_.halloc(128));
+            void *target = runtime_.halloc(256);
+            runtime_.hfree(hole);
+            for (size_t i = 1; i < handles.size(); i += 2)
+                runtime_.hfree(handles[i]);
+            void *before = translate(target);
+
+            std::atomic<int> phase{0};
+            std::thread holder;
+            std::optional<ConcurrentPin> pin;
+            if (parked_holder) {
+                holder = std::thread([&] {
+                    ThreadRegistration reg(runtime_);
+                    ConcurrentPin held(target);
+                    phase.store(1);
+                    while (phase.load() == 1)
+                        poll();
+                });
+                while (phase.load() == 0)
+                    std::this_thread::yield();
+            } else {
+                pin.emplace(target);
+            }
+            const DefragStats stats = pass();
+            EXPECT_GT(stats.pinnedSkips, 0u);
+            EXPECT_GT(stats.movedObjects, 0u);
+            EXPECT_EQ(translate(target), before);
+            pin.reset();
+            phase.store(2);
+            if (holder.joinable())
+                holder.join();
+
+            // Released, it moves (into the bottom hole).
+            pass();
+            EXPECT_NE(translate(target), before);
+
+            for (size_t i = 0; i < handles.size(); i += 2)
+                runtime_.hfree(handles[i]);
+            runtime_.hfree(target);
+            service_.defragFully(); // back to an empty heap
+        }
+    }
 }
 
 TEST_F(AnchorageTest, DefragReducesRss)

@@ -273,17 +273,20 @@ registerGenExternals(ir::Interpreter &interp)
     interp.registerExternal(
         "ext_sum", [](const std::vector<int64_t> &args) {
             const auto *p = reinterpret_cast<const int64_t *>(args[0]);
-            int64_t total = 0;
+            // Wrapping arithmetic, like the interpreter's Add/Mul.
+            uint64_t total = 0;
             for (int64_t i = 0; i < args[1]; i++)
-                total += p[i];
-            return total;
+                total += static_cast<uint64_t>(p[i]);
+            return static_cast<int64_t>(total);
         });
     interp.registerExternal(
         "ext_scramble", [](const std::vector<int64_t> &args) {
             auto *p = reinterpret_cast<int64_t *>(args[0]);
             int64_t acc = 1;
             for (int64_t i = 0; i < args[1]; i++) {
-                p[i] = p[i] * 2654435761 + i;
+                p[i] = static_cast<int64_t>(
+                    static_cast<uint64_t>(p[i]) * 2654435761U +
+                    static_cast<uint64_t>(i));
                 acc ^= p[i];
             }
             return acc;

@@ -141,10 +141,12 @@ TEST_F(PinTest, PinnedHelperReleasesOnScopeExit)
         *p = 9;
         runtime_.barrier([&](const PinnedSet &pinned) {
             EXPECT_TRUE(pinned.contains(id));
+            EXPECT_EQ(pinned.count(), 1u);
         });
     }
     runtime_.barrier([&](const PinnedSet &pinned) {
         EXPECT_FALSE(pinned.contains(id));
+        EXPECT_EQ(pinned.count(), 0u);
     });
     runtime_.hfree(h);
 }

@@ -97,10 +97,11 @@ TEST_F(RuntimeTest, HreallocZeroBehavesLikeFree)
 
 TEST_F(RuntimeTest, HcallocZeroes)
 {
-    auto *p = static_cast<unsigned char *>(
-        translate(runtime_.hcalloc(8, 16)));
+    void *h = runtime_.hcalloc(8, 16);
+    auto *p = static_cast<unsigned char *>(translate(h));
     for (int i = 0; i < 128; i++)
         EXPECT_EQ(p[i], 0);
+    runtime_.hfree(h);
 }
 
 TEST_F(RuntimeTest, HfreeOfRawPointerFallsThroughToLibc)
