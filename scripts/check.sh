@@ -10,9 +10,11 @@ cd "$(dirname "$0")/.."
 # TSAN mode (`scripts/check.sh --tsan`): build the concurrency suites
 # under ThreadSanitizer in a separate tree and run just them — the
 # suites that drive the epoch-scope / pin-handshake /
-# grace-deferred-reclaim protocol, the mesh/split path, and barriers
-# (which read HTE pin counts while other threads pin and unpin) end to
-# end (the full suite under TSAN is slow and mostly single-threaded).
+# grace-deferred-reclaim protocol, the mesh/split path, barriers
+# (which read HTE pin counts while other threads pin and unpin), the
+# lock-free page-residency bitmap and the per-thread allocation
+# counters end to end (the full suite under TSAN is slow and mostly
+# single-threaded).
 # The intentional mark-window copy race is whitelisted in
 # base/speculative_copy.h; anything else TSAN reports is a real
 # protocol bug.
@@ -20,7 +22,8 @@ if [ "${1:-}" = "--tsan" ]; then
     suites="concurrent_reloc_daemon_test handle_shard_stress_test
             epoch_grace_test telemetry_test mesh_runtime_test
             defrag_equivalence_test policy_test serve_test barrier_test
-            pin_test batched_defrag_test anchorage_test"
+            pin_test batched_defrag_test anchorage_test page_model_test
+            runtime_test"
     targets=""
     for t in $suites; do
         targets="$targets --target $t"

@@ -24,6 +24,32 @@ std::atomic<uint64_t> Runtime::gCampaignEpoch{0};
 namespace
 {
 thread_local ThreadState *tlsState = nullptr;
+
+/**
+ * Count one allocation event: in the calling thread's own cell when it
+ * is registered (a plain load and store; no other thread writes the
+ * cell), else in the shared cell.
+ */
+void
+countEvent(AllocCounts &shared, std::atomic<uint64_t> AllocCounts::*event)
+{
+    if (ThreadState *ts = tlsState) {
+        std::atomic<uint64_t> &cell = ts->allocs.*event;
+        cell.store(cell.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+    } else {
+        (shared.*event).fetch_add(1, std::memory_order_relaxed);
+    }
+}
+
+/** Add the counts in c to s. */
+void
+addCounts(RuntimeStats &s, const AllocCounts &c)
+{
+    s.hallocs += c.hallocs.load(std::memory_order_relaxed);
+    s.hfrees += c.hfrees.load(std::memory_order_relaxed);
+    s.hreallocs += c.hreallocs.load(std::memory_order_relaxed);
+}
 } // anonymous namespace
 
 PinnedSet::PinnedSet(const HandleTable &table,
@@ -142,15 +168,17 @@ Runtime::halloc(size_t size)
     auto &e = table_.entry(id);
     e.size = static_cast<uint32_t>(size);
     e.ptr.store(backing, std::memory_order_release);
-    nHallocs_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::countHot(telemetry::Counter::Halloc);
+    countEvent(sharedAllocs_, &AllocCounts::hallocs);
     return reinterpret_cast<void *>(makeHandle(id, 0));
 }
 
 void *
 Runtime::hcalloc(size_t count, size_t size)
 {
-    const size_t bytes = count * size;
+    size_t bytes = 0;
+    if (__builtin_mul_overflow(count, size, &bytes))
+        fatal("hcalloc: %zu elements of %zu bytes exceed the 4 GiB handle "
+              "offset range", count, size);
     void *h = halloc(bytes);
     auto &e = table_.entry(handleId(reinterpret_cast<uint64_t>(h)));
     std::memset(e.ptr.load(std::memory_order_relaxed), 0, bytes ? bytes : 1);
@@ -199,7 +227,7 @@ Runtime::hrealloc(void *handle, size_t size)
     e.size = static_cast<uint32_t>(size);
     e.ptr.store(new_ptr, std::memory_order_release);
     service().free(id, old_ptr);
-    nHreallocs_.fetch_add(1, std::memory_order_relaxed);
+    countEvent(sharedAllocs_, &AllocCounts::hreallocs);
     return handle;
 }
 
@@ -228,8 +256,7 @@ Runtime::hfree(void *handle)
     void *ptr = e.ptr.exchange(nullptr, std::memory_order_acq_rel);
     service().free(id, reloc::unmarked(ptr));
     releaseHandleId(id);
-    nHfrees_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::countHot(telemetry::Counter::Hfree);
+    countEvent(sharedAllocs_, &AllocCounts::hfrees);
 }
 
 size_t
@@ -266,6 +293,10 @@ Runtime::registerThread()
         std::lock_guard<std::mutex> guard(threadMutex_);
         threads_.push_back(std::move(state));
     }
+    {
+        std::lock_guard<std::mutex> guard(countsMutex_);
+        liveAllocs_.push_back(&raw->allocs);
+    }
     tlsState = raw;
     threadCv_.notify_all();
     return raw;
@@ -282,6 +313,23 @@ Runtime::unregisterThread(ThreadState *state)
     if (state->magazine.count > 0) {
         table_.unreserveBatch(state->magazine.ids, state->magazine.count);
         state->magazine.count = 0;
+    }
+    {
+        // Hand the final counts to the shared cell and drop the thread's
+        // cell in one step, so no stats() sum sees both or neither.
+        std::lock_guard<std::mutex> guard(countsMutex_);
+        const AllocCounts &mine = state->allocs;
+        sharedAllocs_.hallocs.fetch_add(
+            mine.hallocs.load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
+        sharedAllocs_.hfrees.fetch_add(
+            mine.hfrees.load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
+        sharedAllocs_.hreallocs.fetch_add(
+            mine.hreallocs.load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
+        liveAllocs_.erase(
+            std::find(liveAllocs_.begin(), liveAllocs_.end(), &mine));
     }
     {
         std::lock_guard<std::mutex> guard(threadMutex_);
@@ -521,9 +569,12 @@ RuntimeStats
 Runtime::stats() const
 {
     RuntimeStats s;
-    s.hallocs = nHallocs_.load(std::memory_order_relaxed);
-    s.hfrees = nHfrees_.load(std::memory_order_relaxed);
-    s.hreallocs = nHreallocs_.load(std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> guard(countsMutex_);
+        addCounts(s, sharedAllocs_);
+        for (const AllocCounts *counts : liveAllocs_)
+            addCounts(s, *counts);
+    }
     s.barriers = nBarriers_.load(std::memory_order_relaxed);
     s.faults = nFaults_.load(std::memory_order_relaxed);
     return s;

@@ -393,7 +393,11 @@ class Runtime
      */
     void *handleFault(uint32_t id);
 
-    /** Runtime statistics snapshot. */
+    /**
+     * Runtime statistics snapshot. Exact once the counting threads
+     * quiesce, never decreasing between calls, and safe to call from
+     * any thread, including inside a barrier callback.
+     */
     RuntimeStats stats() const;
 
     /**
@@ -453,9 +457,20 @@ class Runtime
      */
     std::atomic<uint64_t> lastGraceEpoch_{0};
 
-    std::atomic<uint64_t> nHallocs_{0};
-    std::atomic<uint64_t> nHfrees_{0};
-    std::atomic<uint64_t> nHreallocs_{0};
+    /**
+     * Allocation counts live in each registered thread's
+     * ThreadState::allocs; stats() sums them with sharedAllocs_, which
+     * holds the counts of unregistered callers (fetch_add) and those a
+     * thread handed over when it unregistered. countsMutex_ guards
+     * liveAllocs_ and that hand-over, so a sum never loses or repeats a
+     * thread's counts. It is never held while waiting, and it is not
+     * threadMutex_ (which a barrier holds while the world is stopped),
+     * so stats() works from inside a barrier callback.
+     */
+    mutable std::mutex countsMutex_;
+    std::vector<const AllocCounts *> liveAllocs_;
+    AllocCounts sharedAllocs_;
+
     std::atomic<uint64_t> nBarriers_{0};
     std::atomic<uint64_t> nFaults_{0};
 };

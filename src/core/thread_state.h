@@ -1,7 +1,9 @@
 /**
  * @file
  * Per-thread runtime state: the pin-set shadow stack and the safepoint
- * mode used by the stop-the-world barrier (paper §3.4, §4.1.3).
+ * mode used by the stop-the-world barrier (paper §3.4, §4.1.3), plus
+ * the per-thread caches and counters that keep halloc/hfree off shared
+ * cache lines.
  *
  * In the paper, pin sets live directly in stack frames and are found at
  * barrier time by walking the native stack with LLVM StackMaps +
@@ -66,6 +68,20 @@ struct HandleMagazine
     bool full() const { return count == capacity; }
 };
 
+/**
+ * Counts of Runtime::halloc/hfree/hrealloc calls. In a ThreadState only
+ * the owning thread writes them, with a plain load and store (no
+ * read-modify-write), while Runtime::stats() reads them concurrently.
+ * Cache-line aligned so a counting thread shares the line with no other
+ * thread's writes.
+ */
+struct alignas(64) AllocCounts
+{
+    std::atomic<uint64_t> hallocs{0};
+    std::atomic<uint64_t> hfrees{0};
+    std::atomic<uint64_t> hreallocs{0};
+};
+
 /** All barrier-relevant state of one registered thread. */
 struct ThreadState
 {
@@ -89,6 +105,8 @@ struct ThreadState
     std::atomic<uint64_t> accessEpoch{0};
     /** Statistics: how many times this thread parked in a barrier. */
     uint64_t parks = 0;
+    /** This thread's allocation counts (see Runtime::stats). */
+    AllocCounts allocs;
 
     ThreadState() { frames.reserve(64); }
 };

@@ -34,9 +34,11 @@ namespace alaska
  * Abstract heap address space with page accounting.
  *
  * map/copy/touch/discard and rss() are safe to call concurrently: page
- * accounting is striped inside PageModel, real mappings go through the
- * (thread-safe) kernel, and phantom bases come from an atomic cursor.
- * unmap() must not race accesses to the region being unmapped.
+ * accounting is a lock-free per-page bitmap inside PageModel (which
+ * does not depend on map(): it covers any address), real mappings go
+ * through the (thread-safe) kernel, and phantom bases come from an
+ * atomic cursor. unmap() must not race accesses to the region being
+ * unmapped.
  */
 class AddressSpace
 {

@@ -11,13 +11,27 @@
  * additionally perform the matching mmap/madvise calls so the behaviour
  * stays honest.
  *
+ * Residency is one atomic bit per physical frame, kept in a radix tree
+ * over the frame number (a fixed root array, middle nodes, and 4 KiB
+ * bitmap leaves that each cover 2^15 pages). Nodes are created on first
+ * touch by a compare-and-swap and live until the model is destroyed.
+ * The tree spans frames 0 to 2^39 - 1, which covers every user-space
+ * address at 4 KiB pages, so it does not depend on which regions an
+ * AddressSpace mapped. One counter holds the number of set bits; it
+ * changes only when a bit actually flips, so rss() is exact and O(1).
+ *
  * Thread safety: touch(), discard(), and the queries may be called
- * concurrently — the resident set is striped over cache-line-padded
- * mutexes selected by page frame, so touches from threads working in
- * different heap regions rarely share a lock. This matters because the
- * sharded Anchorage service (anchorage/anchorage_service.h) drives
- * touches from every shard concurrently, and concurrent relocation
- * campaigns copy (and therefore touch) outside any heap lock.
+ * concurrently and take no lock. touch() sets bits with fetch_or and
+ * discard() clears them with fetch_and, a word (64 pages) at a time;
+ * touching a page that is already resident is a single load with no
+ * write, no lock and no allocation. This matters because the sharded
+ * Anchorage service (anchorage/anchorage_service.h) drives touches from
+ * every shard concurrently, and concurrent relocation campaigns copy
+ * (and therefore touch) outside any heap lock. Shared state is written
+ * only when a residency bit flips (the bit's word and the counter) or
+ * when a tree node is first created. While writers are in flight
+ * rss() may lag them by the flips not yet counted; it is exact once
+ * they quiesce.
  *
  * alias()/unalias() are also safe to call concurrently with the other
  * operations: the alias map lives behind its own mutex, and the
@@ -35,7 +49,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace alaska
 {
@@ -45,6 +58,7 @@ class PageModel
 {
   public:
     explicit PageModel(size_t page_size = 4096) : pageSize_(page_size) {}
+    ~PageModel();
 
     PageModel(const PageModel &) = delete;
     PageModel &operator=(const PageModel &) = delete;
@@ -52,7 +66,11 @@ class PageModel
     /** Page size in bytes. */
     size_t pageSize() const { return pageSize_; }
 
-    /** Mark every page overlapping [addr, addr+len) resident. */
+    /**
+     * Mark every page overlapping [addr, addr+len) resident. Frames
+     * numbered 2^39 and above (addresses from 2 PiB up, at 4 KiB
+     * pages) are outside the model; touching one is fatal.
+     */
     void touch(uint64_t addr, size_t len);
 
     /**
@@ -99,49 +117,70 @@ class PageModel
     /** True iff the page containing addr is resident. */
     bool isResident(uint64_t addr) const;
 
-    /** Forget everything. */
-    void clear();
-
   private:
-    /** Stripe count for the resident set; power of two. */
-    static constexpr uint64_t numStripes = 16;
+    /** log2 of the frames one leaf covers: 2^15 bits, a 4 KiB leaf. */
+    static constexpr unsigned leafBits = 15;
+    /** log2 of the leaves under one middle node. */
+    static constexpr unsigned midBits = 12;
+    /** log2 of the root's middle-node slots. */
+    static constexpr unsigned topBits = 12;
 
-    /**
-     * One resident-set stripe, cache-line padded so concurrent touches
-     * from threads in different stripes never share a line.
-     */
-    struct alignas(64) Stripe
+    struct Leaf
     {
-        mutable std::mutex mutex;
-        std::unordered_set<uint64_t> resident;
+        std::atomic<uint64_t> words[(size_t{1} << leafBits) / 64] = {};
     };
 
-    using AliasMap = std::unordered_map<uint64_t, uint64_t>;
-
-    Stripe &
-    stripeOf(uint64_t frame) const
+    struct Mid
     {
-        return stripes_[frame & (numStripes - 1)];
-    }
+        std::atomic<Leaf *> leaves[size_t{1} << midBits] = {};
+    };
+
+    /** The leaf holding frame's bit, or nullptr if none exists yet. */
+    Leaf *findLeaf(uint64_t frame) const;
+
+    /** The leaf holding frame's bit, created if absent. */
+    Leaf &leafFor(uint64_t frame);
+
+    /**
+     * Set (resident) or clear every bit in frames [begin, end), a word
+     * at a time, and count the bits that flipped.
+     */
+    void markFrames(uint64_t begin, uint64_t end, bool resident);
+
+    /**
+     * markFrames() for the frames backing virtual pages [begin, end):
+     * the whole range at once while no alias exists, else page by page
+     * through frameOf().
+     */
+    void markPages(uint64_t begin, uint64_t end, bool resident);
 
     /** Map a virtual page index to its physical frame index. */
     uint64_t frameOf(uint64_t vpage) const;
 
     size_t pageSize_;
-    mutable Stripe stripes_[numStripes];
+
+    /** Root of the residency tree; slots are filled on first touch. */
+    std::atomic<Mid *> top_[size_t{1} << topBits] = {};
+
+    /**
+     * Number of set bits. Signed: a clear can be counted before the set
+     * it undid when the two race, so the value may dip below zero while
+     * they are in flight. On its own cache line, away from the
+     * read-mostly aliasCount_ every touch loads.
+     */
+    alignas(64) std::atomic<int64_t> resident_{0};
 
     /**
      * Virtual page -> physical frame, for aliased pages only, guarded
      * by aliasMutex_. aliasCount_ mirrors aliases_.size() so frameOf()
      * can skip the lock entirely while no aliases exist — the touch
      * fast path every non-meshing mode runs stays one atomic load.
-     * Lock order: aliasMutex_ before stripe mutexes; frameOf() drops
-     * aliasMutex_ before its caller takes a stripe lock, so the two
-     * never nest in the reverse direction.
+     * frameOf() drops aliasMutex_ before its caller updates a bit, so
+     * alias()/unalias() are the only paths that flip bits under it.
      */
-    std::atomic<size_t> aliasCount_{0};
+    alignas(64) std::atomic<size_t> aliasCount_{0};
     mutable std::mutex aliasMutex_;
-    AliasMap aliases_;
+    std::unordered_map<uint64_t, uint64_t> aliases_;
 };
 
 } // namespace alaska

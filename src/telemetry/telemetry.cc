@@ -14,8 +14,6 @@ counterName(Counter c)
     case Counter::TranslateFast: return "translate_fast";
     case Counter::DerefScoped: return "deref_scoped";
     case Counter::ScopeOpen: return "scope_open";
-    case Counter::Halloc: return "halloc";
-    case Counter::Hfree: return "hfree";
     case Counter::DerefPinned: return "deref_pinned";
     case Counter::HandleFault: return "handle_fault";
     case Counter::MagazineRefill: return "magazine_refill";

@@ -49,8 +49,6 @@ enum class Counter : uint32_t {
     TranslateFast,    ///< translate() fast-path hits (STW discipline)
     DerefScoped,      ///< translateScoped() calls (epoch-scope path)
     ScopeOpen,        ///< outermost access_scope/ConcurrentAccessScope opens
-    Halloc,           ///< Runtime::halloc/hcalloc allocations
-    Hfree,            ///< Runtime::hfree frees
     /* default (level >= 1) */
     DerefPinned,      ///< ConcurrentPin pin+translate derefs
     HandleFault,      ///< translateChecked faults on invalid handles

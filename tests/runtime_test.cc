@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/rng.h"
@@ -131,6 +133,88 @@ TEST_F(RuntimeTest, StatsCount)
     EXPECT_EQ(s.hallocs, 1u);
     EXPECT_EQ(s.hreallocs, 1u);
     EXPECT_EQ(s.hfrees, 1u);
+}
+
+TEST_F(RuntimeTest, HcallocOverflowIsFatal)
+{
+    // Without the check the product wraps to 2 and the caller gets a
+    // 2-byte object it believes holds 2^64 + 2 bytes.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(runtime_.hcalloc((size_t{1} << 63) + 1, 2),
+                ::testing::ExitedWithCode(1), "hcalloc");
+}
+
+/** k rounds of halloc, hrealloc and hfree on the calling thread. */
+void
+churnHandles(Runtime &runtime, uint64_t k)
+{
+    for (uint64_t i = 0; i < k; i++) {
+        void *h = runtime.halloc(16);
+        h = runtime.hrealloc(h, 48);
+        runtime.hfree(h);
+    }
+}
+
+TEST_F(RuntimeTest, StatsStayExactAndMonotonicAcrossThreadExit)
+{
+    // Registered threads count in their own cells and hand them over
+    // when they exit; the unregistered test thread counts in the
+    // shared cell. A concurrent reader must never see a total drop,
+    // not even while the threads exit.
+    constexpr int workers = 4;
+    constexpr uint64_t k = 30000;
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> polls{0};
+    std::atomic<bool> decreased{false};
+    std::thread reader([&] {
+        RuntimeStats last;
+        while (!done.load(std::memory_order_acquire)) {
+            const RuntimeStats now = runtime_.stats();
+            if (now.hallocs < last.hallocs || now.hfrees < last.hfrees ||
+                now.hreallocs < last.hreallocs)
+                decreased.store(true);
+            last = now;
+            polls.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+    // Start the workers once the reader is polling, with staggered
+    // counts so they exit at different times while it polls.
+    while (polls.load(std::memory_order_relaxed) == 0)
+        std::this_thread::yield();
+    uint64_t expected = k;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < workers; t++) {
+        const uint64_t rounds = k + t * 5000;
+        expected += rounds;
+        threads.emplace_back([this, rounds] {
+            ThreadRegistration registration(runtime_);
+            churnHandles(runtime_, rounds);
+        });
+    }
+    churnHandles(runtime_, k);
+    for (auto &thread : threads)
+        thread.join();
+    done.store(true, std::memory_order_release);
+    reader.join();
+
+    const RuntimeStats s = runtime_.stats();
+    EXPECT_EQ(s.hallocs, expected);
+    EXPECT_EQ(s.hreallocs, expected);
+    EXPECT_EQ(s.hfrees, expected);
+    EXPECT_FALSE(decreased.load());
+}
+
+TEST_F(RuntimeTest, StatsReturnsInsideABarrier)
+{
+    // A barrier holds the thread registry's lock for the whole stop, so
+    // stats() must not need it.
+    ThreadRegistration registration(runtime_);
+    void *h = runtime_.halloc(8);
+    RuntimeStats inside;
+    runtime_.barrier([&](const PinnedSet &) { inside = runtime_.stats(); });
+    EXPECT_EQ(inside.hallocs, 1u);
+    EXPECT_EQ(inside.barriers, 0u);
+    runtime_.hfree(h);
 }
 
 TEST_F(RuntimeTest, ObjectMovementIsOneStoreAwayFromAllAliases)
