@@ -3,18 +3,15 @@
  * Figure 9 (and Figure 1): RSS of a Redis-like cache with maxmemory
  * 100 MiB under LRU churn, for the memory managers the paper
  * compares: the non-moving baseline, Redis-style activedefrag over
- * jemalloc hints, Mesh, and Anchorage — plus Anchorage running its
- * own page-meshing mode (DefragMode::Mesh), which recovers RSS with
- * zero object copies and zero barriers. The headline: Anchorage —
+ * jemalloc hints, Mesh, and Anchorage. The headline: Anchorage —
  * with zero application cooperation — reduces memory on par with the
  * bespoke activedefrag (up to ~40% below baseline), while the
  * baseline never recovers.
  *
  * Flags: --smoke (smaller memory policy and insert count for CI),
- * --out=FILE (machine-readable per-curve final/floor RSS plus the
- * meshing counters; the run is virtual-clock + fixed-seed
- * deterministic, so the committed BENCH_fig09.json baseline diffs
- * exactly).
+ * --out=FILE (machine-readable per-curve final/floor RSS; the run is
+ * virtual-clock + fixed-seed deterministic, so the committed
+ * BENCH_fig09.json baseline diffs exactly).
  */
 
 #include <cstdio>
@@ -72,8 +69,6 @@ main(int argc, char **argv)
                 workload_config.maxMemory >> 20, timeline.seconds);
 
     std::vector<FragCurve> curves;
-    uint64_t pages_meshed = 0;
-    uint64_t split_faults = 0;
 
     { // Baseline: Redis's default allocator, no defragmentation.
         VirtualClock clock;
@@ -115,24 +110,6 @@ main(int argc, char **argv)
             "anchorage", model, workload_config, timeline, clock,
             [&model](kv::CacheWorkload &) { model.maintain(); }));
     }
-    { // Anchorage in DefragMode::Mesh: same heap, but RSS is recovered
-      // by meshing sparse pages — zero copies, zero barriers.
-        VirtualClock clock;
-        PhantomAddressSpace space;
-        anchorage::ControlParams control;
-        control.useModeledTime = true;
-        control.batchBytes = 0;
-        control.mode = anchorage::DefragMode::Mesh;
-        anchorage::AnchorageConfig config;
-        config.meshSeed = timeline.seed;
-        anchorage::AnchorageAllocModel model(space, clock, control,
-                                             config);
-        curves.push_back(runFragConfig(
-            "anchorage-mesh", model, workload_config, timeline, clock,
-            [&model](kv::CacheWorkload &) { model.maintain(); }));
-        pages_meshed = model.service().meshDirectory().meshes();
-        split_faults = model.service().meshDirectory().splitFaults();
-    }
 
     printCurves(curves, timeline.tickSec);
 
@@ -143,10 +120,6 @@ main(int argc, char **argv)
                     curve.name.c_str(), curve.rssMb.back(),
                     (curve.rssMb.back() / baseline_final - 1) * 100);
     }
-    std::printf("anchorage-mesh: %zu pages meshed, %zu split faults "
-                "over the run\n",
-                static_cast<size_t>(pages_meshed),
-                static_cast<size_t>(split_faults));
     std::printf("\npaper: baseline ~300 MB flat; Anchorage and "
                 "activedefrag both fall to ~150 MB (about 40%%\n"
                 "less); Mesh lands in between.\n");
@@ -154,21 +127,13 @@ main(int argc, char **argv)
     if (out_file != nullptr) {
         JsonReport report;
         for (const auto &curve : curves) {
-            // Metric names use '_' (curve names use '-').
-            std::string key = curve.name;
-            for (char &c : key)
-                if (c == '-')
-                    c = '_';
             double floor = curve.rssMb.front();
             for (double r : curve.rssMb)
                 floor = std::min(floor, r);
-            report.add(key + ".final_rss_mb", curve.rssMb.back(), "MB");
-            report.add(key + ".floor_rss_mb", floor, "MB");
+            report.add(curve.name + ".final_rss_mb", curve.rssMb.back(),
+                       "MB");
+            report.add(curve.name + ".floor_rss_mb", floor, "MB");
         }
-        report.add("anchorage_mesh.pages_meshed",
-                   static_cast<double>(pages_meshed));
-        report.add("anchorage_mesh.split_faults",
-                   static_cast<double>(split_faults));
         if (!report.writeTo(out_file, "fig09_redis_defrag"))
             return 1;
     }

@@ -6,7 +6,9 @@
  * logic scaled by 1/50 (1 GiB policy, ~2.5 GiB inserted) over a
  * phantom address space — layout, metadata, controller dynamics and
  * page accounting are real; only the payload bytes are absent (see
- * DESIGN.md). The paper's qualitative findings to look for:
+ * PhantomAddressSpace in src/sim/address_space.h and
+ * docs/ARCHITECTURE.md, layer 6). The paper's qualitative findings to
+ * look for:
  *
  *  - >2.5x fragmentation once eviction begins;
  *  - Anchorage converges to activedefrag's steady state but over a
@@ -96,17 +98,12 @@ main(int argc, char **argv)
             "mesh", model, workload_config, timeline, clock,
             [&model](kv::CacheWorkload &) { model.maintain(); }));
     }
-    // Per-anchorage-mode defrag totals, for the efficiency summary:
-    // what each mechanism recovered per CPU-second of defrag work and
-    // per microsecond of mutator-visible pause.
-    struct ModeTotals
-    {
-        const char *name;
-        anchorage::DefragStats stats;
-        double defragSec = 0;
-        double pauseSec = 0;
-    };
-    std::vector<ModeTotals> mode_totals;
+    // Anchorage's defrag totals, for the efficiency summary: what it
+    // recovered per CPU-second of defrag work and per microsecond of
+    // mutator-visible pause.
+    anchorage::DefragStats stw_stats;
+    double defrag_sec = 0;
+    double pause_sec = 0;
     double first_pause = 0;
     size_t passes = 0;
     {
@@ -125,7 +122,6 @@ main(int argc, char **argv)
         control.fUb = 1.25;
         control.fLb = 1.05;
         anchorage::AnchorageAllocModel model(space, clock, control);
-        ModeTotals totals{"anchorage (stw)", {}, 0, 0};
         curves.push_back(runFragConfig(
             "anchorage", model, workload_config, timeline, clock,
             [&](kv::CacheWorkload &) {
@@ -133,43 +129,12 @@ main(int argc, char **argv)
                 if (model.lastAction().defragged) {
                     if (first_pause == 0)
                         first_pause = model.lastAction().pauseSec;
-                    totals.stats.accumulate(model.lastAction().stats);
+                    stw_stats.accumulate(model.lastAction().stats);
                 }
             }));
         passes = model.controller().passes();
-        totals.defragSec = model.controller().totalDefragSec();
-        totals.pauseSec = model.controller().totalPauseSec();
-        mode_totals.push_back(totals);
-    }
-    {
-        // Anchorage in DefragMode::Mesh: RSS recovery through page
-        // meshing alone — no copies, no barriers — to show what the
-        // mechanism is (and is not) worth at scale: like standalone
-        // Mesh, it cannot shrink extent, so it converges well above
-        // the movers.
-        VirtualClock clock;
-        PhantomAddressSpace space;
-        anchorage::ControlParams control;
-        control.useModeledTime = true;
-        control.oUb = 0.05;
-        control.fUb = 1.25;
-        control.fLb = 1.05;
-        control.mode = anchorage::DefragMode::Mesh;
-        anchorage::AnchorageConfig config;
-        config.meshSeed = timeline.seed;
-        anchorage::AnchorageAllocModel model(space, clock, control,
-                                             config);
-        ModeTotals totals{"anchorage (mesh)", {}, 0, 0};
-        curves.push_back(runFragConfig(
-            "anchorage-mesh", model, workload_config, timeline, clock,
-            [&](kv::CacheWorkload &) {
-                model.maintain();
-                if (model.lastAction().defragged)
-                    totals.stats.accumulate(model.lastAction().stats);
-            }));
-        totals.defragSec = model.controller().totalDefragSec();
-        totals.pauseSec = model.controller().totalPauseSec();
-        mode_totals.push_back(totals);
+        defrag_sec = model.controller().totalDefragSec();
+        pause_sec = model.controller().totalPauseSec();
     }
 
     printCurves(curves, timeline.tickSec);
@@ -185,22 +150,17 @@ main(int argc, char **argv)
     std::printf("\ndefrag efficiency (bytes back per unit of cost):\n");
     std::printf("  %-18s %12s %12s %14s %16s\n", "mode", "recovered",
                 "cpu_sec", "MB/cpu-sec", "KB/pause-us");
-    for (const auto &mt : mode_totals) {
-        // Movers recover extent (reclaimedBytes); meshing recovers
-        // frames (bytesRecovered). Both are resident bytes returned.
-        const double recovered =
-            static_cast<double>(mt.stats.reclaimedBytes +
-                                mt.stats.bytesRecovered);
-        std::printf("  %-18s %10.1fMB %11.2fs %14.1f ",
-                    mt.name, recovered / 1e6, mt.defragSec,
-                    mt.defragSec > 0 ? recovered / 1e6 / mt.defragSec
-                                     : 0.0);
-        if (mt.pauseSec > 0)
-            std::printf("%15.2f\n",
-                        recovered / 1024.0 / (mt.pauseSec * 1e6));
-        else
-            std::printf("%16s\n", "inf (no pause)");
-    }
+    // The mover recovers extent (reclaimedBytes): resident bytes
+    // returned to the kernel.
+    const double recovered = static_cast<double>(stw_stats.reclaimedBytes);
+    const double mb_per_cpu_sec =
+        defrag_sec > 0 ? recovered / 1e6 / defrag_sec : 0.0;
+    std::printf("  %-18s %10.1fMB %11.2fs %14.1f ", "anchorage (stw)",
+                recovered / 1e6, defrag_sec, mb_per_cpu_sec);
+    if (pause_sec > 0)
+        std::printf("%15.2f\n", recovered / 1024.0 / (pause_sec * 1e6));
+    else
+        std::printf("%16s\n", "inf (no pause)");
     std::printf("\nanchorage controller: first pause %.3f s (alpha * "
                 "heap mispredicts badly at this scale), then\n"
                 "backs off ~%.0f s to stay within O_ub=5%%; %zu passes "
@@ -221,29 +181,9 @@ main(int argc, char **argv)
                            ? curve.rssMb.back() / curve.usedMb.back()
                            : 0.0);
         }
-        for (const auto &mt : mode_totals) {
-            // "anchorage (stw)" -> "anchorage_stw" metric prefix.
-            std::string prefix;
-            for (char c : std::string(mt.name)) {
-                if (c == ' ' || c == '(' || c == ')') {
-                    if (!prefix.empty() && prefix.back() != '_')
-                        prefix.push_back('_');
-                } else {
-                    prefix.push_back(c);
-                }
-            }
-            if (!prefix.empty() && prefix.back() == '_')
-                prefix.pop_back();
-            const double recovered =
-                static_cast<double>(mt.stats.reclaimedBytes +
-                                    mt.stats.bytesRecovered) / 1e6;
-            report.add(prefix + ".recovered_mb", recovered, "MB");
-            report.add(prefix + ".defrag_cpu_sec", mt.defragSec, "s");
-            report.add(prefix + ".mb_per_cpu_sec",
-                       mt.defragSec > 0 ? recovered / mt.defragSec
-                                        : 0.0,
-                       "MB/s");
-        }
+        report.add("anchorage_stw.recovered_mb", recovered / 1e6, "MB");
+        report.add("anchorage_stw.defrag_cpu_sec", defrag_sec, "s");
+        report.add("anchorage_stw.mb_per_cpu_sec", mb_per_cpu_sec, "MB/s");
         report.add("anchorage_stw.first_pause_s", first_pause, "s");
         report.add("anchorage_stw.passes",
                    static_cast<double>(passes));

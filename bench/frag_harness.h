@@ -37,7 +37,7 @@ struct FragTimeline
     size_t totalInserts = 2000000;
     /**
      * Seed handed to every stochastic model the figure constructs
-     * (MeshModel's probe order, AnchorageConfig::meshSeed). One knob
+     * (MeshModel's probe order). One knob
      * per experiment — not a hardcoded literal per call site — keeps
      * the whole figure reproducible and re-seedable in one place.
      */

@@ -14,8 +14,8 @@
  * daemon's per-mechanism totals), separating "the pause did it" from
  * "the server was just overloaded" (violated_idle).
  *
- * Default run: all five defrag modes (stw, concurrent, hybrid, mesh,
- * mesh-hybrid) under the same offered load, reporting per-op
+ * Default run: all three defrag modes (stw, concurrent, hybrid) under
+ * the same offered load, reporting per-op
  * p50/p99/p999, violated windows (and their mechanism attribution),
  * queue depth, steals, backpressure, and the mode's recovery/pause
  * economics. --mode=NAME runs one mode only.
@@ -174,8 +174,7 @@ runServe(anchorage::DefragMode mode, const ServeOptions &opt,
         const auto workOf = [&](size_t k) {
             const anchorage::DefragStats s = daemon.totalsFor(
                 static_cast<anchorage::MechanismKind>(k));
-            return s.movedObjects + s.pagesMeshed + s.barriers +
-                   s.committed;
+            return s.movedObjects + s.barriers + s.committed;
         };
         const int64_t windowUs =
             static_cast<int64_t>(opt.windowMs * 1000);
@@ -306,9 +305,7 @@ printRun(const char *name, const RunResult &r, double sloUs)
                 r.barriers);
     row("mutator pause time", r.pauseMs, "ms");
     row("resident bytes recovered",
-        static_cast<double>(r.totals.reclaimedBytes +
-                            r.totals.bytesRecovered) / 1e6,
-        "MB");
+        static_cast<double>(r.totals.reclaimedBytes) / 1e6, "MB");
     std::printf("\n");
 }
 
@@ -352,12 +349,8 @@ reportRun(bench::JsonReport &report, const std::string &prefix,
     report.add(prefix + ".pause_ms", r.pauseMs, "ms");
     report.add(prefix + ".moved_objects",
                static_cast<double>(r.totals.movedObjects));
-    report.add(prefix + ".pages_meshed",
-               static_cast<double>(r.totals.pagesMeshed));
     report.add(prefix + ".recovered_mb",
-               static_cast<double>(r.totals.reclaimedBytes +
-                                   r.totals.bytesRecovered) / 1e6,
-               "MB");
+               static_cast<double>(r.totals.reclaimedBytes) / 1e6, "MB");
 }
 
 struct NamedMode
@@ -370,8 +363,6 @@ constexpr NamedMode kModes[] = {
     {"stw", anchorage::DefragMode::StopTheWorld},
     {"concurrent", anchorage::DefragMode::Concurrent},
     {"hybrid", anchorage::DefragMode::Hybrid},
-    {"mesh", anchorage::DefragMode::Mesh},
-    {"mesh-hybrid", anchorage::DefragMode::MeshHybrid},
 };
 
 /** Oversized per-barrier cap for the adaptive-vs-fixed head-to-head:
@@ -448,8 +439,8 @@ main(int argc, char **argv)
         } else {
             std::fprintf(
                 stderr,
-                "usage: %s [--smoke] [--mode=stw|concurrent|hybrid|"
-                "mesh|mesh-hybrid] [--rate=N] [--threads=N] "
+                "usage: %s [--smoke] [--mode=stw|concurrent|hybrid] "
+                "[--rate=N] [--threads=N] "
                 "[--records=N] [--ops=N] [--slo-us=N] [--window-ms=N] "
                 "[--target-pause-us=N] [--workload=a|b|c|f] "
                 "[--queue-cap=N] [--value-size=N] [--fixed-rate] "

@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablations of the design decisions DESIGN.md calls out:
+ * Ablations of three design decisions the paper argues for:
  *
  *  1. Pin tracking: stack pin sets (no atomics) vs the naive atomic
  *     pin counts the paper argues against, under multithreaded pin

@@ -34,11 +34,11 @@
  * baseline column), --records=N, --ops=N (single-thread section),
  * --mrecords=N --mops=N (per-thread, multi-thread section),
  * --single-only, --multi-only,
- * --mode=stw|concurrent|hybrid|mesh|mesh-hybrid (run only the named
- * defrag mode under the multi-thread load and report its RSS-recovery
- * economics — resident bytes recovered, pages meshed, split faults,
- * recovery per CPU-second and per pause-microsecond, and per-mechanism
- * attribution of all of it — instead of the default sections),
+ * --mode=stw|concurrent|hybrid (run only the named defrag mode under
+ * the multi-thread load and report its RSS-recovery economics —
+ * resident bytes recovered, recovery per CPU-second and per
+ * pause-microsecond, and per-mechanism attribution of all of it —
+ * instead of the default sections),
  * --target-pause-us=N (run the StopTheWorld load twice with an
  * oversized batchBytes cap — once with the adaptive barrier budget
  * targeting an N-microsecond pause, once with the static bound — and
@@ -448,10 +448,9 @@ reportMode(alaska::bench::JsonReport &report, const std::string &prefix,
 
 /**
  * The `--mode=` section: one named defrag mode under the multi-thread
- * YCSB load, reported on the axes that distinguish the meshing modes —
- * resident bytes recovered (not just extent), what that recovery cost
- * in CPU seconds and in mutator pause time, and proof of the zero-copy
- * zero-barrier claim (movedObjects, barriers).
+ * YCSB load, reported on its recovery economics — resident bytes
+ * recovered, what that recovery cost in CPU seconds and in mutator
+ * pause time, and the copies and barriers that paid for it.
  */
 void
 runSingleModeSection(const char *mode_name, anchorage::DefragMode mode,
@@ -482,19 +481,13 @@ runSingleModeSection(const char *mode_name, anchorage::DefragMode mode,
         static_cast<double>(r.rss_min) / 1e6, "MB");
     row("rss at end", static_cast<double>(r.rss_after) / 1e6, "MB");
     // Resident bytes the mechanism returned to the kernel: extent the
-    // movers trimmed plus frames meshing released. Attributed at the
-    // mechanism, not inferred from RSS samples — the update phase
-    // allocates concurrently, so heap growth would mask recovery that
-    // is nonetheless real (end RSS sits recovered_mb below where a
-    // no-defrag run would land).
+    // movers trimmed. Attributed at the mechanism, not inferred from
+    // RSS samples — the update phase allocates concurrently, so heap
+    // growth would mask recovery that is nonetheless real (end RSS
+    // sits recovered_mb below where a no-defrag run would land).
     const double recovered_mb =
-        static_cast<double>(r.totals.reclaimedBytes +
-                            r.totals.bytesRecovered) / 1e6;
+        static_cast<double>(r.totals.reclaimedBytes) / 1e6;
     row("resident bytes recovered", recovered_mb, "MB");
-    std::printf("%-30s %14zu\n", "pages meshed",
-                static_cast<size_t>(r.totals.pagesMeshed));
-    std::printf("%-30s %14zu\n", "split faults",
-                static_cast<size_t>(r.totals.splitFaults));
     std::printf("%-30s %14zu\n", "objects moved (copies)",
                 static_cast<size_t>(r.totals.movedObjects));
     std::printf("%-30s %14zu\n", "campaign commits",
@@ -514,21 +507,18 @@ runSingleModeSection(const char *mode_name, anchorage::DefragMode mode,
                     "inf (no pause)");
 
     // Per-mechanism attribution: what each mechanism — not the mode as
-    // a whole — moved and recovered. Under hybrid/mesh-hybrid this is
+    // a whole — moved and recovered. Under hybrid this is
     // the breakdown the folded totals above cannot show (e.g. how much
     // of the recovery the STW fallback did vs the campaigns).
-    std::printf("\n%-12s %12s %13s %13s %12s %12s\n", "mechanism",
-                "moved objs", "recovered MB", "pages meshed", "commits",
-                "aborts");
+    std::printf("\n%-12s %12s %13s %12s %12s\n", "mechanism",
+                "moved objs", "recovered MB", "commits", "aborts");
     for (size_t i = 0; i < anchorage::kNumMechanisms; i++) {
         const anchorage::DefragStats &m = r.by_mech[i];
-        std::printf("%-12s %12zu %13.2f %13zu %12zu %12zu\n",
+        std::printf("%-12s %12zu %13.2f %12zu %12zu\n",
                     anchorage::mechanismName(
                         static_cast<anchorage::MechanismKind>(i)),
                     static_cast<size_t>(m.movedObjects),
-                    static_cast<double>(m.reclaimedBytes +
-                                        m.bytesRecovered) / 1e6,
-                    static_cast<size_t>(m.pagesMeshed),
+                    static_cast<double>(m.reclaimedBytes) / 1e6,
                     static_cast<size_t>(m.committed),
                     static_cast<size_t>(m.aborted));
     }
@@ -543,8 +533,7 @@ runSingleModeSection(const char *mode_name, anchorage::DefragMode mode,
                 anchorage::mechanismName(
                     static_cast<anchorage::MechanismKind>(i));
             report->add(mp + ".recovered_mb",
-                        static_cast<double>(m.reclaimedBytes +
-                                            m.bytesRecovered) / 1e6,
+                        static_cast<double>(m.reclaimedBytes) / 1e6,
                         "MB");
             report->add(mp + ".moved_objects",
                         static_cast<double>(m.movedObjects));
@@ -554,10 +543,6 @@ runSingleModeSection(const char *mode_name, anchorage::DefragMode mode,
         report->add(prefix + ".rss_min_mb",
                     static_cast<double>(r.rss_min) / 1e6, "MB");
         report->add(prefix + ".recovered_mb", recovered_mb, "MB");
-        report->add(prefix + ".pages_meshed",
-                    static_cast<double>(r.totals.pagesMeshed));
-        report->add(prefix + ".split_faults",
-                    static_cast<double>(r.totals.splitFaults));
         report->add(prefix + ".moved_objects",
                     static_cast<double>(r.totals.movedObjects));
         report->add(prefix + ".defrag_sec", r.defrag_sec, "s");
@@ -656,13 +641,10 @@ runMultiThreadSection(int threads, size_t shards,
                             anchorage::MechanismKind kind) {
         const anchorage::DefragStats &m =
             r.by_mech[static_cast<size_t>(kind)];
-        return static_cast<double>(m.reclaimedBytes +
-                                   m.bytesRecovered) / 1e6;
+        return static_cast<double>(m.reclaimedBytes) / 1e6;
     };
-    for (const auto kind :
-         {anchorage::MechanismKind::Stw,
-          anchorage::MechanismKind::Campaign,
-          anchorage::MechanismKind::Mesh}) {
+    for (const auto kind : {anchorage::MechanismKind::Stw,
+                            anchorage::MechanismKind::Campaign}) {
         char label[40];
         std::snprintf(label, sizeof label, "  recovered via %s",
                       anchorage::mechanismName(kind));
@@ -890,8 +872,8 @@ main(int argc, char **argv)
                          "usage: %s [--smoke] [--threads=N] "
                          "[--shards=N] [--records=N] [--ops=N] "
                          "[--mrecords=N] [--mops=N] [--single-only] "
-                         "[--multi-only] [--mode=stw|concurrent|hybrid"
-                         "|mesh|mesh-hybrid] [--target-pause-us=N] "
+                         "[--multi-only] [--mode=stw|concurrent|hybrid] "
+                         "[--target-pause-us=N] "
                          "[--telemetry] [--trace=FILE] [--out=FILE]\n",
                          argv[0]);
             return 2;
@@ -915,14 +897,10 @@ main(int argc, char **argv)
             mode = anchorage::DefragMode::Concurrent;
         else if (name == "hybrid")
             mode = anchorage::DefragMode::Hybrid;
-        else if (name == "mesh")
-            mode = anchorage::DefragMode::Mesh;
-        else if (name == "mesh-hybrid")
-            mode = anchorage::DefragMode::MeshHybrid;
         else {
             std::fprintf(stderr,
                          "--mode= must be one of stw, concurrent, "
-                         "hybrid, mesh, mesh-hybrid\n");
+                         "hybrid\n");
             return 2;
         }
         runSingleModeSection(mode_name, mode, threads, shards,

@@ -1,21 +1,13 @@
 /**
  * @file
  * The translate-cost baseline: nanoseconds per translation on the
- * three paths whose relative cost the paper's story depends on, as a
+ * two paths whose relative cost the paper's story depends on, as a
  * committed regression gate (BENCH_translate.json, diffed by
  * scripts/diff_bench.py in scripts/check.sh and CI):
  *
  *   translate.direct_ns    raw translate() under the Direct
  *                          (stop-the-world) discipline — the paper's
  *                          two-instruction fast path.
- *   translate.mesh_mode_ns the same raw translate() with a Mesh-mode
- *                          relocation daemon attached. Meshing shares
- *                          frames below the virtual address space and
- *                          never touches handle entries, so Mesh mode
- *                          keeps the Direct discipline: this column
- *                          must sit within noise of direct_ns — the
- *                          zero-translation-overhead acceptance check
- *                          for DefragMode::Mesh.
  *   translate.scoped_ns    scope-bracketed translate under the Scoped
  *                          discipline (a campaign-capable daemon
  *                          declared): the epoch publish amortized over
@@ -119,13 +111,13 @@ main(int argc, char **argv)
 
     alaska::bench::JsonReport report;
     const double ops = static_cast<double>(kReps) * kWindow;
-    double best[3] = {1e30, 1e30, 1e30};
+    double best[2] = {1e30, 1e30};
     auto track = [&](const char *metric, double sec, double &b) {
         b = std::min(b, sec);
         report.add(metric, sec / ops * 1e9, "ns");
     };
 
-    // Only one Runtime may be live at a time, so the three columns run
+    // Only one Runtime may be live at a time, so the two columns run
     // as sequential blocks (best-of-kTrials within each block absorbs
     // the noise interleaving would have).
     {
@@ -138,25 +130,6 @@ main(int argc, char **argv)
         fillWindow(runtime, window);
         for (int trial = 0; trial < kTrials; trial++)
             track("translate.direct_ns", rawPass(window), best[0]);
-        for (int i = 0; i < kWindow; i++)
-            runtime.hfree(window[i]);
-    }
-    {
-        // The same raw loads with a Mesh-mode daemon attached
-        // (constructing the daemon is what would flip the discipline —
-        // Mesh mode must not).
-        RealAddressSpace space;
-        anchorage::AnchorageService service(space);
-        Runtime runtime(RuntimeConfig{.tableCapacity = kTableCapacity});
-        runtime.attachService(&service);
-        anchorage::ControlParams params;
-        params.mode = anchorage::DefragMode::Mesh;
-        ConcurrentRelocDaemon daemon(runtime, service, params);
-        ThreadRegistration reg(runtime);
-        void *window[kWindow];
-        fillWindow(runtime, window);
-        for (int trial = 0; trial < kTrials; trial++)
-            track("translate.mesh_mode_ns", rawPass(window), best[1]);
         for (int i = 0; i < kWindow; i++)
             runtime.hfree(window[i]);
     }
@@ -174,7 +147,7 @@ main(int argc, char **argv)
         void *window[kWindow];
         fillWindow(runtime, window);
         for (int trial = 0; trial < kTrials; trial++)
-            track("translate.scoped_ns", scopedPass(window), best[2]);
+            track("translate.scoped_ns", scopedPass(window), best[1]);
         for (int i = 0; i < kWindow; i++)
             runtime.hfree(window[i]);
     }
@@ -183,14 +156,10 @@ main(int argc, char **argv)
                 "through a translation) ===\n\n");
     std::printf("%-24s %10s\n", "path", "best ns/op");
     std::printf("%-24s %10.2f\n", "direct", best[0] / ops * 1e9);
-    std::printf("%-24s %10.2f\n", "mesh-mode (direct)",
-                best[1] / ops * 1e9);
     std::printf("%-24s %10.2f\n", "scoped (per-op scope)",
-                best[2] / ops * 1e9);
-    std::printf("\nmesh-mode must match direct: meshing never touches "
-                "the handle table, so DefragMode::Mesh\nkeeps the "
-                "two-instruction translate. scoped pays one epoch "
-                "publish per %d-load operation.\n",
+                best[1] / ops * 1e9);
+    std::printf("\nscoped pays one epoch publish per %d-load "
+                "operation.\n",
                 kOpSize);
 
     if (out_file != nullptr &&

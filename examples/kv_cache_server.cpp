@@ -93,8 +93,8 @@ main()
             for (size_t k = 0; k < anchorage::kNumMechanisms; k++) {
                 const anchorage::DefragStats s = daemon.totalsFor(
                     static_cast<anchorage::MechanismKind>(k));
-                const uint64_t w = s.movedObjects + s.pagesMeshed +
-                                   s.barriers + s.committed;
+                const uint64_t w =
+                    s.movedObjects + s.barriers + s.committed;
                 delta[k] = w - last[k];
                 last[k] = w;
             }

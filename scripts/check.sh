@@ -10,8 +10,8 @@ cd "$(dirname "$0")/.."
 # TSAN mode (`scripts/check.sh --tsan`): build the concurrency suites
 # under ThreadSanitizer in a separate tree and run just them — the
 # suites that drive the epoch-scope / pin-handshake /
-# grace-deferred-reclaim protocol, the mesh/split path, barriers
-# (which read HTE pin counts while other threads pin and unpin), the
+# grace-deferred-reclaim protocol, barriers (which read HTE pin
+# counts while other threads pin and unpin), the
 # lock-free page-residency bitmap and the per-thread allocation
 # counters end to end (the full suite under TSAN is slow and mostly
 # single-threaded).
@@ -20,8 +20,8 @@ cd "$(dirname "$0")/.."
 # protocol bug.
 if [ "${1:-}" = "--tsan" ]; then
     suites="concurrent_reloc_daemon_test handle_shard_stress_test
-            epoch_grace_test telemetry_test mesh_runtime_test
-            defrag_equivalence_test policy_test serve_test barrier_test
+            epoch_grace_test telemetry_test defrag_equivalence_test
+            policy_test serve_test barrier_test
             pin_test batched_defrag_test anchorage_test page_model_test
             runtime_test"
     targets=""
@@ -68,6 +68,15 @@ fi
 # see docs/ARCHITECTURE.md and docs/API.md).
 sh scripts/check_header_docs.sh
 
+# Telemetry catalogue gate: every counter, gauge, histogram and trace
+# event the source emits has a row in docs/OBSERVABILITY.md, and every
+# row names something the source still emits.
+if command -v python3 > /dev/null 2>&1; then
+    python3 scripts/check_observability_docs.py
+else
+    echo "check_observability_docs skipped (no python3)"
+fi
+
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 cd build
@@ -85,8 +94,6 @@ ctest --output-on-failure -j "$(nproc)"
 ./tab_ycsb_latency --smoke --shards=8 --telemetry \
     --trace=bench_trace.json --out=bench_ycsb.json > /dev/null
 ./tab_ycsb_latency --smoke --multi-only --shards=1 > /dev/null
-./tab_ycsb_latency --smoke --mode=mesh --telemetry \
-    --trace=mesh_trace.json > /dev/null
 # Adaptive-barrier smoke: the pause-SLO run must complete and adapt
 # (its value claim — bounded pauses vs the fixed run — is shown in the
 # printed table; run unasserted here since pause tails are wall-clock).
@@ -94,7 +101,7 @@ ctest --output-on-failure -j "$(nproc)"
 ./fig09_redis_defrag --smoke --out=bench_fig09.json > /dev/null
 ./fig11_large_workload --smoke --out=bench_fig11.json > /dev/null
 ./fig12_memcached_pauses --smoke > /dev/null
-# Serving smoke: open-loop load over all five defrag modes plus the
+# Serving smoke: open-loop load over all three defrag modes plus the
 # adaptive-vs-fixed pause head-to-head. The binary asserts its own
 # invariants — zero lost responses in every mode, adaptive p999 inside
 # the noise envelope over fixed — and exits nonzero on violation.
@@ -105,14 +112,12 @@ echo "bench smoke OK"
 # Trace gates: the telemetry-instrumented YCSB smoke must emit a
 # parseable Chrome trace with at least one campaign span, one barrier
 # span and one policy_decision span (the policy layer's per-tick
-# deliberation), and the mesh-mode smoke at least one mesh span —
-# proof the defrag pipeline's tracer stays wired for every mechanism
-# and for the policy above them (see docs/OBSERVABILITY.md for the
-# event schema).
+# deliberation) — proof the defrag pipeline's tracer stays wired for
+# both mechanisms and for the policy above them (see
+# docs/OBSERVABILITY.md for the event schema).
 if command -v python3 > /dev/null 2>&1; then
     python3 ../scripts/check_trace.py bench_trace.json campaign \
         barrier policy_decision
-    python3 ../scripts/check_trace.py mesh_trace.json mesh
     # The serving smoke must emit at least one request span — proof
     # every served request is bracketed by the tracer.
     python3 ../scripts/check_trace.py serve_trace.json request
@@ -131,7 +136,9 @@ fi
 #   * handle_alloc: the deref/scoped translate costs (multi-sample,
 #     low CV); the single-sample alloc throughputs stay advisory;
 #   * translate: the whole report (multi-sample medians, low CV);
-#   * fig11: the whole report (virtual-clock run, bit-deterministic).
+#   * fig09 and fig11: the whole report, value for value (--band=0):
+#     both run on a virtual clock with fixed seeds, so any drift is a
+#     behaviour change, not noise.
 if command -v python3 > /dev/null 2>&1; then
     python3 ../scripts/diff_bench.py ../BENCH_ycsb.json \
         bench_ycsb.json \
@@ -141,9 +148,9 @@ if command -v python3 > /dev/null 2>&1; then
     python3 ../scripts/diff_bench.py ../BENCH_translate.json \
         bench_translate.json --strict
     python3 ../scripts/diff_bench.py ../BENCH_fig09.json \
-        bench_fig09.json
+        bench_fig09.json --strict --band=0
     python3 ../scripts/diff_bench.py ../BENCH_fig11.json \
-        bench_fig11.json --strict
+        bench_fig11.json --strict --band=0
     #   * serve: the by-construction columns — every offered request
     #     completes (lost == 0 exactly), and the load generator's
     #     offered count is fixed by the deterministic schedule; the

@@ -9,9 +9,9 @@ Prints a one-line event summary on success.
 
 Usage: check_trace.py trace.json [required_event ...]
 The arguments name the events that must each appear at least once and
-*replace* the default, so mode-specific gates (a Mesh-mode run has
-`mesh` spans but no `campaign`) can name exactly their own signature
-spans. With no arguments, "campaign" is required.
+*replace* the default, so mode-specific gates (a serving run has
+`request` spans but no `campaign`) can name exactly their own
+signature spans. With no arguments, "campaign" is required.
 """
 
 import collections

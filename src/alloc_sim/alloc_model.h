@@ -7,8 +7,9 @@
  * under Redis: glibc malloc (baseline), jemalloc + activedefrag, and
  * Mesh. We reproduce their RSS behaviour with faithful allocator models
  * driven by the same allocation/lifetime stream as the real run; page
- * residency flows through PageModel, making every curve deterministic.
- * See DESIGN.md ("Substitutions").
+ * residency flows through PageModel, making every curve deterministic
+ * (docs/ARCHITECTURE.md, layer 6). The models stand in for the real
+ * allocators, whose RSS would depend on the host's kernel and libc.
  */
 
 #ifndef ALASKA_ALLOC_SIM_ALLOC_MODEL_H

@@ -32,12 +32,10 @@ class AnchorageAllocModel : public AllocModel
      * @param space real or phantom backing
      * @param clock drives the controller (virtual in harnesses)
      * @param control controller parameters (Figure 10 sweeps these)
-     * @param config service tuning
      */
     AnchorageAllocModel(AddressSpace &space, const Clock &clock,
-                        ControlParams control = {},
-                        AnchorageConfig config = {})
-        : service_(space, config),
+                        ControlParams control = {})
+        : service_(space),
           runtime_(std::make_unique<Runtime>(
               RuntimeConfig{.tableCapacity = 1u << 26})),
           controller_(service_, clock, control)

@@ -1,7 +1,6 @@
 #include "anchorage/anchorage_service.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "base/logging.h"
 #include "base/timer.h"
@@ -38,21 +37,13 @@ roundUpPow2(size_t v)
 
 AnchorageService::AnchorageService(AddressSpace &space,
                                    AnchorageConfig config)
-    : space_(space), config_(config), meshDir_(space.pages()),
-      meshRng_(config.meshSeed)
+    : space_(space), config_(config)
 {
     config_.shards =
         roundUpPow2(std::clamp<size_t>(config_.shards, 1, 256));
     shards_.reserve(config_.shards);
     for (size_t i = 0; i < config_.shards; i++)
         shards_.push_back(std::make_unique<Shard>());
-}
-
-AnchorageService::~AnchorageService()
-{
-    // Restore identity mappings before the sub-heaps unmap their
-    // regions, so the page model never holds aliases into dead ranges.
-    meshDir_.dissolveAll();
 }
 
 void
@@ -96,7 +87,6 @@ AnchorageService::addSubHeapLocked(Shard &sh, uint32_t shard_idx,
         std::make_unique<SubHeap>(space_, bytes, shard_idx));
     sh.orderDirty = true;
     SubHeap *heap = sh.heaps.back().get();
-    heap->setMeshDirectory(&meshDir_);
 
     std::lock_guard<std::mutex> guard(regionsMutex_);
     const auto *current = regions_.load(std::memory_order_relaxed);
@@ -318,171 +308,6 @@ AnchorageService::fragmentation() const
     return active == 0 ? 1.0
                        : static_cast<double>(extent) /
                              static_cast<double>(active);
-}
-
-double
-AnchorageService::physicalFragmentation() const
-{
-    const size_t active = activeBytes();
-    return active == 0 ? 1.0
-                       : static_cast<double>(rss()) /
-                             static_cast<double>(active);
-}
-
-DefragStats
-AnchorageService::meshPass(size_t probe_budget, double max_occupancy)
-{
-    DefragStats stats;
-    telemetry::TraceSpan mesh_span("mesh");
-    Stopwatch watch;
-    PageModel &pages = space_.pages();
-    const uint64_t page = pages.pageSize();
-    const size_t slots = page / SubHeap::alignment;
-    const size_t words = (slots + 63) / 64;
-    const auto max_live =
-        static_cast<uint32_t>(max_occupancy * static_cast<double>(slots));
-    uint64_t probes = 0;
-
-    /* A meshing candidate: one heap page and its live-slot bitmap. */
-    struct PageBits
-    {
-        uint64_t addr = 0;
-        uint32_t liveSlots = 0;
-        bool isRoot = false; ///< gained a loser this pass; union bitmap
-        std::vector<uint64_t> bits;
-    };
-
-    for (size_t shard_idx = 0; shard_idx < shards_.size(); shard_idx++) {
-        Shard &sh = *shards_[shard_idx];
-        std::lock_guard<std::mutex> guard(sh.mutex);
-
-        // Build the per-page occupancy bitmaps from the (address-
-        // ordered, out-of-band) block metadata. Holding the shard lock
-        // freezes this shard's layout: no allocation can land on a
-        // page while we argue about its slots.
-        std::vector<PageBits> cands;
-        std::unordered_map<uint64_t, size_t> byAddr;
-        auto bitsOf = [&](uint64_t page_addr) -> PageBits & {
-            auto [it, fresh] = byAddr.try_emplace(page_addr, cands.size());
-            if (fresh) {
-                cands.emplace_back();
-                cands.back().addr = page_addr;
-                cands.back().bits.assign(words, 0);
-            }
-            return cands[it->second];
-        };
-        for (const auto &heap_ptr : sh.heaps) {
-            const SubHeap &heap = *heap_ptr;
-            for (const Block &blk : heap.blocks()) {
-                if (blk.isFree())
-                    continue;
-                const uint64_t lo = blk.addr;
-                const uint64_t hi = blk.addr + blk.size;
-                for (uint64_t p = lo / page * page; p < hi; p += page) {
-                    PageBits &pb = bitsOf(p);
-                    const uint64_t first =
-                        (std::max(lo, p) - p) / SubHeap::alignment;
-                    const uint64_t last =
-                        (std::min(hi, p + page) - 1 - p) /
-                        SubHeap::alignment;
-                    for (uint64_t s = first; s <= last; s++) {
-                        const uint64_t mask = 1ull << (s & 63);
-                        if ((pb.bits[s >> 6] & mask) == 0) {
-                            pb.bits[s >> 6] |= mask;
-                            pb.liveSlots++;
-                        }
-                    }
-                }
-            }
-        }
-        // Filter: a page qualifies if it is sparse enough, resident,
-        // not part of an existing mesh, and not a bump frontier (the
-        // page the next bump allocation writes — meshing it would
-        // split back out immediately).
-        std::vector<size_t> pool;
-        for (const auto &heap_ptr : sh.heaps) {
-            const SubHeap &heap = *heap_ptr;
-            const uint64_t frontier =
-                (heap.base() + heap.extent()) / page * page;
-            auto it = byAddr.find(frontier);
-            if (it != byAddr.end())
-                cands[it->second].liveSlots = 0; // disqualify below
-        }
-        for (size_t i = 0; i < cands.size(); i++) {
-            const PageBits &pb = cands[i];
-            if (pb.liveSlots == 0 || pb.liveSlots > max_live)
-                continue;
-            if (!pages.isResident(pb.addr) || !meshDir_.meshable(pb.addr))
-                continue;
-            pool.push_back(i);
-        }
-
-        // Randomized pair probing, Mesh-style: a handful of draws
-        // finds most of the disjoint pairs a full O(n^2) scan would,
-        // at a budgeted cost.
-        auto disjoint = [&](const PageBits &a, const PageBits &b) {
-            for (size_t w = 0; w < words; w++)
-                if ((a.bits[w] & b.bits[w]) != 0)
-                    return false;
-            return true;
-        };
-        for (size_t probe = 0; probe < probe_budget && pool.size() >= 2;
-             probe++) {
-            probes++;
-            const size_t ia = meshRng_.below(pool.size());
-            size_t ib = meshRng_.below(pool.size() - 1);
-            if (ib >= ia)
-                ib++;
-            PageBits &a = cands[pool[ia]];
-            PageBits &b = cands[pool[ib]];
-            if ((a.isRoot && b.isRoot) || !disjoint(a, b))
-                continue;
-            // The denser page keeps its frame; an in-pass root always
-            // stays root (its bitmap is already a union).
-            const bool a_is_root =
-                a.isRoot || (!b.isRoot && a.liveSlots >= b.liveSlots);
-            PageBits &root = a_is_root ? a : b;
-            PageBits &loser = a_is_root ? b : a;
-            meshDir_.recordMesh(loser.addr, root.addr);
-            for (size_t w = 0; w < words; w++)
-                root.bits[w] |= loser.bits[w];
-            root.liveSlots += loser.liveSlots;
-            root.isRoot = true;
-            stats.pagesMeshed++;
-            stats.bytesRecovered += page;
-            // Drop the loser from the pool (swap-with-back), and the
-            // root too if the union outgrew the sparseness bound.
-            const size_t drop = a_is_root ? ib : ia;
-            pool[drop] = pool.back();
-            pool.pop_back();
-            if (root.liveSlots > max_live) {
-                const uint64_t root_addr = root.addr;
-                for (size_t k = 0; k < pool.size(); k++) {
-                    if (cands[pool[k]].addr == root_addr) {
-                        pool[k] = pool.back();
-                        pool.pop_back();
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    // Splits since the last pass are mutator work, but they are this
-    // mechanism's cost; report the delta so the controller's
-    // accumulated totals stay a running sum.
-    const uint64_t split_total = meshDir_.splitFaults();
-    stats.splitFaults = split_total - meshSplitsReported_;
-    meshSplitsReported_ = split_total;
-
-    stats.measuredSec = watch.elapsedSec();
-    // Virtual-clock model: a probe is one bitmap compare over the
-    // block metadata already in cache; a mesh is one remap.
-    stats.modeledSec = static_cast<double>(probes) * 100e-9 +
-                       static_cast<double>(stats.pagesMeshed) * 2e-6;
-    telemetry::record(telemetry::Hist::MeshPassNs,
-                      static_cast<uint64_t>(stats.measuredSec * 1e9));
-    return stats;
 }
 
 size_t

@@ -42,9 +42,7 @@
 #include <mutex>
 #include <vector>
 
-#include "anchorage/mesh_directory.h"
 #include "anchorage/sub_heap.h"
-#include "base/rng.h"
 #include "core/runtime.h"
 #include "core/service.h"
 #include "sim/address_space.h"
@@ -98,12 +96,6 @@ struct AnchorageConfig
      * background. Clamped up to graceBatchBytes. See docs/TUNING.md.
      */
     size_t limboCapBytes = 4 << 20;
-    /**
-     * Seed for the mesh pass's pair-probing PRNG (base/rng.h). Meshing
-     * is the only stochastic component of the service; a fixed seed
-     * makes single-driver runs bit-reproducible.
-     */
-    uint64_t meshSeed = Rng::defaultSeed;
 };
 
 /**
@@ -136,17 +128,6 @@ struct DefragStats
     uint64_t aborted = 0;
     /** Moves abandoned for lack of a strictly better destination. */
     uint64_t noSpace = 0;
-
-    // --- meshing counters (DefragMode::Mesh / MeshHybrid) ---------------
-    /** Virtual pages meshed onto a shared frame by this action. */
-    uint64_t pagesMeshed = 0;
-    /** Physical bytes released by meshing (pagesMeshed * page size) —
-     *  RSS recovered with zero object copies, distinct from
-     *  reclaimedBytes (extent trimmed by moves). */
-    uint64_t bytesRecovered = 0;
-    /** Meshes split back out because an allocation landed on a shared
-     *  frame (the lazy copy-on-write undo; see MeshDirectory). */
-    uint64_t splitFaults = 0;
 
     // --- grace accounting (epoch-based campaigns) ----------------------
     /** Grace periods waited for (initial drain, limbo reclamation —
@@ -198,9 +179,6 @@ struct DefragStats
         committed += other.committed;
         aborted += other.aborted;
         noSpace += other.noSpace;
-        pagesMeshed += other.pagesMeshed;
-        bytesRecovered += other.bytesRecovered;
-        splitFaults += other.splitFaults;
         graceWaits += other.graceWaits;
         graceWaitSec += other.graceWaitSec;
         limboParked += other.limboParked;
@@ -235,7 +213,6 @@ class AnchorageService : public Service
      */
     explicit AnchorageService(AddressSpace &space,
                               AnchorageConfig config = {});
-    ~AnchorageService() override;
 
     // --- Service interface ----------------------------------------------
     /** Attach to the runtime. Not thread-safe; call before use. */
@@ -425,36 +402,6 @@ class AnchorageService : public Service
      * in-flight object move.
      */
     DefragStats relocateCampaign(size_t max_bytes);
-
-    /**
-     * One page-meshing pass (Mesh-style defrag; see
-     * anchorage/mesh_directory.h): shard by shard, under that shard's
-     * lock, build a 16-byte-slot occupancy bitmap for every heap page
-     * whose live-slot fill is in (0, max_occupancy], then probe up to
-     * probe_budget random candidate pairs per shard and mesh every
-     * disjoint pair found — the sparser page's frame is released and
-     * both virtual pages share the denser page's frame. Recovers RSS
-     * with zero object copies, zero handle-table writes, and zero
-     * barriers: translation is untouched, so mutators under *any*
-     * discipline (including Direct) keep running. Meshes undo
-     * themselves lazily via the split-on-write/dissolve-on-discard
-     * hooks in SubHeap.
-     *
-     * Single-driver like the other defrag entry points. modeledSec
-     * charges a per-probe scan cost for virtual-clock runs.
-     */
-    DefragStats meshPass(size_t probe_budget, double max_occupancy);
-
-    /**
-     * RSS over live bytes — the *physical* analogue of
-     * fragmentation(). Meshing shrinks this but not the virtual
-     * metric (extents never move), so Mesh-mode control hysteresis
-     * watches this one. 1.0 when empty.
-     */
-    double physicalFragmentation() const;
-
-    /** The mesh registry (tests and stats; see mesh_directory.h). */
-    const MeshDirectory &meshDirectory() const { return meshDir_; }
 
     /** RSS attributable to the heap (via the address space's pages). */
     size_t rss() const { return space_.rss(); }
@@ -672,20 +619,6 @@ class AnchorageService : public Service
     AddressSpace &space_;
     AnchorageConfig config_;
     Runtime *runtime_ = nullptr;
-
-    /**
-     * Mesh registry; declared before shards_ so sub-heap destructors
-     * (whose trims call the discard hook) never outlive it. Every
-     * sub-heap is attached at creation — the hook is one relaxed load
-     * while no meshes exist, so non-mesh modes pay nothing.
-     */
-    MeshDirectory meshDir_;
-    /** Pair-probing PRNG for meshPass (seeded by config.meshSeed). */
-    Rng meshRng_;
-    /** Directory split count already reported in a pass's stats, so
-     *  each meshPass() reports the delta (single-driver, like the
-     *  other defrag entry points). */
-    uint64_t meshSplitsReported_ = 0;
 
     /** The allocation shards; sized at construction, never resized. */
     std::vector<std::unique_ptr<Shard>> shards_;

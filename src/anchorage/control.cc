@@ -13,7 +13,6 @@ DefragController::DefragController(AnchorageService &service,
                                    ControlParams params)
     : service_(service), clock_(clock), params_(params),
       view_{[this] { return service_.fragmentation(); },
-            [this] { return service_.physicalFragmentation(); },
             [this] { return service_.heapExtent(); }},
       policy_(makePolicy(params_, service_)),
       adapter_(params_.targetBarrierPauseSec, params_.batchBytesFloor,
@@ -30,7 +29,7 @@ DefragController::tick()
         return {};
 
     if (state_ == State::Waiting) {
-        if (controlFragmentation() > params_.fUb) {
+        if (service_.fragmentation() > params_.fUb) {
             state_ = State::Defragmenting;
             return runPass();
         }
@@ -40,12 +39,6 @@ DefragController::tick()
 
     // Defragmenting state.
     return runPass();
-}
-
-double
-DefragController::controlFragmentation() const
-{
-    return policy_->controlMetric(view_);
 }
 
 ControlAction
@@ -96,7 +89,7 @@ DefragController::runPass()
         // many short ones.
         nextWake_ = now + std::max(action.costSec / params_.oUb,
                                    params_.minSleepSec);
-    } else if (controlFragmentation() < params_.fLb ||
+    } else if (service_.fragmentation() < params_.fLb ||
                result.noProgress) {
         // Goal reached or out of opportunities (an abandoned
         // remainder lands here by construction — abandonment requires

@@ -59,26 +59,6 @@ enum class DefragMode
      * campaign, a short stop-the-world pass finishes the hot remainder.
      */
     Hybrid,
-    /**
-     * Page meshing only (see AnchorageService::meshPass): sparse pages
-     * with disjoint live slots merge onto shared physical frames. RSS
-     * recovery with zero object copies, zero handle-table writes, and
-     * zero barriers — translation never changes, so mutators keep the
-     * Direct (stop-the-world) discipline and the paper's two-
-     * instruction translate. The trade: virtual extent (and therefore
-     * the paper's fragmentation metric) never shrinks, and a mesh can
-     * be split back out by later allocations, so control hysteresis
-     * runs on physicalFragmentation() instead.
-     */
-    Mesh,
-    /**
-     * Controller-selected combination: every pass meshes first (the
-     * cheap, barrier-free mechanism), then runs a concurrent campaign
-     * for the fragmentation meshing cannot reach (meshing never
-     * shrinks extent or moves objects into fewer sub-heaps). Requires
-     * the Scoped discipline, like Concurrent.
-     */
-    MeshHybrid,
 };
 
 /**
@@ -143,19 +123,6 @@ struct ControlParams
      */
     double minSleepSec = 100e-6;
     /**
-     * Mesh / MeshHybrid: random page pairs probed for slot
-     * disjointness per shard per pass. More probes find more of the
-     * meshable pairs per pass at linearly more scan time; the pass
-     * self-limits once the candidate pool thins. See docs/TUNING.md.
-     */
-    size_t meshProbeBudget = 128;
-    /**
-     * Mesh / MeshHybrid: only pages whose live 16-byte slots fill at
-     * most this fraction are meshing candidates (the disjointness
-     * threshold). Denser pages rarely pair and, meshed, split sooner.
-     */
-    double meshMaxOccupancy = 0.5;
-    /**
      * Pause-SLO-adaptive barriers: when > 0, the per-barrier byte
      * bound is no longer the static batchBytes but an online value
      * steered toward this per-barrier pause target (seconds) from the
@@ -174,20 +141,13 @@ struct ControlParams
     size_t batchBytesFloor = 4 << 10;
     /**
      * Mid-pass abandonment: when > 0 and a batched StopTheWorld pass
-     * is mid-flight, a tick that observes the control metric below
+     * is mid-flight, a tick that observes fragmentation() below
      * fLb × this fraction abandons the pass remainder instead of
      * running another barrier — mutator churn already met the goal.
      * 1.0 abandons as soon as the metric re-enters the band floor;
      * 0 (default) never abandons (the legacy behavior).
      */
     double midPassAbandonFraction = 0;
-    /**
-     * MeshHybrid pacing: the mesh stage runs only while physical
-     * fragmentation exceeds this floor, so a heap whose RSS is
-     * already tight stops paying mesh probe scans every tick.
-     * 0 (default) meshes every tick (the legacy behavior).
-     */
-    double meshPacingFloor = 0;
 };
 
 /** What a controller tick did. Returned by value; no locking. */
@@ -232,7 +192,7 @@ struct ControlAction
 /**
  * The two-state hysteresis controller — since the mechanism/policy
  * split a thin loop: it owns a DefragPolicy (built from params.mode by
- * makePolicy), watches the policy's control metric against the
+ * makePolicy), watches the heap's fragmentation() against the
  * [F_lb, F_ub] band, runs one policy tick per wake, and schedules the
  * next wake from the tick's charged cost. Everything mode-shaped
  * (which mechanisms run, in what order, on what share of the alpha
@@ -311,10 +271,6 @@ class DefragController
 
   private:
     ControlAction runPass();
-
-    /** The policy's control metric (virtual, physical, or the worse
-     *  of the two) against the live heap. */
-    double controlFragmentation() const;
 
     AnchorageService &service_;
     const Clock &clock_;

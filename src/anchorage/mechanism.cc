@@ -9,7 +9,6 @@ mechanismName(MechanismKind kind)
     switch (kind) {
     case MechanismKind::Stw: return "stw";
     case MechanismKind::Campaign: return "campaign";
-    case MechanismKind::Mesh: return "mesh";
     case MechanismKind::kCount: break;
     }
     return "unknown";

@@ -3,8 +3,8 @@
  * The mechanism half of the defrag pipeline's mechanism/policy split.
  *
  * A DefragMechanism is one way of turning fragmentation into free
- * memory: batched stop-the-world compaction, concurrent relocation
- * campaigns over the epoch/grace pipeline, or zero-copy page meshing.
+ * memory: batched stop-the-world compaction, or concurrent relocation
+ * campaigns over the epoch/grace pipeline.
  * Each implementation wraps the corresponding AnchorageService entry
  * point and reports its outcome in a uniform MechanismReport, so the
  * policy layer (policy.h) can compose mechanisms declaratively and the
@@ -14,7 +14,7 @@
  *
  * Mechanisms are stateful only where the underlying service operation
  * is resumable (a batched stop-the-world pass spans many run() calls,
- * one barrier each); campaigns and mesh passes are one-shot per run().
+ * one barrier each); campaigns are one-shot per run().
  * Threading contract: like the controller, a mechanism is driven by
  * one thread at a time; the heap work it triggers does its own
  * per-shard locking.
@@ -32,15 +32,13 @@
 namespace alaska::anchorage
 {
 
-/** The three ways Anchorage recovers memory (paper §4.3, §7, Mesh). */
+/** The two ways Anchorage recovers memory (paper §4.3, §7). */
 enum class MechanismKind : uint32_t
 {
     /** Batched stop-the-world compaction barriers. */
     Stw,
     /** Concurrent mark/copy/commit relocation campaigns. */
     Campaign,
-    /** Zero-copy page meshing. */
-    Mesh,
     kCount,
 };
 
@@ -53,7 +51,7 @@ const char *mechanismName(MechanismKind kind);
 /**
  * What a policy asks of one mechanism invocation. Plain data; the
  * policy fills in the fields its stage needs and the mechanism ignores
- * the rest (a mesh pass has no byte budget; a campaign has no batch).
+ * the rest (a campaign has no batch).
  */
 struct MechanismRequest
 {
@@ -75,10 +73,6 @@ struct MechanismRequest
     bool runToCompletion = false;
     /** Charge modeled time instead of measured wall time. */
     bool useModeledTime = false;
-    /** Mesh only: page pairs probed per shard this pass. */
-    size_t meshProbeBudget = 128;
-    /** Mesh only: max live-slot occupancy of a meshing candidate. */
-    double meshMaxOccupancy = 0.5;
 };
 
 /**
@@ -101,16 +95,8 @@ struct MechanismReport
      *  true for one-shot mechanisms). */
     bool ranToCompletion = true;
     /** The mechanism found nothing left to do (its own emptiness
-     *  test: totals for a finished pass, pages meshed, bytes moved). */
+     *  test: totals for a finished pass, bytes moved). */
     bool noProgress = false;
-
-    /** Memory this invocation gave back: extent trimmed by moves plus
-     *  physical bytes released by meshing. */
-    uint64_t
-    recoveredBytes() const
-    {
-        return stats.reclaimedBytes + stats.bytesRecovered;
-    }
 };
 
 /**
@@ -148,7 +134,7 @@ class DefragMechanism
      * True if mutators must run the Scoped translation discipline
      * while this mechanism may act (concurrent campaigns); false for
      * mechanisms that never change translation under a running
-     * mutator (stop-the-world, meshing).
+     * mutator (stop-the-world).
      */
     virtual bool requiresScopedDiscipline() const = 0;
 };
@@ -160,10 +146,6 @@ makeStwMechanism(AnchorageService &service);
 /** Concurrent relocation campaigns over relocateCampaign. */
 std::unique_ptr<DefragMechanism>
 makeCampaignMechanism(AnchorageService &service);
-
-/** Zero-copy page meshing over meshPass. */
-std::unique_ptr<DefragMechanism>
-makeMeshMechanism(AnchorageService &service);
 
 } // namespace alaska::anchorage
 

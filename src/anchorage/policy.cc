@@ -84,12 +84,6 @@ StwPolicy::StwPolicy(std::unique_ptr<DefragMechanism> stw)
 {
 }
 
-double
-StwPolicy::controlMetric(const PolicyView &view) const
-{
-    return view.fragmentation();
-}
-
 bool
 StwPolicy::requiresScopedDiscipline() const
 {
@@ -108,7 +102,7 @@ StwPolicy::runTick(const PolicyView &view, const ControlParams &params,
     // remainder would pause mutators to chase a goal already met.
     const bool mid = stw_->midPass();
     if (mid && params.midPassAbandonFraction > 0 &&
-        controlMetric(view) <
+        view.fragmentation() <
             params.fLb * params.midPassAbandonFraction) {
         stw_->abandon();
         result.abandoned = true;
@@ -135,25 +129,9 @@ StwPolicy::runTick(const PolicyView &view, const ControlParams &params,
 
 // --- ComposedPolicy ---------------------------------------------------------
 
-ComposedPolicy::ComposedPolicy(const char *name, Metric metric,
-                               std::vector<Stage> stages)
-    : name_(name), metric_(metric), stages_(std::move(stages))
+ComposedPolicy::ComposedPolicy(const char *name, std::vector<Stage> stages)
+    : name_(name), stages_(std::move(stages))
 {
-}
-
-double
-ComposedPolicy::controlMetric(const PolicyView &view) const
-{
-    switch (metric_) {
-    case Metric::Virtual:
-        return view.fragmentation();
-    case Metric::Physical:
-        return view.physicalFragmentation();
-    case Metric::WorseOfBoth:
-        return std::max(view.fragmentation(),
-                        view.physicalFragmentation());
-    }
-    return view.fragmentation();
 }
 
 bool
@@ -173,13 +151,12 @@ ComposedPolicy::runTick(const PolicyView &view,
     telemetry::TraceSpan span("policy_decision");
     TickResult result;
 
-    // One alpha budget per composed tick: every byte-budgeted stage
-    // gets what the earlier stages left (Hybrid's fallback moves only
-    // the remainder — the double-spend bug class the old enum
-    // branches had). Folded stats exist only to evaluate gates.
+    // One alpha budget per composed tick: every stage gets what the
+    // earlier stages left (Hybrid's fallback moves only the remainder
+    // — the double-spend bug class the old enum branches had). Folded
+    // stats exist only to evaluate gates.
     DefragStats so_far;
-    size_t budget = 0;
-    bool budget_computed = false;
+    const size_t budget = passBudget(view, params);
 
     for (Stage &stage : stages_) {
         bool runs = false;
@@ -191,35 +168,22 @@ ComposedPolicy::runTick(const PolicyView &view,
             runs = so_far.attempts >= params.abortFallbackMinAttempts &&
                    so_far.abortRate() > params.abortFallbackRate;
             break;
-        case Gate::MeshPacing:
-            runs = params.meshPacingFloor <= 0 ||
-                   view.physicalFragmentation() >
-                       params.meshPacingFloor;
-            break;
         }
         if (!runs)
             continue;
 
+        const size_t moved = so_far.movedBytes;
+        const size_t remainder = budget > moved ? budget - moved : 0;
+        if (remainder == 0)
+            continue; // budget exhausted by earlier stages
+
         MechanismRequest request;
         request.useModeledTime = params.useModeledTime;
         request.batchBytes = batchBytesNow;
-        request.meshProbeBudget = params.meshProbeBudget;
-        request.meshMaxOccupancy = params.meshMaxOccupancy;
-        if (stage.mechanism->kind() != MechanismKind::Mesh) {
-            if (!budget_computed) {
-                budget = passBudget(view, params);
-                budget_computed = true;
-            }
-            const size_t moved = so_far.movedBytes;
-            const size_t remainder =
-                budget > moved ? budget - moved : 0;
-            if (remainder == 0)
-                continue; // budget exhausted by earlier stages
-            request.budgetBytes = remainder;
-            request.shardCapBytes = shardCapFor(remainder, params);
-            request.runToCompletion =
-                stage.mechanism->kind() == MechanismKind::Stw;
-        }
+        request.budgetBytes = remainder;
+        request.shardCapBytes = shardCapFor(remainder, params);
+        request.runToCompletion =
+            stage.mechanism->kind() == MechanismKind::Stw;
 
         MechanismReport report = stage.mechanism->run(request);
         so_far.accumulate(report.stats);
@@ -228,9 +192,8 @@ ComposedPolicy::runTick(const PolicyView &view,
         result.reports.push_back(std::move(report));
     }
 
-    result.noProgress = so_far.movedBytes == 0 &&
-                        so_far.reclaimedBytes == 0 &&
-                        so_far.pagesMeshed == 0;
+    result.noProgress =
+        so_far.movedBytes == 0 && so_far.reclaimedBytes == 0;
     return result;
 }
 
@@ -239,7 +202,6 @@ ComposedPolicy::runTick(const PolicyView &view,
 std::unique_ptr<DefragPolicy>
 makePolicy(const ControlParams &params, AnchorageService &service)
 {
-    using Metric = ComposedPolicy::Metric;
     using Gate = ComposedPolicy::Gate;
     auto stage = [](std::unique_ptr<DefragMechanism> mech, Gate gate,
                     bool fallback = false) {
@@ -257,8 +219,8 @@ makePolicy(const ControlParams &params, AnchorageService &service)
         std::vector<ComposedPolicy::Stage> stages;
         stages.push_back(
             stage(makeCampaignMechanism(service), Gate::Always));
-        return std::make_unique<ComposedPolicy>(
-            "concurrent", Metric::Virtual, std::move(stages));
+        return std::make_unique<ComposedPolicy>("concurrent",
+                                                std::move(stages));
     }
     case DefragMode::Hybrid: {
         std::vector<ComposedPolicy::Stage> stages;
@@ -267,24 +229,8 @@ makePolicy(const ControlParams &params, AnchorageService &service)
         stages.push_back(stage(makeStwMechanism(service),
                                Gate::AbortFallback,
                                /*fallback=*/true));
-        return std::make_unique<ComposedPolicy>(
-            "hybrid", Metric::Virtual, std::move(stages));
-    }
-    case DefragMode::Mesh: {
-        std::vector<ComposedPolicy::Stage> stages;
-        stages.push_back(
-            stage(makeMeshMechanism(service), Gate::Always));
-        return std::make_unique<ComposedPolicy>(
-            "mesh", Metric::Physical, std::move(stages));
-    }
-    case DefragMode::MeshHybrid: {
-        std::vector<ComposedPolicy::Stage> stages;
-        stages.push_back(
-            stage(makeMeshMechanism(service), Gate::MeshPacing));
-        stages.push_back(
-            stage(makeCampaignMechanism(service), Gate::Always));
-        return std::make_unique<ComposedPolicy>(
-            "mesh_hybrid", Metric::WorseOfBoth, std::move(stages));
+        return std::make_unique<ComposedPolicy>("hybrid",
+                                                std::move(stages));
     }
     }
     return std::make_unique<StwPolicy>(makeStwMechanism(service));

@@ -7,10 +7,10 @@
  * and reports the outcome as per-mechanism MechanismReports. The
  * legacy DefragMode values survive as constructors of equivalent
  * policies (makePolicy): StopTheWorld is the resumable batched-pass
- * policy, Concurrent/Hybrid/Mesh/MeshHybrid are declarative
- * compositions of stages with gates (run always, run on abort-rate
- * fallback, run when physical fragmentation warrants meshing) instead
- * of hand-coded enum branches.
+ * policy, Concurrent/Hybrid are declarative compositions of stages
+ * with gates (run always, run on abort-rate fallback) instead of
+ * hand-coded enum branches. Every policy's hysteresis band watches
+ * the paper's fragmentation metric (PolicyView::fragmentation).
  *
  * The policy layer also owns the two online controller adaptations
  * (ROADMAP follow-ups to the batched-pass PR): BarrierBudgetAdapter
@@ -48,8 +48,6 @@ struct PolicyView
 {
     /** Paper metric: virtual extent / live bytes. */
     std::function<double()> fragmentation;
-    /** RSS / live bytes (what meshing can and must drive). */
-    std::function<double()> physicalFragmentation;
     /** Whole-heap extent, bytes (the alpha budget's base). */
     std::function<size_t()> heapExtent;
 };
@@ -86,13 +84,6 @@ class DefragPolicy
 
     /** Stable name for traces and logs. */
     virtual const char *name() const = 0;
-
-    /**
-     * The fragmentation metric the hysteresis band watches for this
-     * policy (virtual, physical, or the worse of the two — a policy
-     * with mesh work must watch RSS, which extent never reflects).
-     */
-    virtual double controlMetric(const PolicyView &view) const = 0;
 
     /**
      * Run one tick of defrag work. batchBytesNow is the current
@@ -165,7 +156,6 @@ class StwPolicy final : public DefragPolicy
     explicit StwPolicy(std::unique_ptr<DefragMechanism> stw);
 
     const char *name() const override { return "stw"; }
-    double controlMetric(const PolicyView &view) const override;
     TickResult runTick(const PolicyView &view,
                        const ControlParams &params,
                        size_t batchBytesNow) override;
@@ -178,20 +168,12 @@ class StwPolicy final : public DefragPolicy
 /**
  * A declarative mechanism composition: stages run in order, each
  * behind a gate, sharing one alpha budget per tick (each byte-budgeted
- * stage gets what the earlier stages left). Concurrent, Hybrid, Mesh
- * and MeshHybrid are all instances of this shape.
+ * stage gets what the earlier stages left). Concurrent and Hybrid
+ * are both instances of this shape.
  */
 class ComposedPolicy final : public DefragPolicy
 {
   public:
-    /** Which fragmentation metric the hysteresis band watches. */
-    enum class Metric
-    {
-        Virtual,
-        Physical,
-        WorseOfBoth,
-    };
-
     /** When a stage runs within its tick. */
     enum class Gate
     {
@@ -203,12 +185,6 @@ class ComposedPolicy final : public DefragPolicy
          * more than abortFallbackRate of them, and budget remains.
          */
         AbortFallback,
-        /**
-         * Mesh pacing (MeshHybrid): only while physical fragmentation
-         * exceeds ControlParams::meshPacingFloor (0 = every tick, the
-         * legacy behavior).
-         */
-        MeshPacing,
     };
 
     /** One stage of the composition. */
@@ -221,11 +197,9 @@ class ComposedPolicy final : public DefragPolicy
         bool isFallback = false;
     };
 
-    ComposedPolicy(const char *name, Metric metric,
-                   std::vector<Stage> stages);
+    ComposedPolicy(const char *name, std::vector<Stage> stages);
 
     const char *name() const override { return name_; }
-    double controlMetric(const PolicyView &view) const override;
     TickResult runTick(const PolicyView &view,
                        const ControlParams &params,
                        size_t batchBytesNow) override;
@@ -233,7 +207,6 @@ class ComposedPolicy final : public DefragPolicy
 
   private:
     const char *name_;
-    Metric metric_;
     std::vector<Stage> stages_;
 };
 

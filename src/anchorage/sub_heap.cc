@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "anchorage/mesh_directory.h"
 #include "base/logging.h"
 
 namespace alaska::anchorage
@@ -70,8 +69,6 @@ SubHeap::allocFromFreeList(uint32_t id, size_t size)
             freeBytes_ -= blk.size;
             liveBytes_ += blk.size;
             liveCount_++;
-            if (meshDir_ != nullptr)
-                meshDir_->noteWrite(blk.addr, need);
             space_.touch(blk.addr, need);
             return {true, blk.addr};
         }
@@ -89,8 +86,6 @@ SubHeap::bumpAlloc(uint32_t id, size_t need)
     blocks_.push_back(Block{addr, static_cast<uint32_t>(need), id});
     liveBytes_ += need;
     liveCount_++;
-    if (meshDir_ != nullptr)
-        meshDir_->noteWrite(addr, need);
     space_.touch(addr, need);
     return {true, addr};
 }
@@ -150,8 +145,6 @@ SubHeap::claimBlock(int index, uint32_t id, size_t size)
     freeBytes_ -= blk.size;
     liveBytes_ += blk.size;
     liveCount_++;
-    if (meshDir_ != nullptr)
-        meshDir_->noteWrite(blk.addr, size);
     space_.touch(blk.addr, size);
     // The matching free-list entry becomes stale and is pruned lazily.
 }
@@ -275,11 +268,6 @@ SubHeap::trimTop()
     }
     if (bump_ < old_bump) {
         // Return the reclaimed tail to the kernel (MADV_DONTNEED).
-        // Dissolve any mesh sharing a frame with the tail first, or
-        // the discard would pull the frame out from under the partner
-        // page.
-        if (meshDir_ != nullptr)
-            meshDir_->noteDiscard(base_ + bump_, old_bump - bump_);
         space_.discard(base_ + bump_, old_bump - bump_);
         return old_bump - bump_;
     }

@@ -14,7 +14,7 @@
  *
  * Block metadata is kept out-of-band (a sorted vector per sub-heap)
  * rather than in headers so the same code runs over real and phantom
- * address spaces; see DESIGN.md.
+ * address spaces; see docs/ARCHITECTURE.md, layers 4 and 6.
  */
 
 #ifndef ALASKA_ANCHORAGE_SUB_HEAP_H
@@ -29,8 +29,6 @@
 
 namespace alaska::anchorage
 {
-
-class MeshDirectory;
 
 /** Out-of-band metadata for one heap block. */
 struct Block
@@ -188,23 +186,12 @@ class SubHeap
     /** Size class of a request (index into the free lists). */
     static int classOf(size_t size);
 
-    /**
-     * Attach the service's mesh directory (nullptr detaches). When
-     * set, every block placement (alloc/claim) reports its range via
-     * noteWrite() before touching pages — the split-on-write hook —
-     * and trims report reclaimed tails via noteDiscard() before
-     * returning them to the kernel. Costs one relaxed atomic load per
-     * placement while no meshes exist.
-     */
-    void setMeshDirectory(MeshDirectory *dir) { meshDir_ = dir; }
-
   private:
     SubHeapAlloc bumpAlloc(uint32_t id, size_t size);
     /** Drop stale indices from the front of a class list. */
     void pruneClassFront(int cls);
 
     AddressSpace &space_;
-    MeshDirectory *meshDir_ = nullptr;
     uint64_t base_ = 0;
     size_t capacity_ = 0;
     uint32_t ownerShard_ = 0;

@@ -22,8 +22,8 @@ class Rng
   public:
     /**
      * The repository-wide default seed. Every stochastic component
-     * that does not take an explicit seed (MeshModel, the service's
-     * mesh pass, the harness timelines) defaults to this one value, so
+     * that does not take an explicit seed (MeshModel, the harness
+     * timelines) defaults to this one value, so
      * "same binary, same flags" is always "same run".
      */
     static constexpr uint64_t defaultSeed = 0xa1a56a5eedULL;

@@ -5,10 +5,10 @@
  * The Alaska paper implements its transformations as LLVM passes; this
  * repository reimplements the same algorithms over a compact IR so the
  * compiler half of the system is reproducible without an LLVM build
- * (see DESIGN.md, "Substitutions"). The IR deliberately mirrors the
- * LLVM constructs the paper's Algorithm 1 manipulates: basic blocks,
- * phis, getelementptr-style address arithmetic, loads/stores, calls,
- * and loop preheaders.
+ * (docs/ARCHITECTURE.md, layer 7, lists this stand-in). The IR
+ * deliberately mirrors the LLVM constructs the paper's Algorithm 1
+ * manipulates: basic blocks, phis, getelementptr-style address
+ * arithmetic, loads/stores, calls, and loop preheaders.
  *
  * Memory model: all values are 64-bit integers; Load/Store move one
  * 64-bit word at mem[addr + 8*index]. Allocation sites are Malloc

@@ -196,14 +196,18 @@ MeshModel::tryMesh(Span *a, Span *b)
     if (!disjoint(a->bitmap, b->bitmap))
         return false;
 
-    // Mesh b onto a: union the occupancy, alias b's page to a's frame.
+    // Mesh b onto a: union the occupancy and release b's frame. b's
+    // objects now live in a's frame at the same offsets; the model never
+    // allocates from or touches b's virtual span again (its frees go
+    // through rootOf()), so releasing the frame is the whole RSS effect
+    // of the remap.
     for (int w = 0; w < 4; w++)
         a->bitmap[w] |= b->bitmap[w];
     a->liveSlots += b->liveSlots;
     b->liveSlots = 0;
     b->meshedInto = a;
     b->allocatable = false;
-    space_->pages().alias(b->base, a->base);
+    space_->discard(b->base, spanBytes);
     meshes_++;
     return true;
 }

@@ -12,9 +12,10 @@
  * occupancy is high or object sizes are skewed (Figure 11).
  *
  * This model reproduces the allocation policy, the randomized meshing
- * pass, and the page accounting (through PageModel::alias); it does not
- * reproduce the kernel remapping machinery, which only affects how, not
- * whether, frames are shared.
+ * pass, and the page accounting: a mesh releases the losing span's
+ * frame (AddressSpace::discard), since the model never touches a
+ * meshed-away span again. It does not reproduce the kernel remapping
+ * machinery, which only affects how, not whether, frames are shared.
  */
 
 #ifndef ALASKA_MESH_MESH_MODEL_H

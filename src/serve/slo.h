@@ -74,7 +74,7 @@ class SloTracker
      * Close the current window: judge its p999 against the SLO and
      * attribute a violation to every mechanism with nonzero work this
      * window. @param mechWork per-mechanism work delta (any monotone
-     * progress measure — moved objects + barriers + meshed pages)
+     * progress measure — moved objects + barriers)
      * indexed by anchorage::MechanismKind. Single sampler thread.
      * @return the closed window's summary.
      */

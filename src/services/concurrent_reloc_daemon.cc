@@ -33,10 +33,10 @@ ConcurrentRelocDaemon::ConcurrentRelocDaemon(
     // may resume campaigns later), so the Scoped discipline must be
     // visible to mutators before the first tick — declare here, not
     // in start(), so constructing the daemon before spawning mutators
-    // is sufficient. Policies without campaigns (pure StopTheWorld,
-    // pure Mesh) change no handle entries under running mutators, so
-    // their mutators keep the Direct discipline and its
-    // two-instruction translate.
+    // is sufficient. Policies without campaigns (pure StopTheWorld)
+    // change no handle entries under running mutators, so their
+    // mutators keep the Direct discipline and its two-instruction
+    // translate.
     if (declaresConcurrentDefrag_)
         Runtime::declareConcurrentDefrag();
 }

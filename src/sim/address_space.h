@@ -69,7 +69,7 @@ class AddressSpace
     /** Resident set size attributable to this space, in bytes. */
     size_t rss() const { return pages_.rss(); }
 
-    /** The underlying page model (for tests and Mesh aliasing). */
+    /** The underlying page model (for tests and residency queries). */
     PageModel &pages() { return pages_; }
     const PageModel &pages() const { return pages_; }
 

@@ -53,31 +53,31 @@ PageModel::~PageModel()
 }
 
 PageModel::Leaf *
-PageModel::findLeaf(uint64_t frame) const
+PageModel::findLeaf(uint64_t page) const
 {
-    const uint64_t top = frame >> (leafBits + midBits);
+    const uint64_t top = page >> (leafBits + midBits);
     if (top >= std::size(top_))
         return nullptr;
     Mid *mid = top_[top].load(std::memory_order_acquire);
     if (mid == nullptr)
         return nullptr;
-    return mid->leaves[(frame >> leafBits) & lowBits(midBits)].load(
+    return mid->leaves[(page >> leafBits) & lowBits(midBits)].load(
         std::memory_order_acquire);
 }
 
 PageModel::Leaf &
-PageModel::leafFor(uint64_t frame)
+PageModel::leafFor(uint64_t page)
 {
-    const uint64_t top = frame >> (leafBits + midBits);
+    const uint64_t top = page >> (leafBits + midBits);
     if (top >= std::size(top_))
         fatal("PageModel: address %#llx is beyond the modelled range",
-              static_cast<unsigned long long>(frame * pageSize_));
+              static_cast<unsigned long long>(page * pageSize_));
     Mid &mid = childFor(top_[top]);
-    return childFor(mid.leaves[(frame >> leafBits) & lowBits(midBits)]);
+    return childFor(mid.leaves[(page >> leafBits) & lowBits(midBits)]);
 }
 
 void
-PageModel::markFrames(uint64_t begin, uint64_t end, bool resident)
+PageModel::markPages(uint64_t begin, uint64_t end, bool resident)
 {
     // Leaves hold a whole number of words, so no word straddles two.
     while (begin < end) {
@@ -110,31 +110,6 @@ PageModel::markFrames(uint64_t begin, uint64_t end, bool resident)
     }
 }
 
-uint64_t
-PageModel::frameOf(uint64_t vpage) const
-{
-    if (__builtin_expect(
-            aliasCount_.load(std::memory_order_acquire) == 0, 1))
-        return vpage;
-    std::lock_guard<std::mutex> guard(aliasMutex_);
-    auto it = aliases_.find(vpage);
-    return it == aliases_.end() ? vpage : it->second;
-}
-
-void
-PageModel::markPages(uint64_t begin, uint64_t end, bool resident)
-{
-    if (__builtin_expect(
-            aliasCount_.load(std::memory_order_acquire) == 0, 1)) {
-        markFrames(begin, end, resident);
-        return;
-    }
-    for (uint64_t p = begin; p < end; p++) {
-        const uint64_t frame = frameOf(p);
-        markFrames(frame, frame + 1, resident);
-    }
-}
-
 void
 PageModel::touch(uint64_t addr, size_t len)
 {
@@ -153,49 +128,6 @@ PageModel::discard(uint64_t addr, size_t len)
               false);
 }
 
-void
-PageModel::alias(uint64_t vpage_addr, uint64_t target_page_addr)
-{
-    std::lock_guard<std::mutex> alias_guard(aliasMutex_);
-    const uint64_t vpage = vpage_addr / pageSize_;
-    // Resolve the target under the lock so chained aliases collapse to
-    // the root frame at insertion time.
-    auto target_it = aliases_.find(target_page_addr / pageSize_);
-    const uint64_t target = target_it == aliases_.end()
-                                ? target_page_addr / pageSize_
-                                : target_it->second;
-    auto vpage_it = aliases_.find(vpage);
-    const uint64_t old_frame =
-        vpage_it == aliases_.end() ? vpage : vpage_it->second;
-    if (old_frame == target)
-        return;
-    // Publish the mapping before releasing the old frame: a touch
-    // racing this call then lands on the shared frame (or, pre-publish,
-    // transiently re-sets the bit we are about to clear — an
-    // overcount, never an undercount).
-    aliases_[vpage] = target;
-    aliasCount_.store(aliases_.size(), std::memory_order_release);
-    markFrames(old_frame, old_frame + 1, false);
-}
-
-void
-PageModel::unalias(uint64_t vpage_addr)
-{
-    std::lock_guard<std::mutex> alias_guard(aliasMutex_);
-    const uint64_t vpage = vpage_addr / pageSize_;
-    if (aliases_.erase(vpage) == 0)
-        return;
-    aliasCount_.store(aliases_.size(), std::memory_order_release);
-    // The split fault's private copy is resident from birth.
-    markFrames(vpage, vpage + 1, true);
-}
-
-size_t
-PageModel::aliasedPages() const
-{
-    return aliasCount_.load(std::memory_order_acquire);
-}
-
 size_t
 PageModel::residentPages() const
 {
@@ -206,14 +138,14 @@ PageModel::residentPages() const
 bool
 PageModel::isResident(uint64_t addr) const
 {
-    const uint64_t frame = frameOf(addr / pageSize_);
-    const Leaf *leaf = findLeaf(frame);
+    const uint64_t page = addr / pageSize_;
+    const Leaf *leaf = findLeaf(page);
     if (leaf == nullptr)
         return false;
     const uint64_t word =
-        leaf->words[(frame & lowBits(leafBits)) / 64].load(
+        leaf->words[(page & lowBits(leafBits)) / 64].load(
             std::memory_order_relaxed);
-    return (word >> (frame & 63)) & 1;
+    return (word >> (page & 63)) & 1;
 }
 
 } // namespace alaska

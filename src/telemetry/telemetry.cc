@@ -29,13 +29,9 @@ counterName(Counter c)
     case Counter::LimboRetire: return "limbo_retire";
     case Counter::LimboStall: return "limbo_stall";
     case Counter::Barrier: return "barrier";
-    case Counter::PageMesh: return "page_mesh";
-    case Counter::PageSplit: return "page_split";
-    case Counter::MeshDissolve: return "mesh_dissolve";
     case Counter::StwRecoveredBytes: return "stw_recovered_bytes";
     case Counter::CampaignRecoveredBytes:
         return "campaign_recovered_bytes";
-    case Counter::MeshRecoveredBytes: return "mesh_recovered_bytes";
     case Counter::ServeSteal: return "serve_steal";
     case Counter::ServeBackpressure: return "serve_backpressure";
     case Counter::kCount: break;
@@ -62,7 +58,6 @@ histName(Hist h)
     case Hist::CampaignCopyNs: return "campaign_copy_ns";
     case Hist::GraceAgeNs: return "grace_age_ns";
     case Hist::AllocMissDepth: return "alloc_miss_depth";
-    case Hist::MeshPassNs: return "mesh_pass_ns";
     case Hist::kCount: break;
     }
     return "unknown";

@@ -65,12 +65,8 @@ enum class Counter : uint32_t {
     LimboRetire,      ///< limbo batches whose grace elapsed and freed
     LimboStall,       ///< allocations stalled on the limbo byte cap
     Barrier,          ///< stop-the-world barriers executed
-    PageMesh,         ///< virtual pages meshed onto a shared frame
-    PageSplit,        ///< meshes split by a write landing on a member page
-    MeshDissolve,     ///< meshes dissolved because a member page was discarded
     StwRecoveredBytes,      ///< bytes recovered by stop-the-world passes
     CampaignRecoveredBytes, ///< bytes recovered by concurrent campaigns
-    MeshRecoveredBytes,     ///< bytes recovered by page meshing
     ServeSteal,       ///< serve worker stole a request from another queue
     ServeBackpressure, ///< serve submits that waited on a full queue
     kCount
@@ -91,7 +87,6 @@ enum class Hist : uint32_t {
     CampaignCopyNs,   ///< per-object speculative copy latency
     GraceAgeNs,       ///< limbo-batch age from seal to retire
     AllocMissDepth,   ///< sub-heaps probed on the alloc miss path
-    MeshPassNs,       ///< one whole-service mesh pass's duration
     kCount
 };
 

@@ -2,11 +2,10 @@
  * @file
  * Differential defrag-equivalence harness: one seeded
  * alloc/free/mutate trace replayed through each defragmentation
- * mechanism — stop-the-world passes, concurrent relocation campaigns,
- * and page meshing — with a quiesce point every few thousand
- * operations where the mechanism runs and the whole heap is
- * snapshotted. Whatever the mechanism did under the hood (moved
- * objects, shared frames), the mutator-visible heap must be
+ * mechanism — stop-the-world passes and concurrent relocation
+ * campaigns — with a quiesce point every few thousand operations where
+ * the mechanism runs and the whole heap is snapshotted. Whatever the
+ * mechanism moved under the hood, the mutator-visible heap must be
  * *identical* across mechanisms at every quiesce point: the same
  * slots live, with bit-identical contents (per-object FNV-1a
  * checksums through translate()), and live-byte accounting matching
@@ -40,7 +39,6 @@ enum class Mechanism
 {
     StopTheWorld,
     Concurrent,
-    Mesh,
 };
 
 constexpr uint64_t kTraceSeed = 0x5eede001;
@@ -140,9 +138,6 @@ runTrace(Mechanism mech)
             result.totals.accumulate(
                 service.relocateCampaign(1 << 22));
             break;
-          case Mechanism::Mesh:
-            result.totals.accumulate(service.meshPass(512, 0.5));
-            break;
         }
 
         Snapshot snap;
@@ -158,12 +153,12 @@ runTrace(Mechanism mech)
             snap.liveSlots++;
             block_truth_bytes += service.usableSize(p);
             // Residency never undercounts: a live object's page must
-            // be resident, directly or through a meshed frame.
+            // be resident.
             EXPECT_TRUE(space.pages().isResident(
                 reinterpret_cast<uint64_t>(p)));
         }
         // Live-byte accounting vs per-block ground truth, every
-        // quiesce point, whatever the mechanism moved or meshed.
+        // quiesce point, whatever the mechanism moved.
         EXPECT_EQ(service.activeBytes(), block_truth_bytes);
         result.snapshots.push_back(std::move(snap));
     }
@@ -183,29 +178,20 @@ TEST(DefragEquivalence, AllMechanismsSeeTheSameHeap)
 {
     const RunResult stw = runTrace(Mechanism::StopTheWorld);
     const RunResult conc = runTrace(Mechanism::Concurrent);
-    const RunResult mesh = runTrace(Mechanism::Mesh);
 
     ASSERT_EQ(stw.snapshots.size(), conc.snapshots.size());
-    ASSERT_EQ(stw.snapshots.size(), mesh.snapshots.size());
     for (size_t q = 0; q < stw.snapshots.size(); q++) {
         EXPECT_EQ(stw.snapshots[q], conc.snapshots[q])
             << "stw vs concurrent diverged at quiesce point " << q;
-        EXPECT_EQ(stw.snapshots[q], mesh.snapshots[q])
-            << "stw vs mesh diverged at quiesce point " << q;
     }
 
     // Every mechanism drains to an empty heap.
     EXPECT_EQ(stw.finalActive, 0u);
     EXPECT_EQ(conc.finalActive, 0u);
-    EXPECT_EQ(mesh.finalActive, 0u);
 
-    // Each mechanism actually ran: the movers moved, the mesher
-    // meshed (and never copied an object or stopped the world).
+    // Each mechanism actually ran.
     EXPECT_GT(stw.totals.movedObjects, 0u);
     EXPECT_GT(conc.totals.committed, 0u);
-    EXPECT_GT(mesh.totals.pagesMeshed, 0u);
-    EXPECT_EQ(mesh.totals.movedObjects, 0u);
-    EXPECT_EQ(mesh.totals.barriers, 0u);
 }
 
 TEST(DefragEquivalence, TraceIsDeterministicPerMechanism)
@@ -214,13 +200,13 @@ TEST(DefragEquivalence, TraceIsDeterministicPerMechanism)
     // comparison above could mask a real divergence behind trace
     // nondeterminism: two identical runs produce identical snapshots
     // *and* identical mechanism stats.
-    const RunResult a = runTrace(Mechanism::Mesh);
-    const RunResult b = runTrace(Mechanism::Mesh);
+    const RunResult a = runTrace(Mechanism::Concurrent);
+    const RunResult b = runTrace(Mechanism::Concurrent);
     ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
     for (size_t q = 0; q < a.snapshots.size(); q++)
         EXPECT_EQ(a.snapshots[q], b.snapshots[q]);
-    EXPECT_EQ(a.totals.pagesMeshed, b.totals.pagesMeshed);
-    EXPECT_EQ(a.totals.splitFaults, b.totals.splitFaults);
+    EXPECT_EQ(a.totals.committed, b.totals.committed);
+    EXPECT_EQ(a.totals.movedBytes, b.totals.movedBytes);
     EXPECT_EQ(a.finalRss, b.finalRss);
 }
 

@@ -8,8 +8,8 @@
  * controllers replay the same seeded alloc/free/mutate trace on
  * identical heaps under a virtual clock with modeled time. At every
  * quiesce tick the deterministic outcome must match exactly: modeled
- * charges, pause split, per-barrier maxima, move/campaign/mesh
- * counters, hysteresis state, and the next wake time. (Measured wall
+ * charges, pause split, per-barrier maxima, move/campaign counters,
+ * hysteresis state, and the next wake time. (Measured wall
  * seconds are excluded — they are real time and legitimately differ
  * run to run; every scheduling decision under useModeledTime flows
  * from the modeled fields compared here.)
@@ -42,7 +42,7 @@ constexpr int kOps = 10000;
 constexpr int kQuiesceEvery = 400;
 
 /**
- * The pre-split controller, verbatim: the five-value mode switch with
+ * The pre-split controller, verbatim: the mode switch with
  * the lazy alpha budget, the resumable batched StopTheWorld pass, the
  * Hybrid abort-rate fallback spending only the remainder, and the
  * paper's overhead-sleep scheduling. This is the oracle the
@@ -65,7 +65,7 @@ class LegacyController
         if (now < nextWake_)
             return {};
         if (state_ == DefragController::State::Waiting) {
-            if (controlFragmentation() > params_.fUb) {
+            if (service_.fragmentation() > params_.fUb) {
                 state_ = DefragController::State::Defragmenting;
                 return runPass();
             }
@@ -84,20 +84,6 @@ class LegacyController
     double maxBarrierPauseSec() const { return maxBarrierPauseSec_; }
 
   private:
-    double
-    controlFragmentation() const
-    {
-        switch (params_.mode) {
-        case DefragMode::Mesh:
-            return service_.physicalFragmentation();
-        case DefragMode::MeshHybrid:
-            return std::max(service_.fragmentation(),
-                            service_.physicalFragmentation());
-        default:
-            return service_.fragmentation();
-        }
-    }
-
     ControlAction
     runPass()
     {
@@ -147,20 +133,9 @@ class LegacyController
                               stwPass_->totals().reclaimedBytes == 0;
                 stwPass_.reset();
             }
-        } else if (params_.mode == DefragMode::Mesh) {
-            action.stats = service_.meshPass(params_.meshProbeBudget,
-                                             params_.meshMaxOccupancy);
-            action.costSec = chargeOf(action.stats);
-            no_progress = action.stats.pagesMeshed == 0;
         } else {
-            if (params_.mode == DefragMode::MeshHybrid) {
-                action.stats =
-                    service_.meshPass(params_.meshProbeBudget,
-                                      params_.meshMaxOccupancy);
-            }
             const size_t pass_budget = passBudgetNow();
-            action.stats.accumulate(
-                service_.relocateCampaign(pass_budget));
+            action.stats = service_.relocateCampaign(pass_budget);
             action.costSec = chargeOf(action.stats);
             if (params_.mode == DefragMode::Hybrid &&
                 action.stats.attempts >=
@@ -184,8 +159,7 @@ class LegacyController
                 }
             }
             no_progress = action.stats.movedBytes == 0 &&
-                          action.stats.reclaimedBytes == 0 &&
-                          action.stats.pagesMeshed == 0;
+                          action.stats.reclaimedBytes == 0;
         }
 
         totalPauseSec_ += action.pauseSec;
@@ -199,7 +173,7 @@ class LegacyController
         if (!pass_done) {
             nextWake_ = now + std::max(action.costSec / params_.oUb,
                                        params_.minSleepSec);
-        } else if (controlFragmentation() < params_.fLb ||
+        } else if (service_.fragmentation() < params_.fLb ||
                    no_progress) {
             state_ = DefragController::State::Waiting;
             nextWake_ = now + params_.pollInterval;
@@ -237,8 +211,6 @@ struct TickRecord
     uint64_t attempts = 0;
     uint64_t committed = 0;
     uint64_t aborted = 0;
-    uint64_t pagesMeshed = 0;
-    uint64_t bytesRecovered = 0;
     uint64_t barriers = 0;
     uint64_t maxBarrierBytes = 0;
     double modeledSec = 0;
@@ -333,8 +305,6 @@ runTrace(DefragMode mode)
         record.attempts = act.stats.attempts;
         record.committed = act.stats.committed;
         record.aborted = act.stats.aborted;
-        record.pagesMeshed = act.stats.pagesMeshed;
-        record.bytesRecovered = act.stats.bytesRecovered;
         record.barriers = act.stats.barriers;
         record.maxBarrierBytes = act.stats.maxBarrierBytes;
         record.modeledSec = act.stats.modeledSec;
@@ -376,8 +346,6 @@ expectSameRun(const RunResult &legacy, const RunResult &refactored,
         EXPECT_EQ(a.attempts, b.attempts);
         EXPECT_EQ(a.committed, b.committed);
         EXPECT_EQ(a.aborted, b.aborted);
-        EXPECT_EQ(a.pagesMeshed, b.pagesMeshed);
-        EXPECT_EQ(a.bytesRecovered, b.bytesRecovered);
         EXPECT_EQ(a.barriers, b.barriers);
         EXPECT_EQ(a.maxBarrierBytes, b.maxBarrierBytes);
         EXPECT_DOUBLE_EQ(a.modeledSec, b.modeledSec);
@@ -411,9 +379,7 @@ TEST_P(LegacyModeEquivalence, PolicyMatchesTheLegacyControllerTickForTick)
     const char *name =
         mode == DefragMode::StopTheWorld ? "stw"
         : mode == DefragMode::Concurrent ? "concurrent"
-        : mode == DefragMode::Hybrid     ? "hybrid"
-        : mode == DefragMode::Mesh       ? "mesh"
-                                         : "mesh_hybrid";
+                                         : "hybrid";
     expectSameRun(legacy, refactored, name);
 
     // The trace is not vacuous: at least one tick defragged.
@@ -426,7 +392,6 @@ TEST_P(LegacyModeEquivalence, PolicyMatchesTheLegacyControllerTickForTick)
 INSTANTIATE_TEST_SUITE_P(
     AllModes, LegacyModeEquivalence,
     ::testing::Values(DefragMode::StopTheWorld,
-                      DefragMode::Concurrent, DefragMode::Hybrid,
-                      DefragMode::Mesh, DefragMode::MeshHybrid));
+                      DefragMode::Concurrent, DefragMode::Hybrid));
 
 } // namespace

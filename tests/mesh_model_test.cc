@@ -62,6 +62,10 @@ TEST(MeshModel, MeshingMergesDisjointSpans)
         model.maintain();
     EXPECT_GT(model.meshCount(), 0u);
     EXPECT_LT(model.rss(), rss_before);
+    // Each mesh releases exactly one span's frame, and nothing else in
+    // maintain() changes residency.
+    EXPECT_EQ(rss_before - model.rss(),
+              model.meshCount() * MeshModel::spanBytes);
     // Every survivor must still be freeable exactly once.
     for (uint64_t t : tokens) {
         if (t)

@@ -71,32 +71,6 @@ TEST(PageModel, RetouchAfterDiscardCostsAgain)
     EXPECT_EQ(pm.rss(), 4096u);
 }
 
-TEST(PageModel, AliasSharesAFrame)
-{
-    // The Mesh trick: two virtual pages, one physical frame.
-    PageModel pm(4096);
-    pm.touch(0, 4096);        // page 0 resident
-    pm.touch(8 * 4096, 4096); // page 8 resident
-    EXPECT_EQ(pm.rss(), 2 * 4096u);
-    pm.alias(8 * 4096, 0); // mesh page 8 onto page 0
-    EXPECT_EQ(pm.rss(), 4096u);
-    // Touching through either virtual page keeps one frame.
-    pm.touch(8 * 4096, 4096);
-    pm.touch(0, 4096);
-    EXPECT_EQ(pm.rss(), 4096u);
-}
-
-TEST(PageModel, AliasChainsCollapseToOneFrame)
-{
-    PageModel pm(4096);
-    pm.touch(0, 4096);
-    pm.touch(4096, 4096);
-    pm.touch(8192, 4096);
-    pm.alias(4096, 0);
-    pm.alias(8192, 4096); // through the alias, lands on frame 0
-    EXPECT_EQ(pm.rss(), 4096u);
-}
-
 TEST(PageModel, CustomPageSize)
 {
     PageModel pm(1 << 16); // 64 KiB "pages"

@@ -4,11 +4,11 @@
  * against stub mechanisms — no heap, no service: the policies see the
  * world only through PolicyView callbacks and their injected
  * DefragMechanisms, so every decision-table row is testable in
- * isolation. Covered: the abort-rate fallback gate, mesh pacing off
- * physical fragmentation, single alpha-budget deduction across a
- * composed tick, BarrierBudgetAdapter convergence/floor/cap, and
- * mid-pass abandonment below F_lb. The end-to-end equivalence of the
- * legacy DefragMode values is legacy_mode_equivalence_test.cc.
+ * isolation. Covered: the abort-rate fallback gate, single
+ * alpha-budget deduction across a composed tick, BarrierBudgetAdapter
+ * convergence/floor/cap, and mid-pass abandonment below F_lb. The
+ * end-to-end equivalence of the legacy DefragMode values is
+ * legacy_mode_equivalence_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -75,11 +75,10 @@ class StubMechanism final : public DefragMechanism
 
 /** A view over scripted metrics. */
 PolicyView
-viewOf(double frag, double physFrag, size_t extent)
+viewOf(double frag, size_t extent)
 {
     PolicyView view;
     view.fragmentation = [frag] { return frag; };
-    view.physicalFragmentation = [physFrag] { return physFrag; };
     view.heapExtent = [extent] { return extent; };
     return view;
 }
@@ -110,8 +109,7 @@ hybridOf(std::shared_ptr<StubState> campaign,
         MechanismKind::Stw, false, std::move(stw));
     stages[1].gate = ComposedPolicy::Gate::AbortFallback;
     stages[1].isFallback = true;
-    return std::make_unique<ComposedPolicy>(
-        "hybrid", ComposedPolicy::Metric::Virtual, std::move(stages));
+    return std::make_unique<ComposedPolicy>("hybrid", std::move(stages));
 }
 
 // --- abort-rate fallback ----------------------------------------------------
@@ -128,7 +126,7 @@ TEST(AbortFallback, TripsOnHighAbortRateWithRemainderBudget)
 
     ControlParams params; // abortFallbackRate 0.5, min 32 attempts
     params.alpha = 0.25;
-    const PolicyView view = viewOf(1.5, 1.0, /*extent=*/40000);
+    const PolicyView view = viewOf(1.5, /*extent=*/40000);
     const TickResult result = policy->runTick(view, params, SIZE_MAX);
 
     // Budget = alpha * extent = 10000; the fallback spends only what
@@ -154,7 +152,7 @@ TEST(AbortFallback, QuietCampaignNeverFallsBack)
     };
     auto policy = hybridOf(campaign, stw);
     ControlParams params;
-    const PolicyView view = viewOf(1.5, 1.0, 40000);
+    const PolicyView view = viewOf(1.5, 40000);
 
     TickResult result = policy->runTick(view, params, SIZE_MAX);
     EXPECT_TRUE(stw->requests.empty());
@@ -181,7 +179,7 @@ TEST(ComposedBudget, ExhaustedBudgetSkipsTheFallbackStage)
     };
     auto policy = hybridOf(campaign, stw);
     ControlParams params;
-    const PolicyView view = viewOf(1.5, 1.0, 40000);
+    const PolicyView view = viewOf(1.5, 40000);
 
     const TickResult result = policy->runTick(view, params, SIZE_MAX);
     ASSERT_EQ(campaign->requests.size(), 1u);
@@ -189,45 +187,6 @@ TEST(ComposedBudget, ExhaustedBudgetSkipsTheFallbackStage)
     EXPECT_TRUE(stw->requests.empty());
     EXPECT_FALSE(result.fellBack); // a skipped fallback is no fallback
     EXPECT_EQ(result.reports.size(), 1u);
-}
-
-// --- mesh pacing ------------------------------------------------------------
-
-TEST(MeshPacing, GatesOnPhysicalFragmentation)
-{
-    auto mesh = std::make_shared<StubState>();
-    auto campaign = std::make_shared<StubState>();
-    auto build = [&] {
-        std::vector<ComposedPolicy::Stage> stages(2);
-        stages[0].mechanism = std::make_unique<StubMechanism>(
-            MechanismKind::Mesh, false, mesh);
-        stages[0].gate = ComposedPolicy::Gate::MeshPacing;
-        stages[1].mechanism = std::make_unique<StubMechanism>(
-            MechanismKind::Campaign, true, campaign);
-        return std::make_unique<ComposedPolicy>(
-            "mesh_hybrid", ComposedPolicy::Metric::WorseOfBoth,
-            std::move(stages));
-    };
-
-    ControlParams params;
-    params.meshPacingFloor = 1.2;
-    auto policy = build();
-
-    // RSS already tight: the mesh stage is skipped, the campaign runs.
-    policy->runTick(viewOf(1.5, /*phys=*/1.1, 40000), params, SIZE_MAX);
-    EXPECT_TRUE(mesh->requests.empty());
-    EXPECT_EQ(campaign->requests.size(), 1u);
-
-    // Physical fragmentation above the floor: meshing is worth it.
-    policy->runTick(viewOf(1.5, /*phys=*/1.3, 40000), params, SIZE_MAX);
-    EXPECT_EQ(mesh->requests.size(), 1u);
-
-    // Floor 0 (the legacy default) meshes every tick.
-    params.meshPacingFloor = 0;
-    policy->runTick(viewOf(1.5, /*phys=*/1.0, 40000), params, SIZE_MAX);
-    EXPECT_EQ(mesh->requests.size(), 2u);
-    // A mesh stage never consumes the byte budget.
-    EXPECT_EQ(mesh->requests[0].budgetBytes, 0u);
 }
 
 // --- batchBytes adaptation --------------------------------------------------
@@ -303,7 +262,7 @@ TEST(MidPassAbandon, DropsTheRemainderOnceChurnMetTheGoal)
 
     // Churn already pushed the metric below fLb: abandon, run nothing.
     const TickResult result =
-        policy.runTick(viewOf(1.05, 1.0, 40000), params, SIZE_MAX);
+        policy.runTick(viewOf(1.05, 40000), params, SIZE_MAX);
     EXPECT_TRUE(result.abandoned);
     EXPECT_TRUE(result.passDone);
     EXPECT_TRUE(result.reports.empty());
@@ -313,14 +272,14 @@ TEST(MidPassAbandon, DropsTheRemainderOnceChurnMetTheGoal)
     // Metric still above the threshold: the pass resumes (mid-pass,
     // so no fresh alpha budget is computed).
     const TickResult resumed =
-        policy.runTick(viewOf(1.3, 1.0, 40000), params, SIZE_MAX);
+        policy.runTick(viewOf(1.3, 40000), params, SIZE_MAX);
     EXPECT_FALSE(resumed.abandoned);
     ASSERT_EQ(stw->requests.size(), 1u);
     EXPECT_EQ(stw->requests[0].budgetBytes, 0u);
 
     // Fraction 0 (the legacy default) never abandons.
     params.midPassAbandonFraction = 0;
-    policy.runTick(viewOf(1.0, 1.0, 40000), params, SIZE_MAX);
+    policy.runTick(viewOf(1.0, 40000), params, SIZE_MAX);
     EXPECT_EQ(stw->abandons, 1);
     EXPECT_EQ(stw->requests.size(), 2u);
 }
@@ -334,7 +293,7 @@ TEST(StwPolicy, FreshPassGetsTheAlphaBudgetAndShardCap)
     params.alpha = 0.5;
     params.shardBudgetFraction = 0.25;
 
-    policy.runTick(viewOf(1.5, 1.0, 40000), params, /*batch=*/123);
+    policy.runTick(viewOf(1.5, 40000), params, /*batch=*/123);
     ASSERT_EQ(stw->requests.size(), 1u);
     EXPECT_EQ(stw->requests[0].budgetBytes, 20000u);
     EXPECT_EQ(stw->requests[0].shardCapBytes, 5000u);
