@@ -2,7 +2,7 @@
  * @file
  * Figure 10: the envelope of control — the same Figure 9 workload
  * under Anchorage with a sweep of controller parameter sets
- * ([F_lb,F_ub], [O_lb,O_ub], alpha). Each parameter set traces a
+ * ([F_lb,F_ub], O_ub, alpha). Each parameter set traces a
  * different RSS curve; the envelope between the most and least
  * aggressive shows the operator's tradeoff space between overhead and
  * fragmentation.
@@ -44,7 +44,6 @@ main()
         for (double oub : {0.01, 0.05, 0.25}) {
             anchorage::ControlParams params;
             params.alpha = alpha;
-            params.oLb = oub / 5;
             params.oUb = oub;
             params.fLb = 1.10;
             params.fUb = 1.30;
@@ -93,7 +92,7 @@ main()
     }
 
     std::printf("\nsummary: parameter set -> final RSS, defrag duty "
-                "cycle (must stay within [O_lb,O_ub])\n");
+                "cycle (must stay at or below O_ub)\n");
     for (size_t i = 0; i < sweeps.size(); i++) {
         std::printf("  %-13s %7.1f MB   duty %.3f (O_ub %.2f)%s\n",
                     sweeps[i].label, curves[i].rssMb.back(),

@@ -44,6 +44,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -353,18 +354,6 @@ reportRun(bench::JsonReport &report, const std::string &prefix,
                static_cast<double>(r.totals.reclaimedBytes) / 1e6, "MB");
 }
 
-struct NamedMode
-{
-    const char *name;
-    anchorage::DefragMode mode;
-};
-
-constexpr NamedMode kModes[] = {
-    {"stw", anchorage::DefragMode::StopTheWorld},
-    {"concurrent", anchorage::DefragMode::Concurrent},
-    {"hybrid", anchorage::DefragMode::Hybrid},
-};
-
 /** Oversized per-barrier cap for the adaptive-vs-fixed head-to-head:
  *  far above any sub-millisecond pause target, so the static bound's
  *  barriers land wherever the copy rate puts them. */
@@ -377,7 +366,7 @@ main(int argc, char **argv)
 {
     ServeOptions opt;
     bool smoke = false;
-    const char *mode_name = nullptr;
+    std::optional<anchorage::DefragMode> only_mode;
     double target_pause_us = 0;
     const char *trace_file = nullptr;
     const char *out_file = nullptr;
@@ -399,8 +388,13 @@ main(int argc, char **argv)
             if (target_pause_us == 0)
                 target_pause_us = 200;
         } else if (const char *v = value("--mode=")) {
-            mode_name = argv[i] + std::strlen("--mode=");
-            (void)v;
+            only_mode = anchorage::parseDefragMode(v);
+            if (!only_mode) {
+                std::fprintf(stderr,
+                             "--mode= must be one of stw, concurrent, "
+                             "hybrid\n");
+                return 2;
+            }
         } else if (const char *v = value("--rate=")) {
             opt.ratePerSec = std::atof(v);
         } else if (const char *v = value("--threads=")) {
@@ -462,21 +456,24 @@ main(int argc, char **argv)
                 opt.ratePerSec, opt.poisson ? "Poisson" : "fixed-rate",
                 opt.workers, opt.sloUs, opt.windowMs);
 
-    for (const NamedMode &m : kModes) {
-        if (mode_name != nullptr &&
-            std::strcmp(mode_name, m.name) != 0)
+    for (const anchorage::DefragMode mode :
+         {anchorage::DefragMode::StopTheWorld,
+          anchorage::DefragMode::Concurrent,
+          anchorage::DefragMode::Hybrid}) {
+        if (only_mode && *only_mode != mode)
             continue;
-        const RunResult r = runServe(m.mode, opt);
-        printRun(m.name, r, opt.sloUs);
+        const char *name = anchorage::defragModeName(mode);
+        const RunResult r = runServe(mode, opt);
+        printRun(name, r, opt.sloUs);
         if (rp != nullptr)
-            reportRun(*rp, m.name, r);
+            reportRun(*rp, name, r);
         if (smoke && r.lost != 0)
-            failures.push_back(std::string("mode ") + m.name + ": " +
+            failures.push_back(std::string("mode ") + name + ": " +
                                std::to_string(r.lost) +
                                " lost responses");
     }
 
-    if (mode_name == nullptr && target_pause_us > 0) {
+    if (!only_mode && target_pause_us > 0) {
         std::printf(
             "=== adaptive barrier budget vs fixed under open-loop "
             "load: StopTheWorld, cap %zu KiB, target %.0fus ===\n\n",

@@ -58,6 +58,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -635,8 +636,8 @@ runMultiThreadSection(int threads, size_t shards,
                 static_cast<double>(conc1.totals.reclaimedBytes) / 1e6);
     // Recovery attributed at the mechanism (daemon totalsFor()), not
     // folded per mode: each column should put all its recovery in the
-    // one mechanism its policy composes — the attribution proves no
-    // hidden fallback did the work.
+    // one mechanism its mode runs — the attribution proves no hidden
+    // fallback did the work.
     const auto mech_mb = [](const ModeResult &r,
                             anchorage::MechanismKind kind) {
         const anchorage::DefragStats &m =
@@ -889,21 +890,15 @@ main(int argc, char **argv)
         // Named-mode run: replaces both default sections (the default
         // invocation's report shape — and so the committed baseline's
         // checksum — is untouched by this path).
-        anchorage::DefragMode mode;
-        const std::string name = mode_name;
-        if (name == "stw")
-            mode = anchorage::DefragMode::StopTheWorld;
-        else if (name == "concurrent")
-            mode = anchorage::DefragMode::Concurrent;
-        else if (name == "hybrid")
-            mode = anchorage::DefragMode::Hybrid;
-        else {
+        const std::optional<anchorage::DefragMode> mode =
+            anchorage::parseDefragMode(mode_name);
+        if (!mode) {
             std::fprintf(stderr,
                          "--mode= must be one of stw, concurrent, "
                          "hybrid\n");
             return 2;
         }
-        runSingleModeSection(mode_name, mode, threads, shards,
+        runSingleModeSection(mode_name, *mode, threads, shards,
                              mrecords, mops, rp);
     } else if (target_pause_us > 0) {
         // Adaptive-barrier section: replaces the default sections, so

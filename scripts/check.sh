@@ -107,13 +107,22 @@ ctest --output-on-failure -j "$(nproc)"
 # the noise envelope over fixed — and exits nonzero on violation.
 ./serve_bench --smoke --trace=serve_trace.json \
     --out=bench_serve.json > /dev/null
+# An unknown --mode= must be rejected with exit 2, not run no mode and
+# pass the smoke.
+rc=0
+./serve_bench --smoke --mode=bogus > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "serve_bench --mode=bogus exited $rc, expected 2" >&2
+    exit 1
+fi
 echo "bench smoke OK"
 
 # Trace gates: the telemetry-instrumented YCSB smoke must emit a
 # parseable Chrome trace with at least one campaign span, one barrier
-# span and one policy_decision span (the policy layer's per-tick
-# deliberation) — proof the defrag pipeline's tracer stays wired for
-# both mechanisms and for the policy above them (see
+# span and one policy_decision span (the controller's per-tick
+# decision: the mode's mechanism calls, budget split, fallback gate and
+# abandonment) — proof the defrag pipeline's tracer stays wired for
+# both mechanisms and for the controller above them (see
 # docs/OBSERVABILITY.md for the event schema).
 if command -v python3 > /dev/null 2>&1; then
     python3 ../scripts/check_trace.py bench_trace.json campaign \
@@ -170,3 +179,19 @@ fi
 ./example_kv_cache_server > /dev/null
 ./example_compiler_pipeline > /dev/null
 echo "example smoke OK"
+
+# Repository benchmark smoke: repobench/ compiles ../src on its own and
+# includes control.h, mechanism.h and anchorage_service.h, so a header
+# change could break it while every gate above stays green. Build it
+# (Release, into .bench_build/) and run each workload for one second;
+# run.py exits nonzero when the build or any operation fails.
+if command -v python3 > /dev/null 2>&1; then
+    cd ..
+    for w in kv-serve kv-defrag cache-churn; do
+        python3 repobench/run.py --workload "$w" --seed 1 --seconds 1 \
+            > /dev/null
+    done
+    echo "repobench smoke OK"
+else
+    echo "repobench smoke skipped (no python3)"
+fi

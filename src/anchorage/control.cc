@@ -1,6 +1,7 @@
 #include "anchorage/control.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -8,13 +9,133 @@
 namespace alaska::anchorage
 {
 
+namespace
+{
+
+/** The one mode-name table every CLI and report reads. */
+constexpr std::pair<DefragMode, const char *> kModeNames[] = {
+    {DefragMode::StopTheWorld, "stw"},
+    {DefragMode::Concurrent, "concurrent"},
+    {DefragMode::Hybrid, "hybrid"},
+};
+
+/** alpha × whole-heap extent, at least one byte. heapExtent() sweeps
+ *  every shard lock, so a tick computes it only when a pass or
+ *  campaign begins. */
+size_t
+passBudget(const AnchorageService &service, const ControlParams &params)
+{
+    const auto budget = static_cast<size_t>(
+        params.alpha * static_cast<double>(service.heapExtent()));
+    return budget > 0 ? budget : size_t{1};
+}
+
+/** The per-shard cap on a pass of `total` bytes (SIZE_MAX when
+ *  shardBudgetFraction >= 1). */
+size_t
+shardCap(size_t total, const ControlParams &params)
+{
+    if (params.shardBudgetFraction >= 1.0)
+        return SIZE_MAX;
+    const auto cap = static_cast<size_t>(
+        params.shardBudgetFraction * static_cast<double>(total));
+    return cap > 0 ? cap : size_t{1};
+}
+
+/** Append one mechanism's report, charged in the configured time
+ *  base, and fold it into the action's totals. */
+void
+record(ControlAction &action, MechanismKind kind, const DefragStats &stats,
+       bool useModeledTime)
+{
+    MechanismReport report;
+    report.kind = kind;
+    report.stats = stats;
+    report.costSec = useModeledTime ? stats.modeledSec : stats.measuredSec;
+    // Only barriers stop the world; a campaign's cost is all
+    // concurrent work.
+    if (kind == MechanismKind::Stw)
+        report.pauseSec = report.costSec;
+    if (stats.reclaimedBytes > 0)
+        telemetry::count(kind == MechanismKind::Stw
+                             ? telemetry::Counter::StwRecoveredBytes
+                             : telemetry::Counter::CampaignRecoveredBytes,
+                         stats.reclaimedBytes);
+
+    action.stats.accumulate(stats);
+    action.costSec += report.costSec;
+    action.pauseSec += report.pauseSec;
+    action.byMechanism.push_back(report);
+}
+
+} // anonymous namespace
+
+const char *
+defragModeName(DefragMode mode)
+{
+    for (const auto &[value, name] : kModeNames)
+        if (value == mode)
+            return name;
+    return "unknown";
+}
+
+std::optional<DefragMode>
+parseDefragMode(std::string_view name)
+{
+    for (const auto &[value, spelling] : kModeNames)
+        if (name == spelling)
+            return value;
+    return std::nullopt;
+}
+
+// --- BarrierBudgetAdapter ---------------------------------------------------
+
+BarrierBudgetAdapter::BarrierBudgetAdapter(double targetPauseSec,
+                                           size_t floorBytes,
+                                           size_t capBytes)
+    : enabled_(targetPauseSec > 0), target_(targetPauseSec),
+      floor_(floorBytes > 0 ? floorBytes : 1),
+      cap_(capBytes > 0 ? capBytes : SIZE_MAX)
+{
+    if (floor_ > cap_)
+        floor_ = cap_;
+    // Enabled: start at the floor and earn headroom (a conservative
+    // first barrier can only undershoot the target). Disabled: the
+    // static legacy bound (0 = unbatched).
+    current_ = enabled_ ? floor_ : cap_;
+}
+
+void
+BarrierBudgetAdapter::observe(double barrierPauseSec)
+{
+    if (!enabled_ || barrierPauseSec <= 0)
+        return;
+    if (barrierPauseSec > target_) {
+        // Multiplicative decrease, proportional to the overshoot and
+        // with a margin, so one observation lands the next barrier
+        // near (under) the target instead of creeping toward it.
+        auto next = static_cast<size_t>(
+            static_cast<double>(current_) *
+            (target_ / barrierPauseSec) * 0.9);
+        if (next >= current_ && current_ > floor_)
+            next = current_ - 1;
+        current_ = std::max(next, floor_);
+    } else if (barrierPauseSec < target_ * 0.5 && current_ < cap_) {
+        // Slow additive recovery while barriers run well under the
+        // target, so a transient bandwidth dip does not pin the batch
+        // at the floor forever.
+        const size_t step = cap_ == SIZE_MAX ? current_ / 8 + 1
+                                             : cap_ / 32 + 1;
+        current_ = cap_ - current_ < step ? cap_ : current_ + step;
+    }
+}
+
+// --- DefragController -------------------------------------------------------
+
 DefragController::DefragController(AnchorageService &service,
                                    const Clock &clock,
                                    ControlParams params)
     : service_(service), clock_(clock), params_(params),
-      view_{[this] { return service_.fragmentation(); },
-            [this] { return service_.heapExtent(); }},
-      policy_(makePolicy(params_, service_)),
       adapter_(params_.targetBarrierPauseSec, params_.batchBytesFloor,
                params_.batchBytes)
 {
@@ -46,19 +167,78 @@ DefragController::runPass()
 {
     telemetry::TraceSpan tick_span("controller_tick");
 
-    TickResult result =
-        policy_->runTick(view_, params_, adapter_.current());
-
     ControlAction action;
-    action.fellBack = result.fellBack;
-    action.abandoned = result.abandoned;
-    action.defragged = !result.reports.empty();
-    for (const MechanismReport &report : result.reports) {
-        action.stats.accumulate(report.stats);
-        action.costSec += report.costSec;
-        action.pauseSec += report.pauseSec;
+    const size_t batch = adapter_.current();
+    // False while a StopTheWorld pass stays open for the next tick.
+    bool pass_done = true;
+    // The finished pass (or the tick) moved and reclaimed nothing.
+    bool no_progress = false;
+    {
+        telemetry::TraceSpan span("policy_decision");
+        switch (params_.mode) {
+        case DefragMode::StopTheWorld:
+            // Mid-pass abandonment: churn between barriers may already
+            // have pushed the metric below F_lb — the remainder would
+            // pause mutators to chase a goal already met.
+            if (pass_ && params_.midPassAbandonFraction > 0 &&
+                service_.fragmentation() <
+                    params_.fLb * params_.midPassAbandonFraction) {
+                pass_.reset();
+                action.abandoned = true;
+                break;
+            }
+            if (!pass_) {
+                // A fresh pass pays the all-shard extent sweep; a
+                // mid-pass tick resumes the open pass's own budget.
+                const size_t budget = passBudget(service_, params_);
+                pass_.emplace(service_.beginBatchedDefrag(
+                    budget, shardCap(budget, params_)));
+            }
+            // One barrier per tick: the overhead sleep between ticks
+            // is what turns one long pause into many short ones.
+            record(action, MechanismKind::Stw, pass_->step(batch),
+                   params_.useModeledTime);
+            pass_done = pass_->done();
+            if (pass_done) {
+                no_progress = pass_->totals().movedBytes == 0 &&
+                              pass_->totals().reclaimedBytes == 0;
+                pass_.reset();
+            }
+            break;
+        case DefragMode::Concurrent:
+        case DefragMode::Hybrid: {
+            // One alpha budget per tick: Hybrid's fallback spends only
+            // what the campaign left, so a tick never moves more than
+            // the alpha fraction in total.
+            const size_t budget = passBudget(service_, params_);
+            const DefragStats campaign = service_.relocateCampaign(budget);
+            record(action, MechanismKind::Campaign, campaign,
+                   params_.useModeledTime);
+            const size_t remainder = budget > campaign.movedBytes
+                                         ? budget - campaign.movedBytes
+                                         : 0;
+            if (params_.mode == DefragMode::Hybrid && remainder > 0 &&
+                campaign.attempts >= params_.abortFallbackMinAttempts &&
+                campaign.abortRate() > params_.abortFallbackRate) {
+                // Accessors contend too hard for concurrent progress:
+                // finish the remainder now, every barrier back to back.
+                AnchorageService::BatchedPass fallback =
+                    service_.beginBatchedDefrag(
+                        remainder, shardCap(remainder, params_));
+                DefragStats stw;
+                while (!fallback.done())
+                    stw.accumulate(fallback.step(batch));
+                record(action, MechanismKind::Stw, stw,
+                       params_.useModeledTime);
+                action.fellBack = true;
+            }
+            no_progress = action.stats.movedBytes == 0 &&
+                          action.stats.reclaimedBytes == 0;
+            break;
+        }
+        }
     }
-    action.byMechanism = std::move(result.reports);
+    action.defragged = !action.byMechanism.empty();
 
     totalDefragSec_ += action.costSec;
     totalPauseSec_ += action.pauseSec;
@@ -83,14 +263,11 @@ DefragController::runPass()
                         adapter_.current());
 
     const double now = clock_.now();
-    if (!result.passDone) {
-        // Mid-pass: the next tick runs the next barrier; the overhead
-        // sleep between barriers is what turns one long pause into
-        // many short ones.
+    if (!pass_done) {
+        // Mid-pass: the next tick runs the next barrier.
         nextWake_ = now + std::max(action.costSec / params_.oUb,
                                    params_.minSleepSec);
-    } else if (service_.fragmentation() < params_.fLb ||
-               result.noProgress) {
+    } else if (service_.fragmentation() < params_.fLb || no_progress) {
         // Goal reached or out of opportunities (an abandoned
         // remainder lands here by construction — abandonment requires
         // the metric below fLb): observe efficiently.

@@ -3,9 +3,9 @@
  * Anchorage's defragmentation control algorithm (paper §4.3, "Control
  * system").
  *
- * The controller keeps fragmentation within [F_lb, F_ub] and the
- * fraction of time spent defragmenting within [O_lb, O_ub], using
- * hysteresis. It is a two-state machine:
+ * The controller keeps fragmentation within [F_lb, F_ub] using
+ * hysteresis, and caps the fraction of time spent defragmenting at
+ * O_ub. It is a two-state machine:
  *
  *  - Waiting: wake every 500 ms; if fragmentation > F_ub, switch to
  *    Defragmenting.
@@ -26,25 +26,22 @@
 #define ALASKA_ANCHORAGE_CONTROL_H
 
 #include <cstddef>
-#include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "anchorage/anchorage_service.h"
 #include "anchorage/mechanism.h"
-#include "anchorage/policy.h"
 #include "sim/clock.h"
 
 namespace alaska::anchorage
 {
 
 /**
- * Legacy shorthand for the common policies (paper §4.3 vs §7). Since
- * the mechanism/policy split each value is just a constructor of the
- * equivalent DefragPolicy (see policy.h's makePolicy): the enum
- * survives for CLI/config compatibility, not as controller branches.
- * Both models steal across allocation shards: a pass or campaign
- * ranks every shard's sub-heaps by occupancy and evacuates sparse
- * ones into denser ones anywhere (see AnchorageService).
+ * Which mechanisms a controller tick runs (paper §4.3 vs §7). Every
+ * mode steals across allocation shards: a pass or campaign ranks every
+ * shard's sub-heaps by occupancy and evacuates sparse ones into denser
+ * ones anywhere (see AnchorageService).
  */
 enum class DefragMode
 {
@@ -61,6 +58,12 @@ enum class DefragMode
     Hybrid,
 };
 
+/** The mode's CLI and report name: "stw", "concurrent" or "hybrid". */
+const char *defragModeName(DefragMode mode);
+
+/** The mode named by defragModeName's spelling; nullopt otherwise. */
+std::optional<DefragMode> parseDefragMode(std::string_view name);
+
 /**
  * Operator-tunable control parameters. Every knob is documented with
  * operational guidance in docs/TUNING.md. Plain data: set the fields
@@ -72,8 +75,11 @@ struct ControlParams
     /** Fragmentation hysteresis bounds [F_lb, F_ub]. */
     double fLb = 1.15;
     double fUb = 1.40;
-    /** Defrag overhead bounds [O_lb, O_ub] (fraction of time). */
-    double oLb = 0.01;
+    /**
+     * Defrag overhead bound O_ub (fraction of time). The paper's
+     * envelope also has a lower bound O_lb; the controller enforces
+     * only this upper one (below the band it idles in Waiting).
+     */
     double oUb = 0.05;
     /** Aggression: max fraction of the heap moved per pass. */
     double alpha = 0.25;
@@ -129,7 +135,7 @@ struct ControlParams
      * measured pauses — multiplicative decrease on overshoot, slow
      * additive recovery — clamped to [batchBytesFloor, batchBytes].
      * 0 (default) keeps the static legacy bound. See
-     * BarrierBudgetAdapter (policy.h) and docs/TUNING.md.
+     * BarrierBudgetAdapter below and docs/TUNING.md.
      */
     double targetBarrierPauseSec = 0;
     /**
@@ -156,10 +162,10 @@ struct ControlAction
     /** True if a defrag pass ran on this tick. */
     bool defragged = false;
     /**
-     * One report per mechanism the policy invoked this tick, in
-     * execution order — the authoritative per-mechanism attribution
-     * (a Hybrid tick that fell back carries one campaign report and
-     * one stw report, each with its own stats and charges).
+     * One report per mechanism the tick invoked, in execution order —
+     * the authoritative per-mechanism attribution (a Hybrid tick that
+     * fell back carries one campaign report and one stw report, each
+     * with its own stats and charges).
      */
     std::vector<MechanismReport> byMechanism;
     /**
@@ -182,7 +188,7 @@ struct ControlAction
      * the sum of every mechanism report's costSec.
      */
     double costSec = 0;
-    /** True if an abort-rate fallback stage ran this tick. */
+    /** True if Hybrid's abort-rate fallback ran this tick. */
     bool fellBack = false;
     /** True if the tick abandoned a mid-pass remainder instead of
      *  running a barrier (ControlParams::midPassAbandonFraction). */
@@ -190,22 +196,67 @@ struct ControlAction
 };
 
 /**
- * The two-state hysteresis controller — since the mechanism/policy
- * split a thin loop: it owns a DefragPolicy (built from params.mode by
- * makePolicy), watches the heap's fragmentation() against the
- * [F_lb, F_ub] band, runs one policy tick per wake, and schedules the
- * next wake from the tick's charged cost. Everything mode-shaped
- * (which mechanisms run, in what order, on what share of the alpha
- * budget) lives in the policy; the pause-SLO batch adaptation lives in
- * the controller's BarrierBudgetAdapter.
+ * Online batchBytes adaptation toward a per-barrier pause target
+ * (ControlParams::targetBarrierPauseSec). Disabled (target == 0): the
+ * static legacy bound. Enabled: starts conservatively at the floor,
+ * shrinks multiplicatively when a measured barrier overshoots the
+ * target (proportional to the overshoot, with margin), and recovers
+ * additively — slowly — while barriers run well under it, clamped to
+ * [batchBytesFloor, batchBytes].
+ */
+class BarrierBudgetAdapter
+{
+  public:
+    /**
+     * @param targetPauseSec 0 disables adaptation
+     * @param floorBytes     smallest adaptive bound (>= 1 enforced)
+     * @param capBytes       static batchBytes; the adaptive ceiling
+     *                       and, disabled, the returned legacy bound
+     *                       (0 = unbatched, SIZE_MAX)
+     */
+    BarrierBudgetAdapter(double targetPauseSec, size_t floorBytes,
+                         size_t capBytes);
+
+    /** The per-barrier byte bound to use for the next barrier. */
+    size_t current() const { return current_; }
+
+    /** True when a pause target is set. */
+    bool enabled() const { return enabled_; }
+
+    /** Feed one tick's worst measured barrier pause, seconds. */
+    void observe(double barrierPauseSec);
+
+  private:
+    bool enabled_;
+    double target_;
+    size_t floor_;
+    size_t cap_;
+    size_t current_;
+};
+
+/**
+ * The two-state hysteresis controller. It watches the heap's
+ * fragmentation() against the [F_lb, F_ub] band, runs one tick of its
+ * mode per wake, and schedules the next wake from the tick's charged
+ * cost. A tick per mode:
+ *
+ *  - StopTheWorld: one barrier of a batched pass that stays open
+ *    across ticks (abandoned mid-pass when churn already met the goal).
+ *  - Concurrent: one relocation campaign on the alpha budget.
+ *  - Hybrid: Concurrent's campaign, then — when the abort-rate gate
+ *    trips and budget remains — one stop-the-world pass over the
+ *    remainder, drained to completion.
+ *
+ * The pause-SLO batch adaptation lives in the controller's
+ * BarrierBudgetAdapter.
  *
  * Threading contract: the controller itself is NOT thread-safe — drive
  * tick() from one thread at a time (a loop, or the concurrent-reloc
  * daemon's background thread). The heap work a tick triggers is safe
  * against concurrent mutators: the service's fragmentation metric and
- * every mechanism do their own per-shard locking. The alpha budget is
- * computed from the whole (all-shard) extent, so one tick's work is
- * bounded regardless of how many shards it steals across.
+ * every pass and campaign do their own per-shard locking. The alpha
+ * budget is computed from the whole (all-shard) extent, so one tick's
+ * work is bounded regardless of how many shards it steals across.
  */
 class DefragController
 {
@@ -240,6 +291,17 @@ class DefragController
     /** The (normalized) parameters the controller runs with. */
     const ControlParams &params() const { return params_; }
 
+    /**
+     * True if mutators must run the Scoped translation discipline
+     * while this controller may act: every mode but StopTheWorld runs
+     * concurrent campaigns, which move objects under running mutators.
+     */
+    bool
+    requiresScopedDiscipline() const
+    {
+        return params_.mode != DefragMode::StopTheWorld;
+    }
+
     /** Total time charged to defragmentation so far, seconds. */
     double totalDefragSec() const { return totalDefragSec_; }
     /** Total mutator-visible stop-the-world time so far, seconds. */
@@ -247,7 +309,7 @@ class DefragController
     /** Number of ticks that did defrag work (in batched StopTheWorld
      *  mode each such tick runs one barrier of a logical pass). */
     size_t passes() const { return passes_; }
-    /** Number of ticks whose abort-rate fallback stage ran. */
+    /** Number of ticks whose abort-rate fallback ran. */
     size_t fallbacks() const { return fallbacks_; }
     /** Stop-the-world barriers run so far (each bounded by
      *  batchBytes when batching is on). */
@@ -266,21 +328,16 @@ class DefragController
      */
     size_t batchBytesCurrent() const { return adapter_.current(); }
 
-    /** The policy this controller runs (built from params.mode). */
-    const DefragPolicy &policy() const { return *policy_; }
-
   private:
     ControlAction runPass();
 
     AnchorageService &service_;
     const Clock &clock_;
     ControlParams params_;
-    /** How the controller sees the heap; handed to the policy. */
-    PolicyView view_;
-    /** The tick strategy (owns its mechanisms). */
-    std::unique_ptr<DefragPolicy> policy_;
     /** Online batchBytes steering toward targetBarrierPauseSec. */
     BarrierBudgetAdapter adapter_;
+    /** StopTheWorld's batched pass while it is open across ticks. */
+    std::optional<AnchorageService::BatchedPass> pass_;
     State state_ = State::Waiting;
     double nextWake_ = 0;
     double totalDefragSec_ = 0;

@@ -24,19 +24,15 @@ ConcurrentRelocDaemon::ConcurrentRelocDaemon(
     anchorage::ControlParams params)
     : runtime_(runtime), service_(service),
       controller_(service, clock_, params),
-      declaresConcurrentDefrag_(
-          controller_.policy().requiresScopedDiscipline())
+      declaresConcurrentDefrag_(controller_.requiresScopedDiscipline())
 {
-    // The policy knows which mechanisms it may ever run, so it — not
-    // a mode switch — decides the translation discipline. Campaigns
-    // are possible for this daemon's whole lifetime (a fallback tick
-    // may resume campaigns later), so the Scoped discipline must be
-    // visible to mutators before the first tick — declare here, not
-    // in start(), so constructing the daemon before spawning mutators
-    // is sufficient. Policies without campaigns (pure StopTheWorld)
-    // change no handle entries under running mutators, so their
-    // mutators keep the Direct discipline and its two-instruction
-    // translate.
+    // Campaigns are possible for this daemon's whole lifetime (a
+    // Hybrid fallback tick may resume campaigns later), so the Scoped
+    // discipline must be visible to mutators before the first tick —
+    // declare here, not in start(), so constructing the daemon before
+    // spawning mutators is sufficient. StopTheWorld changes no handle
+    // entries under running mutators, so its mutators keep the Direct
+    // discipline and its two-instruction translate.
     if (declaresConcurrentDefrag_)
         Runtime::declareConcurrentDefrag();
 }

@@ -13,9 +13,9 @@
  * never abort a move, and moved sources are reclaimed only after a
  * grace period (the limbo list) rather than readers being drained
  * up front or aborted via pins. Which mechanisms actually run is the
- * hosted DefragPolicy's decision (ControlParams::mode constructs it):
- * the daemon itself is mechanism-agnostic — it declares the Scoped
- * translation discipline iff the policy's mechanisms require it, and
+ * hosted controller's ControlParams::mode: the daemon itself is
+ * mechanism-agnostic — it declares the Scoped translation discipline
+ * iff the controller requires it (every mode but StopTheWorld), and
  * attributes every tick's stats per mechanism (totalsFor()).
  *
  * Between ticks the daemon parks in external mode, so barriers (its
@@ -92,7 +92,7 @@ class ConcurrentRelocDaemon
     /** Controller passes run so far. Any thread. */
     size_t passes() const;
 
-    /** Ticks whose abort-rate fallback stage ran. */
+    /** Ticks whose abort-rate fallback ran. */
     size_t fallbacks() const;
 
     /** Total defrag work time charged so far, seconds. */
@@ -142,10 +142,10 @@ class ConcurrentRelocDaemon
     anchorage::DefragController controller_;
 
     /**
-     * True when the controller's policy owns a mechanism that
-     * requires the Scoped discipline (concurrent campaigns): the
-     * constructor then declares it (Runtime::declareConcurrentDefrag)
-     * until destruction.
+     * True when the controller's mode runs concurrent campaigns,
+     * which require the Scoped discipline: the constructor then
+     * declares it (Runtime::declareConcurrentDefrag) until
+     * destruction.
      */
     bool declaresConcurrentDefrag_ = false;
 

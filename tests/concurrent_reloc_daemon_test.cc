@@ -3,7 +3,8 @@
  * Tests for the background concurrent-relocation subsystem: Anchorage
  * campaigns (paper §7 promoted to a real defrag mode), the scoped
  * mark-aware translation path, the abort protocol under contention,
- * the DefragMode controller wiring, and the daemon lifecycle.
+ * the DefragMode controller wiring, and the daemon lifecycle
+ * (including the translation discipline each mode declares).
  */
 
 #include <gtest/gtest.h>
@@ -595,6 +596,54 @@ TEST(ConcurrentRelocDaemonTest, DefragsInTheBackgroundWithZeroBarriers)
         ThreadRegistration reg(runtime);
         for (void *h : survivors)
             runtime.hfree(h);
+    }
+}
+
+TEST(ConcurrentRelocDaemonTest, TranslationDisciplineFollowsTheMode)
+{
+    PhantomAddressSpace space;
+    AnchorageService service(space,
+                             AnchorageConfig{.subHeapBytes = 1 << 20});
+    Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 16});
+    runtime.attachService(&service);
+    ASSERT_EQ(Runtime::translationDiscipline(),
+              TranslationDiscipline::Direct);
+
+    // A StopTheWorld daemon never moves an object under a running
+    // mutator, so its mutators keep the Direct translate.
+    {
+        ConcurrentRelocDaemon daemon(
+            runtime, service,
+            ControlParams{.mode = DefragMode::StopTheWorld});
+        EXPECT_EQ(Runtime::translationDiscipline(),
+                  TranslationDiscipline::Direct);
+        daemon.start();
+        EXPECT_EQ(Runtime::translationDiscipline(),
+                  TranslationDiscipline::Direct);
+        daemon.stop();
+    }
+    EXPECT_EQ(Runtime::translationDiscipline(),
+              TranslationDiscipline::Direct);
+
+    // Campaign modes declare Scoped from construction (before any
+    // mutator could start) until destruction, running or not.
+    for (const DefragMode mode :
+         {DefragMode::Concurrent, DefragMode::Hybrid}) {
+        SCOPED_TRACE(defragModeName(mode));
+        {
+            ConcurrentRelocDaemon daemon(runtime, service,
+                                         ControlParams{.mode = mode});
+            EXPECT_EQ(Runtime::translationDiscipline(),
+                      TranslationDiscipline::Scoped);
+            daemon.start();
+            EXPECT_EQ(Runtime::translationDiscipline(),
+                      TranslationDiscipline::Scoped);
+            daemon.stop();
+            EXPECT_EQ(Runtime::translationDiscipline(),
+                      TranslationDiscipline::Scoped);
+        }
+        EXPECT_EQ(Runtime::translationDiscipline(),
+                  TranslationDiscipline::Direct);
     }
 }
 

@@ -1,18 +1,18 @@
 /**
  * @file
- * Regression harness for the mechanism/policy split: every legacy
- * DefragMode must map to a policy with tick-for-tick identical
- * behavior. An inline oracle replicates the pre-split controller —
- * the exact mode-switch runPass() the refactor replaced, coded
- * against the same public AnchorageService API — and both
- * controllers replay the same seeded alloc/free/mutate trace on
- * identical heaps under a virtual clock with modeled time. At every
- * quiesce tick the deterministic outcome must match exactly: modeled
- * charges, pause split, per-barrier maxima, move/campaign counters,
- * hysteresis state, and the next wake time. (Measured wall
- * seconds are excluded — they are real time and legitimately differ
- * run to run; every scheduling decision under useModeledTime flows
- * from the modeled fields compared here.)
+ * The reference DefragController is checked against. An inline oracle
+ * controller switches on DefragMode and calls the public
+ * AnchorageService API directly: the lazy alpha budget, the resumable
+ * batched StopTheWorld pass, the Hybrid abort-rate fallback spending
+ * only the campaign's remainder, and the paper's overhead-sleep
+ * scheduling. Both controllers replay the same seeded
+ * alloc/free/mutate trace on identical heaps under a virtual clock
+ * with modeled time. At every quiesce tick the deterministic outcome
+ * must match exactly: modeled charges, pause split, per-barrier
+ * maxima, move/campaign counters, hysteresis state, and the next wake
+ * time. (Measured wall seconds are excluded — they are real time and
+ * legitimately differ run to run; every scheduling decision under
+ * useModeledTime flows from the modeled fields compared here.)
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "anchorage/anchorage_service.h"
@@ -42,17 +44,16 @@ constexpr int kOps = 10000;
 constexpr int kQuiesceEvery = 400;
 
 /**
- * The pre-split controller, verbatim: the mode switch with
- * the lazy alpha budget, the resumable batched StopTheWorld pass, the
- * Hybrid abort-rate fallback spending only the remainder, and the
- * paper's overhead-sleep scheduling. This is the oracle the
- * policy-based DefragController must match tick for tick.
+ * The oracle: one mode switch with the lazy alpha budget, the
+ * resumable batched StopTheWorld pass, the Hybrid abort-rate fallback
+ * spending only the remainder, and the paper's overhead-sleep
+ * scheduling. DefragController must match it tick for tick.
  */
-class LegacyController
+class ReferenceController
 {
   public:
-    LegacyController(AnchorageService &service, const Clock &clock,
-                     ControlParams params)
+    ReferenceController(AnchorageService &service, const Clock &clock,
+                        ControlParams params)
         : service_(service), clock_(clock), params_(params)
     {
         nextWake_ = clock_.now();
@@ -82,6 +83,8 @@ class LegacyController
     size_t barriers() const { return barriers_; }
     double totalPauseSec() const { return totalPauseSec_; }
     double maxBarrierPauseSec() const { return maxBarrierPauseSec_; }
+    /** True while a batched StopTheWorld pass is open across ticks. */
+    bool midPass() const { return stwPass_.has_value(); }
 
   private:
     ControlAction
@@ -229,6 +232,9 @@ struct RunResult
     size_t barriers = 0;
     double totalPauseSec = 0;
     double maxBarrierPauseSec = 0;
+    /** Defrag ticks that resumed an open batched pass (counted only
+     *  for the oracle, which exposes midPass()). */
+    size_t resumedTicks = 0;
 };
 
 ControlParams
@@ -237,15 +243,14 @@ paramsFor(DefragMode mode)
     ControlParams params;
     params.mode = mode;
     params.useModeledTime = true;
-    // Small batches so StopTheWorld passes stay mid-flight across
-    // several ticks (the resumable-pass path is where the refactor
-    // could diverge), and an eager fallback so Hybrid actually trips
-    // on a single-threaded trace (aborts are rare without mutator
-    // contention — a zero threshold makes any abort trip it, and the
-    // no-abort case still exercises the not-tripped path).
-    params.batchBytes = 32 << 10;
-    params.abortFallbackMinAttempts = 1;
-    params.abortFallbackRate = 0.0;
+    // 4 KiB batches keep StopTheWorld passes mid-flight across ticks
+    // (the resumable-pass path). A single-threaded trace aborts no
+    // campaign move, so no non-negative threshold trips Hybrid's
+    // gate: force it, and every Hybrid tick falls back over the
+    // campaign's remainder. The test asserts both paths ran.
+    params.batchBytes = 4 << 10;
+    params.abortFallbackMinAttempts = 0;
+    params.abortFallbackRate = -1;
     params.pollInterval = 0.05;
     return params;
 }
@@ -294,7 +299,12 @@ runTrace(DefragMode mode)
         // every quiesce point runs a real tick — including the
         // mid-pass resume ticks whose wake time the controller chose.
         clock.set(controller.nextWake());
+        bool mid_pass = false;
+        if constexpr (requires { controller.midPass(); })
+            mid_pass = controller.midPass();
         const ControlAction act = controller.tick();
+        if (mid_pass && act.defragged)
+            result.resumedTicks++;
 
         TickRecord record;
         record.defragged = act.defragged;
@@ -329,13 +339,13 @@ runTrace(DefragMode mode)
 }
 
 void
-expectSameRun(const RunResult &legacy, const RunResult &refactored,
+expectSameRun(const RunResult &reference, const RunResult &controller,
               const char *mode)
 {
-    ASSERT_EQ(legacy.ticks.size(), refactored.ticks.size()) << mode;
-    for (size_t i = 0; i < legacy.ticks.size(); i++) {
-        const TickRecord &a = legacy.ticks[i];
-        const TickRecord &b = refactored.ticks[i];
+    ASSERT_EQ(reference.ticks.size(), controller.ticks.size()) << mode;
+    for (size_t i = 0; i < reference.ticks.size(); i++) {
+        const TickRecord &a = reference.ticks[i];
+        const TickRecord &b = controller.ticks[i];
         SCOPED_TRACE(std::string(mode) + " tick " +
                      std::to_string(i));
         EXPECT_EQ(a.defragged, b.defragged);
@@ -356,41 +366,45 @@ expectSameRun(const RunResult &legacy, const RunResult &refactored,
         EXPECT_DOUBLE_EQ(a.nextWake, b.nextWake);
         EXPECT_EQ(a.state, b.state);
     }
-    EXPECT_EQ(legacy.passes, refactored.passes) << mode;
-    EXPECT_EQ(legacy.fallbacks, refactored.fallbacks) << mode;
-    EXPECT_EQ(legacy.barriers, refactored.barriers) << mode;
-    EXPECT_DOUBLE_EQ(legacy.totalPauseSec, refactored.totalPauseSec)
+    EXPECT_EQ(reference.passes, controller.passes) << mode;
+    EXPECT_EQ(reference.fallbacks, controller.fallbacks) << mode;
+    EXPECT_EQ(reference.barriers, controller.barriers) << mode;
+    EXPECT_DOUBLE_EQ(reference.totalPauseSec, controller.totalPauseSec)
         << mode;
-    EXPECT_DOUBLE_EQ(legacy.maxBarrierPauseSec,
-                     refactored.maxBarrierPauseSec)
+    EXPECT_DOUBLE_EQ(reference.maxBarrierPauseSec,
+                     controller.maxBarrierPauseSec)
         << mode;
 }
 
-class LegacyModeEquivalence
+class ControllerReference
     : public ::testing::TestWithParam<DefragMode>
 {
 };
 
-TEST_P(LegacyModeEquivalence, PolicyMatchesTheLegacyControllerTickForTick)
+TEST_P(ControllerReference, ControllerMatchesTheReferenceTickForTick)
 {
     const DefragMode mode = GetParam();
-    const RunResult legacy = runTrace<LegacyController>(mode);
-    const RunResult refactored = runTrace<DefragController>(mode);
-    const char *name =
-        mode == DefragMode::StopTheWorld ? "stw"
-        : mode == DefragMode::Concurrent ? "concurrent"
-                                         : "hybrid";
-    expectSameRun(legacy, refactored, name);
+    const RunResult reference = runTrace<ReferenceController>(mode);
+    const RunResult controller = runTrace<DefragController>(mode);
+    const char *name = defragModeName(mode);
+    expectSameRun(reference, controller, name);
 
-    // The trace is not vacuous: at least one tick defragged.
+    // The trace is not vacuous: at least one tick defragged, and each
+    // mode's distinctive path ran.
     size_t defrag_ticks = 0;
-    for (const TickRecord &t : refactored.ticks)
+    for (const TickRecord &t : controller.ticks)
         defrag_ticks += t.defragged ? 1 : 0;
     EXPECT_GT(defrag_ticks, 0u) << name;
+    if (mode == DefragMode::StopTheWorld) {
+        EXPECT_GT(reference.resumedTicks, 0u) << name;
+    }
+    if (mode == DefragMode::Hybrid) {
+        EXPECT_GT(reference.fallbacks, 0u) << name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllModes, LegacyModeEquivalence,
+    AllModes, ControllerReference,
     ::testing::Values(DefragMode::StopTheWorld,
                       DefragMode::Concurrent, DefragMode::Hybrid));
 

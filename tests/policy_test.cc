@@ -1,192 +1,307 @@
 /**
  * @file
- * Unit tests for the defrag policy layer (src/anchorage/policy.h)
- * against stub mechanisms — no heap, no service: the policies see the
- * world only through PolicyView callbacks and their injected
- * DefragMechanisms, so every decision-table row is testable in
- * isolation. Covered: the abort-rate fallback gate, single
- * alpha-budget deduction across a composed tick, BarrierBudgetAdapter
- * convergence/floor/cap, and mid-pass abandonment below F_lb. The
- * end-to-end equivalence of the legacy DefragMode values is
- * legacy_mode_equivalence_test.cc.
+ * Tests for the per-mode decisions inside DefragController::runPass,
+ * driven on a real (phantom-space) heap under a virtual clock:
+ * mid-pass abandonment once churn met the goal (and resumption while
+ * fragmentation stays above the abandon threshold), Hybrid's
+ * abort-rate fallback spending only the campaign's remainder, no
+ * fallback once the campaign spent the whole budget or saw too few
+ * attempts, and the per-shard cap on a stop-the-world pass. Also the
+ * BarrierBudgetAdapter's convergence/floor/cap dynamics. The
+ * tick-for-tick reference for all three modes is
+ * controller_reference_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "anchorage/control.h"
-#include "anchorage/mechanism.h"
-#include "anchorage/policy.h"
+#include "core/handle.h"
+#include "core/runtime.h"
+#include "sim/address_space.h"
+#include "sim/clock.h"
 
 namespace
 {
 
+using namespace alaska;
 using namespace alaska::anchorage;
 
+constexpr size_t kObjectBytes = 256;
+
 /**
- * A scriptable mechanism: records every request it receives and
- * returns whatever the script says. State shared through a handle the
- * test keeps after the policy takes ownership of the mechanism.
+ * ControlTest's shape: a phantom-space heap with 1 MiB sub-heaps and
+ * a virtual clock, fragmented to ~2x by allocating `objects` blocks
+ * and freeing every other one. Frees what it still holds on
+ * destruction; only one Runtime may exist at a time.
  */
-struct StubState
+struct FragmentedHeap
 {
-    std::vector<MechanismRequest> requests;
-    std::function<MechanismReport(const MechanismRequest &)> onRun;
-    bool midPass = false;
-    int abandons = 0;
-};
-
-class StubMechanism final : public DefragMechanism
-{
-  public:
-    StubMechanism(MechanismKind kind, bool scoped,
-                  std::shared_ptr<StubState> state)
-        : kind_(kind), scoped_(scoped), state_(std::move(state))
+    explicit FragmentedHeap(int objects = 4000)
     {
+        runtime.attachService(&service);
+        std::vector<void *> handles;
+        for (int i = 0; i < objects; i++)
+            handles.push_back(runtime.halloc(kObjectBytes));
+        for (size_t i = 0; i < handles.size(); i++) {
+            if (i % 2 != 0)
+                runtime.hfree(handles[i]);
+            else
+                live.push_back(handles[i]);
+        }
     }
 
-    MechanismKind kind() const override { return kind_; }
-
-    MechanismReport
-    run(const MechanismRequest &request) override
+    ~FragmentedHeap()
     {
-        state_->requests.push_back(request);
-        if (state_->onRun)
-            return state_->onRun(request);
-        MechanismReport report;
-        report.kind = kind_;
-        return report;
+        for (void *h : live)
+            runtime.hfree(h);
     }
 
-    bool midPass() const override { return state_->midPass; }
-    void abandon() override { state_->abandons++; }
-    bool requiresScopedDiscipline() const override { return scoped_; }
+    /** Allocate `objects` more blocks: churn that fills the holes. */
+    void
+    refill(int objects)
+    {
+        for (int i = 0; i < objects; i++)
+            live.push_back(runtime.halloc(kObjectBytes));
+    }
 
-  private:
-    MechanismKind kind_;
-    bool scoped_;
-    std::shared_ptr<StubState> state_;
+    // Declaration order matters: the service must outlive the runtime.
+    PhantomAddressSpace space;
+    AnchorageService service{space,
+                             AnchorageConfig{.subHeapBytes = 1 << 20}};
+    Runtime runtime{RuntimeConfig{.tableCapacity = 1u << 18}};
+    VirtualClock clock;
+    std::vector<void *> live;
 };
 
-/** A view over scripted metrics. */
-PolicyView
-viewOf(double frag, size_t extent)
+/** The alpha budget the controller derives from an extent. */
+size_t
+budgetOf(const ControlParams &params, size_t extent)
 {
-    PolicyView view;
-    view.fragmentation = [frag] { return frag; };
-    view.heapExtent = [extent] { return extent; };
-    return view;
+    return static_cast<size_t>(params.alpha *
+                               static_cast<double>(extent));
 }
 
-/** A campaign report moving `moved` bytes with a scripted abort rate. */
-MechanismReport
-campaignReport(size_t moved, uint64_t attempts, uint64_t aborted)
+/** Hybrid with its abort-rate gate forced open: a single-threaded
+ *  campaign aborts nothing, so no non-negative threshold trips it. */
+ControlParams
+forcedHybrid()
 {
-    MechanismReport report;
-    report.kind = MechanismKind::Campaign;
-    report.stats.movedBytes = moved;
-    report.stats.movedObjects = moved > 0 ? 1 : 0;
-    report.stats.attempts = attempts;
-    report.stats.aborted = aborted;
-    report.noProgress = moved == 0;
-    return report;
+    ControlParams params{.useModeledTime = true,
+                         .mode = DefragMode::Hybrid};
+    params.abortFallbackRate = -1.0;
+    params.abortFallbackMinAttempts = 0;
+    return params;
 }
 
-/** Hybrid-shaped composition over stubs; returns the two states. */
-std::unique_ptr<ComposedPolicy>
-hybridOf(std::shared_ptr<StubState> campaign,
-         std::shared_ptr<StubState> stw)
+// --- mid-pass abandonment ---------------------------------------------------
+
+/**
+ * Open a 4 KiB-batched StopTheWorld pass with one barrier, refill the
+ * holes so fragmentation drops below F_lb, and wake the controller for
+ * its next tick.
+ */
+void
+openPassThenRefill(FragmentedHeap &heap, DefragController &controller)
 {
-    std::vector<ComposedPolicy::Stage> stages(2);
-    stages[0].mechanism = std::make_unique<StubMechanism>(
-        MechanismKind::Campaign, true, std::move(campaign));
-    stages[1].mechanism = std::make_unique<StubMechanism>(
-        MechanismKind::Stw, false, std::move(stw));
-    stages[1].gate = ComposedPolicy::Gate::AbortFallback;
-    stages[1].isFallback = true;
-    return std::make_unique<ComposedPolicy>("hybrid", std::move(stages));
+    const ControlAction first = controller.tick();
+    EXPECT_TRUE(first.defragged);
+    EXPECT_EQ(controller.state(), DefragController::State::Defragmenting);
+
+    heap.refill(2000);
+    EXPECT_LT(heap.service.fragmentation(), controller.params().fLb);
+    heap.clock.set(controller.nextWake());
 }
 
-// --- abort-rate fallback ----------------------------------------------------
-
-TEST(AbortFallback, TripsOnHighAbortRateWithRemainderBudget)
+ControlParams
+batchedStw(double abandonFraction)
 {
-    auto campaign = std::make_shared<StubState>();
-    auto stw = std::make_shared<StubState>();
-    campaign->onRun = [](const MechanismRequest &) {
-        return campaignReport(/*moved=*/1000, /*attempts=*/100,
-                              /*aborted=*/80);
-    };
-    auto policy = hybridOf(campaign, stw);
-
-    ControlParams params; // abortFallbackRate 0.5, min 32 attempts
-    params.alpha = 0.25;
-    const PolicyView view = viewOf(1.5, /*extent=*/40000);
-    const TickResult result = policy->runTick(view, params, SIZE_MAX);
-
-    // Budget = alpha * extent = 10000; the fallback spends only what
-    // the campaign left, so one composed tick can never move more
-    // than the alpha fraction in total.
-    ASSERT_EQ(stw->requests.size(), 1u);
-    EXPECT_EQ(stw->requests[0].budgetBytes, 10000u - 1000u);
-    EXPECT_TRUE(stw->requests[0].runToCompletion);
-    EXPECT_TRUE(result.fellBack);
-    ASSERT_EQ(result.reports.size(), 2u);
-    EXPECT_EQ(result.reports[0].kind, MechanismKind::Campaign);
-    EXPECT_EQ(result.reports[1].kind, MechanismKind::Stw);
+    ControlParams params{.useModeledTime = true};
+    params.batchBytes = 4 << 10;
+    params.midPassAbandonFraction = abandonFraction;
+    return params;
 }
 
-TEST(AbortFallback, QuietCampaignNeverFallsBack)
+/** The tick after the refill resumes the open pass with one barrier,
+ *  because fragmentation stays at or above fLb × abandonFraction. */
+void
+expectResumedPass(double abandonFraction)
 {
-    auto campaign = std::make_shared<StubState>();
-    auto stw = std::make_shared<StubState>();
-    campaign->onRun = [](const MechanismRequest &) {
-        // High abort count but below the min-attempts floor, then a
-        // separate tick above the floor with a low rate: neither trips.
-        return campaignReport(1000, /*attempts=*/10, /*aborted=*/9);
-    };
-    auto policy = hybridOf(campaign, stw);
-    ControlParams params;
-    const PolicyView view = viewOf(1.5, 40000);
+    FragmentedHeap heap;
+    DefragController controller(heap.service, heap.clock,
+                                batchedStw(abandonFraction));
+    openPassThenRefill(heap, controller);
+    ASSERT_GE(heap.service.fragmentation(),
+              controller.params().fLb * abandonFraction);
 
-    TickResult result = policy->runTick(view, params, SIZE_MAX);
-    EXPECT_TRUE(stw->requests.empty());
-    EXPECT_FALSE(result.fellBack);
-
-    campaign->onRun = [](const MechanismRequest &) {
-        return campaignReport(1000, /*attempts=*/100, /*aborted=*/10);
-    };
-    result = policy->runTick(view, params, SIZE_MAX);
-    EXPECT_TRUE(stw->requests.empty());
-    EXPECT_FALSE(result.fellBack);
+    const ControlAction action = controller.tick();
+    EXPECT_FALSE(action.abandoned);
+    EXPECT_TRUE(action.defragged);
+    ASSERT_EQ(action.byMechanism.size(), 1u);
+    EXPECT_EQ(action.byMechanism[0].kind, MechanismKind::Stw);
+    EXPECT_EQ(action.stats.barriers, 1u);
+    EXPECT_EQ(controller.abandonments(), 0u);
+    EXPECT_EQ(controller.barriers(), 2u);
 }
 
-// --- single budget across a composed tick -----------------------------------
-
-TEST(ComposedBudget, ExhaustedBudgetSkipsTheFallbackStage)
+TEST(MidPassAbandon, DropsTheRemainderOnceChurnMetTheGoal)
 {
-    auto campaign = std::make_shared<StubState>();
-    auto stw = std::make_shared<StubState>();
-    campaign->onRun = [](const MechanismRequest &request) {
-        // The campaign spends the whole alpha budget; even a tripped
-        // abort gate then has nothing left to spend.
-        return campaignReport(request.budgetBytes, 100, 90);
-    };
-    auto policy = hybridOf(campaign, stw);
-    ControlParams params;
-    const PolicyView view = viewOf(1.5, 40000);
+    FragmentedHeap heap;
+    DefragController controller(heap.service, heap.clock,
+                                batchedStw(1.0));
+    ASSERT_GT(heap.service.fragmentation(), controller.params().fUb);
 
-    const TickResult result = policy->runTick(view, params, SIZE_MAX);
-    ASSERT_EQ(campaign->requests.size(), 1u);
-    EXPECT_EQ(campaign->requests[0].budgetBytes, 10000u);
-    EXPECT_TRUE(stw->requests.empty());
-    EXPECT_FALSE(result.fellBack); // a skipped fallback is no fallback
-    EXPECT_EQ(result.reports.size(), 1u);
+    openPassThenRefill(heap, controller);
+    const ControlAction action = controller.tick();
+    EXPECT_TRUE(action.abandoned);
+    EXPECT_FALSE(action.defragged);
+    EXPECT_TRUE(action.byMechanism.empty());
+    EXPECT_EQ(action.stats.barriers, 0u);
+    EXPECT_EQ(controller.abandonments(), 1u);
+    EXPECT_EQ(controller.barriers(), 1u);
+    EXPECT_EQ(controller.state(), DefragController::State::Waiting);
+}
+
+TEST(MidPassAbandon, FractionZeroRunsTheBarrierInstead)
+{
+    expectResumedPass(0);
+}
+
+TEST(MidPassAbandon, ResumesAboveTheAbandonThreshold)
+{
+    // Armed, but the threshold fLb × 0.5 (about 0.58) lies below any
+    // fragmentation the heap can reach, so churn under F_lb alone
+    // does not abandon the pass.
+    expectResumedPass(0.5);
+}
+
+// --- Hybrid's abort-rate fallback -------------------------------------------
+
+TEST(HybridFallback, SpendsOnlyTheCampaignsRemainder)
+{
+    // Five sub-heaps and half the extent as budget: the campaign runs
+    // out of strictly better destinations before the budget, and the
+    // barrier pass has more to move than the remainder allows.
+    FragmentedHeap heap(20000);
+    ControlParams params = forcedHybrid();
+    params.alpha = 0.5;
+    DefragController controller(heap.service, heap.clock, params);
+    ASSERT_GT(heap.service.fragmentation(), params.fUb);
+
+    const size_t budget =
+        budgetOf(params, heap.service.heapExtent());
+    const ControlAction action = controller.tick();
+    ASSERT_TRUE(action.fellBack);
+    EXPECT_EQ(controller.fallbacks(), 1u);
+    ASSERT_EQ(action.byMechanism.size(), 2u);
+    const MechanismReport &campaign = action.byMechanism[0];
+    const MechanismReport &stw = action.byMechanism[1];
+    EXPECT_EQ(campaign.kind, MechanismKind::Campaign);
+    EXPECT_EQ(stw.kind, MechanismKind::Stw);
+    ASSERT_LT(campaign.stats.movedBytes, budget);
+
+    // One alpha budget per tick: the barrier pass moves at most what
+    // the campaign left, plus one object's overshoot.
+    EXPECT_GT(stw.stats.movedBytes, 0u);
+    EXPECT_LE(stw.stats.movedBytes,
+              budget - campaign.stats.movedBytes + kObjectBytes);
+    EXPECT_EQ(campaign.pauseSec, 0.0);
+    EXPECT_GT(stw.pauseSec, 0.0);
+    EXPECT_EQ(action.stats.barriers, stw.stats.barriers);
+}
+
+TEST(HybridFallback, ExhaustedBudgetRunsNoFallback)
+{
+    // At the default alpha the campaign has more to move than the
+    // budget allows, so it spends the budget in full.
+    FragmentedHeap heap;
+    const ControlParams params = forcedHybrid();
+    DefragController controller(heap.service, heap.clock, params);
+    ASSERT_GT(heap.service.fragmentation(), params.fUb);
+
+    const size_t budget =
+        budgetOf(params, heap.service.heapExtent());
+    const uint64_t barriers_before = heap.runtime.stats().barriers;
+    const ControlAction action = controller.tick();
+    ASSERT_TRUE(action.defragged);
+    ASSERT_EQ(action.byMechanism.size(), 1u);
+    EXPECT_EQ(action.byMechanism[0].kind, MechanismKind::Campaign);
+    EXPECT_GE(action.stats.movedBytes, budget);
+    EXPECT_FALSE(action.fellBack);
+    EXPECT_EQ(controller.fallbacks(), 0u);
+    EXPECT_EQ(action.stats.barriers, 0u);
+    EXPECT_EQ(heap.runtime.stats().barriers, barriers_before);
+}
+
+TEST(HybridFallback, TooFewAttemptsNeverFallBack)
+{
+    // Every survivor pinned: each concurrent attempt aborts, a rate
+    // well over the 0.25 threshold. But a small heap gives the tick
+    // fewer attempts than the default floor, too few to tell
+    // contention from noise, so Hybrid stays concurrent.
+    FragmentedHeap heap(40);
+    for (void *h : heap.live)
+        heap.runtime.table()
+            .entry(handleId(reinterpret_cast<uint64_t>(h)))
+            .state.fetch_add(HandleTableEntry::pinCountOne);
+
+    ControlParams params{.useModeledTime = true,
+                         .mode = DefragMode::Hybrid};
+    params.abortFallbackRate = 0.25;
+    DefragController controller(heap.service, heap.clock, params);
+    ASSERT_GT(heap.service.fragmentation(), params.fUb);
+
+    const uint64_t barriers_before = heap.runtime.stats().barriers;
+    const ControlAction action = controller.tick();
+    ASSERT_TRUE(action.defragged);
+    ASSERT_EQ(action.byMechanism.size(), 1u);
+    const DefragStats &campaign = action.byMechanism[0].stats;
+    ASSERT_GT(campaign.attempts, 0u);
+    ASSERT_LT(campaign.attempts, params.abortFallbackMinAttempts);
+    ASSERT_GT(campaign.abortRate(), params.abortFallbackRate);
+    EXPECT_EQ(campaign.movedBytes, 0u);
+    EXPECT_FALSE(action.fellBack);
+    EXPECT_EQ(controller.fallbacks(), 0u);
+    EXPECT_EQ(action.stats.barriers, 0u);
+    EXPECT_EQ(heap.runtime.stats().barriers, barriers_before);
+
+    for (void *h : heap.live)
+        heap.runtime.table()
+            .entry(handleId(reinterpret_cast<uint64_t>(h)))
+            .state.fetch_sub(HandleTableEntry::pinCountOne);
+}
+
+// --- per-shard cap ----------------------------------------------------------
+
+/** Bytes the first StopTheWorld tick moves on a fresh fragmented heap,
+ *  and that tick's alpha budget. */
+std::pair<size_t, size_t>
+firstStwTick(double shardBudgetFraction)
+{
+    FragmentedHeap heap;
+    ControlParams params{.useModeledTime = true};
+    params.shardBudgetFraction = shardBudgetFraction;
+    DefragController controller(heap.service, heap.clock, params);
+    const size_t budget =
+        budgetOf(params, heap.service.heapExtent());
+    const ControlAction action = controller.tick();
+    EXPECT_TRUE(action.defragged);
+    return {action.stats.movedBytes, budget};
+}
+
+TEST(ShardCap, BoundsOneTicksMovesPerShard)
+{
+    // Every block comes from one thread, so one shard: the cap bounds
+    // the whole tick.
+    const auto [uncapped, budget] = firstStwTick(1.0);
+    const auto [capped, capped_budget] = firstStwTick(0.25);
+    ASSERT_EQ(budget, capped_budget);
+    EXPECT_GT(capped, 0u);
+    EXPECT_LE(capped, budget / 4 + kObjectBytes);
+    EXPECT_LT(capped, uncapped);
 }
 
 // --- batchBytes adaptation --------------------------------------------------
@@ -247,73 +362,6 @@ TEST(BarrierBudgetAdapter, TinyOvershootStillShrinks)
     const size_t before = adapter.current();
     adapter.observe(1.0001e-3);
     EXPECT_LT(adapter.current(), before);
-}
-
-// --- mid-pass abandonment ---------------------------------------------------
-
-TEST(MidPassAbandon, DropsTheRemainderOnceChurnMetTheGoal)
-{
-    auto stw = std::make_shared<StubState>();
-    stw->midPass = true;
-    StwPolicy policy(std::make_unique<StubMechanism>(
-        MechanismKind::Stw, false, stw));
-    ControlParams params; // fLb = 1.15
-    params.midPassAbandonFraction = 1.0;
-
-    // Churn already pushed the metric below fLb: abandon, run nothing.
-    const TickResult result =
-        policy.runTick(viewOf(1.05, 40000), params, SIZE_MAX);
-    EXPECT_TRUE(result.abandoned);
-    EXPECT_TRUE(result.passDone);
-    EXPECT_TRUE(result.reports.empty());
-    EXPECT_EQ(stw->abandons, 1);
-    EXPECT_TRUE(stw->requests.empty());
-
-    // Metric still above the threshold: the pass resumes (mid-pass,
-    // so no fresh alpha budget is computed).
-    const TickResult resumed =
-        policy.runTick(viewOf(1.3, 40000), params, SIZE_MAX);
-    EXPECT_FALSE(resumed.abandoned);
-    ASSERT_EQ(stw->requests.size(), 1u);
-    EXPECT_EQ(stw->requests[0].budgetBytes, 0u);
-
-    // Fraction 0 (the legacy default) never abandons.
-    params.midPassAbandonFraction = 0;
-    policy.runTick(viewOf(1.0, 40000), params, SIZE_MAX);
-    EXPECT_EQ(stw->abandons, 1);
-    EXPECT_EQ(stw->requests.size(), 2u);
-}
-
-TEST(StwPolicy, FreshPassGetsTheAlphaBudgetAndShardCap)
-{
-    auto stw = std::make_shared<StubState>();
-    StwPolicy policy(std::make_unique<StubMechanism>(
-        MechanismKind::Stw, false, stw));
-    ControlParams params;
-    params.alpha = 0.5;
-    params.shardBudgetFraction = 0.25;
-
-    policy.runTick(viewOf(1.5, 40000), params, /*batch=*/123);
-    ASSERT_EQ(stw->requests.size(), 1u);
-    EXPECT_EQ(stw->requests[0].budgetBytes, 20000u);
-    EXPECT_EQ(stw->requests[0].shardCapBytes, 5000u);
-    EXPECT_EQ(stw->requests[0].batchBytes, 123u);
-    EXPECT_FALSE(stw->requests[0].runToCompletion);
-}
-
-// --- discipline / legacy mapping --------------------------------------------
-
-TEST(Policies, ScopedDisciplineFollowsTheMechanisms)
-{
-    auto stw = std::make_shared<StubState>();
-    StwPolicy stw_policy(std::make_unique<StubMechanism>(
-        MechanismKind::Stw, false, stw));
-    EXPECT_FALSE(stw_policy.requiresScopedDiscipline());
-
-    auto campaign = std::make_shared<StubState>();
-    auto fallback = std::make_shared<StubState>();
-    auto hybrid = hybridOf(campaign, fallback);
-    EXPECT_TRUE(hybrid->requiresScopedDiscipline());
 }
 
 } // namespace
