@@ -2,8 +2,8 @@
  * @file
  * Shared helpers for the figure-reproduction harnesses, including the
  * machine-readable `--out <file>` JSON mode: harnesses funnel every
- * reported number through a JsonReport, which summarizes each metric
- * (median/p95/p999/CV over its samples) and stamps the file with a
+ * reported number through a JsonReport, which reduces each metric to
+ * median/p95/p999/CV over its samples and stamps the file with a
  * structural checksum so a baseline diff (scripts/diff_bench.py) can
  * tell "the harness changed shape" from "the numbers drifted".
  */
@@ -54,7 +54,7 @@ overheadPct(double baseline, double t)
  *
  * Usage: call add() once per observation — repeated adds under the
  * same metric name become that metric's sample set — then writeTo()
- * at exit. Each metric is summarized as median/p95/p999 plus the
+ * at exit. Each metric is reported as median/p95/p999 plus the
  * coefficient of variation (stddev/mean; 0 for single samples), so a
  * baseline diff can scale its noise band to how jittery the metric
  * actually is. The file-level checksum is FNV-1a over the sorted

@@ -26,13 +26,13 @@
 #include <vector>
 
 #include "anchorage/anchorage_service.h"
-#include "base/stats.h"
 #include "base/timer.h"
 #include "core/runtime.h"
 #include "core/translate.h"
 #include "kv/alloc_policy.h"
 #include "kv/memcached_sim.h"
 #include "sim/address_space.h"
+#include "telemetry/histogram.h"
 
 namespace
 {
@@ -45,7 +45,6 @@ struct Cell
     int threads;
     int interval_ms;
     double mean_us;
-    double stddev_us;
     double p99_us;
     uint64_t pauses;
     /** Barriers run across all pause events (>= pauses when batched). */
@@ -76,7 +75,7 @@ runCell(int n_threads, int interval_ms, double run_sec,
     }
 
     std::atomic<bool> stop{false};
-    std::vector<LatencyDigest> digests(
+    std::vector<telemetry::Histogram> latencies(
         static_cast<size_t>(n_threads));
     std::vector<std::thread> workers;
     for (int t = 0; t < n_threads; t++) {
@@ -84,17 +83,19 @@ runCell(int n_threads, int interval_ms, double run_sec,
             ThreadRegistration reg(runtime);
             ycsb::Workload workload(ycsb::WorkloadKind::A, records,
                                     300 + t, 100);
+            telemetry::Histogram latency;
             while (!stop.load(std::memory_order_relaxed)) {
                 Stopwatch watch;
                 server.serve(workload.next(), workload);
-                digests[static_cast<size_t>(t)].add(watch.elapsedNs());
+                latency.record(watch.elapsedNs());
                 poll();
             }
+            latencies[static_cast<size_t>(t)] = latency;
         });
     }
 
     Cell cell{};
-    LatencyDigest barrier_pauses;
+    telemetry::Histogram barrier_pauses;
     Stopwatch run_watch;
     if (interval_ms > 0) {
         while (run_watch.elapsedSec() < run_sec) {
@@ -108,7 +109,7 @@ runCell(int n_threads, int interval_ms, double run_sec,
             while (!pass.done()) {
                 const anchorage::DefragStats s =
                     pass.step(batch_bytes);
-                barrier_pauses.add(
+                barrier_pauses.record(
                     static_cast<uint64_t>(s.measuredSec * 1e9));
                 cell.max_barrier_bytes = std::max(
                     cell.max_barrier_bytes, s.maxBarrierBytes);
@@ -124,15 +125,14 @@ runCell(int n_threads, int interval_ms, double run_sec,
     for (auto &worker : workers)
         worker.join();
 
-    LatencyDigest all;
-    for (auto &digest : digests)
-        all.merge(digest);
+    telemetry::Histogram all;
+    for (const telemetry::Histogram &h : latencies)
+        all.merge(h);
     cell.threads = n_threads;
     cell.interval_ms = interval_ms;
     cell.mean_us = all.mean() / 1e3;
-    cell.stddev_us = all.stddev() / 1e3;
     cell.p99_us = all.percentile(99) / 1e3;
-    cell.max_pause_us = barrier_pauses.percentile(100) / 1e3;
+    cell.max_pause_us = static_cast<double>(barrier_pauses.max()) / 1e3;
     cell.p99_pause_us = barrier_pauses.percentile(99) / 1e3;
     return cell;
 }
@@ -199,28 +199,25 @@ main(int argc, char **argv)
                 "and thread count ===\n");
     std::printf("YCSB-A, ~1 MiB relocated per pause event, batched "
                 "into <=256 KiB barriers; latencies in microseconds\n\n");
-    std::printf("%8s %12s %10s %10s %10s %8s %9s %10s %10s %10s\n",
-                "threads", "interval_ms", "mean_us", "stddev_us",
-                "p99_us", "pauses", "barriers", "maxp_us", "p99p_us",
-                "overhead");
+    std::printf("%8s %12s %10s %10s %8s %9s %10s %10s %10s\n",
+                "threads", "interval_ms", "mean_us", "p99_us", "pauses",
+                "barriers", "maxp_us", "p99p_us", "overhead");
 
     for (int threads : {1, 2, 4, 8}) {
         // Per-thread-count control without pauses isolates the pause
         // cost from plain lock contention.
         const Cell control =
             runCell(threads, 0, 1.0, 20000, budget, batch);
-        std::printf("%8d %12s %10.2f %10.2f %10.2f %8s %9s %10s %10s "
-                    "%10s\n",
-                    threads, "none", control.mean_us,
-                    control.stddev_us, control.p99_us, "-", "-", "-",
-                    "-", "-");
+        std::printf("%8d %12s %10.2f %10.2f %8s %9s %10s %10s %10s\n",
+                    threads, "none", control.mean_us, control.p99_us, "-",
+                    "-", "-", "-", "-");
         for (int interval : {100, 250, 500, 1000}) {
             const Cell cell =
                 runCell(threads, interval, 1.0, 20000, budget, batch);
-            std::printf("%8d %12d %10.2f %10.2f %10.2f %8llu %9llu "
-                        "%10.1f %10.1f %9.1f%%\n",
+            std::printf("%8d %12d %10.2f %10.2f %8llu %9llu %10.1f "
+                        "%10.1f %9.1f%%\n",
                         cell.threads, cell.interval_ms, cell.mean_us,
-                        cell.stddev_us, cell.p99_us,
+                        cell.p99_us,
                         static_cast<unsigned long long>(cell.pauses),
                         static_cast<unsigned long long>(cell.barriers),
                         cell.max_pause_us, cell.p99_pause_us,

@@ -11,11 +11,12 @@
  *  2. Multi-threaded tail latency under defragmentation (the "millions
  *     of users" scaling story): N mutator threads run YCSB-A against
  *     minikv stores over one fragmented Anchorage heap while the
- *     background relocation daemon defragments — once in StopTheWorld
- *     mode (every pass a barrier) and once in Concurrent mode (paper
- *     §7 campaigns, zero barriers). Reports p50/p99/p999 read and
- *     update latency side by side, the abort/commit ratio, and the
- *     fragmentation recovered by each mode.
+ *     background relocation daemon defragments, in three columns:
+ *     StopTheWorld (every pass a barrier) and Concurrent (paper §7
+ *     campaigns, zero barriers) at the configured shard count, plus
+ *     Concurrent at shards=1. Reports p50/p99/p999 read and update
+ *     latency side by side, the abort/commit ratio, and the
+ *     fragmentation recovered by each column.
  *
  *     CLOSED-LOOP CAVEAT: each mutator issues its next operation only
  *     after the previous one returns, so a thread stalled behind a
@@ -28,23 +29,18 @@
  *     open-loop arrival process (intended-send timestamps, queueing
  *     included), use bench/serve_bench.cc.
  *
- * Flags: --smoke (tiny counts for CI), --threads=N, --shards=N
- * (Anchorage shard count for the multi-thread section, default 8; a
- * Concurrent run at shards=1 is always included as the pre-shard
- * baseline column), --records=N, --ops=N (single-thread section),
- * --mrecords=N --mops=N (per-thread, multi-thread section),
- * --single-only, --multi-only,
- * --mode=stw|concurrent|hybrid (run only the named defrag mode under
- * the multi-thread load and report its RSS-recovery economics —
- * resident bytes recovered, recovery per CPU-second and per
- * pause-microsecond, and per-mechanism attribution of all of it —
- * instead of the default sections),
- * --target-pause-us=N (run the StopTheWorld load twice with an
- * oversized batchBytes cap — once with the adaptive barrier budget
- * targeting an N-microsecond pause, once with the static bound — and
- * report each run's per-barrier pause tail; the adaptive run should
- * hold near the target while the fixed run overshoots),
- * --telemetry (print the runtime
+ *     Latencies are recorded into one telemetry::Histogram per thread
+ *     and merged after the join: means are exact, tail percentiles
+ *     bucket-resolution (within 2x, never above the largest sample).
+ *     Single-mode runs and the adaptive-vs-fixed barrier budget live
+ *     in serve_bench, under open-loop load.
+ *
+ * Flags: --smoke (tiny counts for CI), --threads=N (at least 1),
+ * --shards=N (Anchorage shard count for the multi-thread section,
+ * default 8; a Concurrent run at shards=1 is always included as the
+ * pre-shard baseline column), --records=N, --ops=N (single-thread
+ * section), --mrecords=N --mops=N (per-thread, multi-thread section),
+ * --single-only, --multi-only, --telemetry (print the runtime
  * telemetry snapshot after the run), --trace=FILE (record the defrag
  * pipeline's trace events and export Chrome trace-event JSON, viewable
  * at ui.perfetto.dev — see docs/OBSERVABILITY.md).
@@ -56,9 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,13 +62,13 @@
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "api/api.h"
-#include "base/stats.h"
 #include "base/timer.h"
 #include "bench/bench_util.h"
 #include "kv/alloc_policy.h"
 #include "kv/minikv.h"
 #include "services/concurrent_reloc_daemon.h"
 #include "sim/address_space.h"
+#include "telemetry/histogram.h"
 #include "ycsb/ycsb.h"
 
 namespace
@@ -104,7 +98,7 @@ runWorkloads(A &alloc, uint64_t records, uint64_t ops)
     // Workload A: measure read latency; F: update (RMW) latency.
     for (auto kind : {ycsb::WorkloadKind::A, ycsb::WorkloadKind::F}) {
         ycsb::Workload workload(kind, records, 17, 500);
-        LatencyDigest reads, updates;
+        telemetry::Histogram reads, updates;
         for (uint64_t i = 0; i < ops; i++) {
             const ycsb::Request request = workload.next();
             const std::string key =
@@ -113,7 +107,7 @@ runWorkloads(A &alloc, uint64_t records, uint64_t ops)
             switch (request.op) {
               case ycsb::OpType::Read:
                 kv.get(key);
-                reads.add(watch.elapsedNs());
+                reads.record(watch.elapsedNs());
                 break;
               case ycsb::OpType::Update:
               case ycsb::OpType::Insert:
@@ -125,7 +119,7 @@ runWorkloads(A &alloc, uint64_t records, uint64_t ops)
                     std::string(workload.valueSize(), 'x'));
                 modified[0] ^= 1;
                 kv.set(key, modified);
-                updates.add(watch.elapsedNs());
+                updates.record(watch.elapsedNs());
                 break;
               }
             }
@@ -197,7 +191,6 @@ runSingleThreadSection(uint64_t records, uint64_t ops,
 
 struct ModeResult
 {
-    double frag_start = 0;
     double frag_before = 0;
     double frag_after = 0;
     /** Lowest fragmentation sampled while the mutators ran. */
@@ -210,27 +203,15 @@ struct ModeResult
     uint64_t total_ops = 0;
     uint64_t barriers = 0;
     size_t passes = 0;
-    size_t fallbacks = 0;
     double pause_sec = 0;
     /** Per-barrier pause tail of the batched passes (milliseconds). */
     double max_barrier_ms = 0;
     double p99_barrier_ms = 0;
-    /** Resident-set samples bracketing the run: right after the heap
-     *  is fragmented (the no-defrag level — RSS is monotone without
-     *  defrag), the in-run minimum, and the final reading. */
-    size_t rss_before = 0;
-    size_t rss_min = 0;
-    size_t rss_after = 0;
-    /** Total defrag work time the daemon charged (CPU seconds). */
-    double defrag_sec = 0;
     anchorage::DefragStats totals;
     /** The same work attributed per mechanism (daemon totalsFor()):
      *  a Hybrid run's campaign and its STW fallback land in separate
      *  entries instead of folded into `totals`. */
     anchorage::DefragStats by_mech[anchorage::kNumMechanisms];
-    /** Final per-barrier batch budget — the adapted value when
-     *  targetBarrierPauseSec is set, else the static batchBytes. */
-    size_t batch_bytes_final = 0;
 };
 
 /** Per-barrier move bound the harness runs with (ControlParams::batchBytes). */
@@ -245,11 +226,9 @@ constexpr size_t kBatchBytes = 256 << 10;
  */
 ModeResult
 runMode(anchorage::DefragMode mode, int threads, size_t shards,
-        uint64_t records_per_thread, uint64_t ops_per_thread,
-        const std::function<void(anchorage::ControlParams &)> &tweak =
-            nullptr)
+        uint64_t records_per_thread, uint64_t ops_per_thread)
 {
-    using Store = MiniKv<AlaskaConcurrentAlloc>;
+    using Store = MiniKv<AlaskaAlloc>;
     ModeResult result;
 
     // 1 MiB sub-heaps: with N shards the heap holds ~N partially
@@ -264,7 +243,7 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
                                           .shards = shards});
     Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 22});
     runtime.attachService(&service);
-    AlaskaConcurrentAlloc alloc(runtime);
+    AlaskaAlloc alloc(runtime);
 
     std::vector<std::unique_ptr<Store>> stores;
     {
@@ -278,7 +257,6 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
                                    loader.valueFor(id));
             }
         }
-        result.frag_start = service.fragmentation();
         // Fragment: delete the even half of every store's keyspace.
         for (auto &store : stores) {
             for (uint64_t id = 0; id < records_per_thread; id += 2)
@@ -286,7 +264,6 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
         }
     }
     result.frag_before = service.fragmentation();
-    result.rss_before = service.rss();
 
     anchorage::ControlParams params;
     params.mode = mode;
@@ -307,14 +284,10 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
     // kBatchBytes — the max/p99 per-barrier rows below show the
     // resulting pause bound.
     params.batchBytes = kBatchBytes;
-    // Section-specific overrides (e.g. the --target-pause-us section's
-    // oversized batch cap plus adaptive pause target) layer on last.
-    if (tweak)
-        tweak(params);
     ConcurrentRelocDaemon daemon(runtime, service, params);
     daemon.start();
 
-    std::vector<LatencyDigest> reads(threads), updates(threads);
+    std::vector<telemetry::Histogram> reads(threads), updates(threads);
     std::vector<std::thread> mutators;
     std::atomic<int> running{threads};
     Stopwatch wall;
@@ -326,6 +299,7 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
             // fixed and fragmentation moves only through defrag.
             ycsb::Workload workload(ycsb::WorkloadKind::A,
                                     records_per_thread / 2, 17 + t, 500);
+            telemetry::Histogram read_ns, update_ns;
             for (uint64_t i = 0; i < ops_per_thread; i++) {
                 const ycsb::Request request = workload.next();
                 const std::string key =
@@ -348,11 +322,13 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
                 }
                 const uint64_t ns = watch.elapsedNs();
                 if (request.op == ycsb::OpType::Read)
-                    reads[t].add(ns);
+                    read_ns.record(ns);
                 else
-                    updates[t].add(ns);
+                    update_ns.record(ns);
                 poll();
             }
+            reads[t] = read_ns;
+            updates[t] = update_ns;
             running.fetch_sub(1, std::memory_order_release);
         });
     }
@@ -361,13 +337,11 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
     // is hit, so the minimum — not the final reading — shows whether
     // defrag crossed F_lb under load.
     result.frag_min = result.frag_before;
-    result.rss_min = result.rss_before;
     size_t samples = 0, samples_below = 0;
     while (running.load(std::memory_order_acquire) > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
         const double frag = service.fragmentation();
         result.frag_min = std::min(result.frag_min, frag);
-        result.rss_min = std::min(result.rss_min, service.rss());
         samples++;
         if (frag <= params.fLb)
             samples_below++;
@@ -382,12 +356,8 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
     daemon.stop();
 
     result.frag_after = service.fragmentation();
-    result.rss_after = service.rss();
-    result.rss_min = std::min(result.rss_min, result.rss_after);
-    result.defrag_sec = daemon.totalDefragSec();
     result.barriers = runtime.stats().barriers;
     result.passes = daemon.passes();
-    result.fallbacks = daemon.fallbacks();
     result.pause_sec = daemon.totalPauseSec();
     result.max_barrier_ms = daemon.maxBarrierPauseSec() * 1e3;
     result.p99_barrier_ms = daemon.barrierPauses().percentile(99) / 1e6;
@@ -395,9 +365,8 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
     for (size_t i = 0; i < anchorage::kNumMechanisms; i++)
         result.by_mech[i] = daemon.totalsFor(
             static_cast<anchorage::MechanismKind>(i));
-    result.batch_bytes_final = daemon.batchBytesCurrent();
 
-    LatencyDigest all_reads, all_updates;
+    telemetry::Histogram all_reads, all_updates;
     for (int t = 0; t < threads; t++) {
         result.total_ops += reads[t].count() + updates[t].count();
         all_reads.merge(reads[t]);
@@ -445,109 +414,6 @@ reportMode(alaska::bench::JsonReport &report, const std::string &prefix,
                static_cast<double>(r.totals.graceWaits));
     report.add(prefix + ".grace_wait_ms", r.totals.graceWaitSec * 1e3,
                "ms");
-}
-
-/**
- * The `--mode=` section: one named defrag mode under the multi-thread
- * YCSB load, reported on its recovery economics — resident bytes
- * recovered, what that recovery cost in CPU seconds and in mutator
- * pause time, and the copies and barriers that paid for it.
- */
-void
-runSingleModeSection(const char *mode_name, anchorage::DefragMode mode,
-                     int threads, size_t shards,
-                     uint64_t records_per_thread,
-                     uint64_t ops_per_thread,
-                     alaska::bench::JsonReport *report)
-{
-    std::printf("=== YCSB-A at %d mutator threads, background defrag "
-                "mode=%s (shards=%zu) ===\n\n",
-                threads, mode_name, shards);
-    const ModeResult r = runMode(mode, threads, shards,
-                                 records_per_thread, ops_per_thread);
-
-    auto row = [](const char *name, double v, const char *unit) {
-        std::printf("%-30s %14.2f %s\n", name, v, unit);
-    };
-    row("read p50", r.read_p50, "us");
-    row("read p99", r.read_p99, "us");
-    row("update p99", r.update_p99, "us");
-    row("throughput",
-        static_cast<double>(r.total_ops) / r.wall_sec / 1e6, "Mops");
-    row("virtual fragmentation start", r.frag_before, "");
-    row("virtual fragmentation end", r.frag_after, "");
-    row("rss after fragmenting",
-        static_cast<double>(r.rss_before) / 1e6, "MB");
-    row("rss minimum (in run)",
-        static_cast<double>(r.rss_min) / 1e6, "MB");
-    row("rss at end", static_cast<double>(r.rss_after) / 1e6, "MB");
-    // Resident bytes the mechanism returned to the kernel: extent the
-    // movers trimmed. Attributed at the mechanism, not inferred from
-    // RSS samples — the update phase allocates concurrently, so heap
-    // growth would mask recovery that is nonetheless real (end RSS
-    // sits recovered_mb below where a no-defrag run would land).
-    const double recovered_mb =
-        static_cast<double>(r.totals.reclaimedBytes) / 1e6;
-    row("resident bytes recovered", recovered_mb, "MB");
-    std::printf("%-30s %14zu\n", "objects moved (copies)",
-                static_cast<size_t>(r.totals.movedObjects));
-    std::printf("%-30s %14zu\n", "campaign commits",
-                static_cast<size_t>(r.totals.committed));
-    std::printf("%-30s %14zu\n", "stop-the-world barriers",
-                static_cast<size_t>(r.barriers));
-    row("mutator pause time", r.pause_sec * 1e3, "ms");
-    row("defrag cpu time", r.defrag_sec * 1e3, "ms");
-    row("recovered per cpu-second",
-        r.defrag_sec > 0 ? recovered_mb / r.defrag_sec : 0.0,
-        "MB/s");
-    if (r.pause_sec > 0)
-        row("recovered per pause-us",
-            recovered_mb * 1e6 / (r.pause_sec * 1e6), "B/us");
-    else
-        std::printf("%-30s %14s\n", "recovered per pause-us",
-                    "inf (no pause)");
-
-    // Per-mechanism attribution: what each mechanism — not the mode as
-    // a whole — moved and recovered. Under hybrid this is
-    // the breakdown the folded totals above cannot show (e.g. how much
-    // of the recovery the STW fallback did vs the campaigns).
-    std::printf("\n%-12s %12s %13s %12s %12s\n", "mechanism",
-                "moved objs", "recovered MB", "commits", "aborts");
-    for (size_t i = 0; i < anchorage::kNumMechanisms; i++) {
-        const anchorage::DefragStats &m = r.by_mech[i];
-        std::printf("%-12s %12zu %13.2f %12zu %12zu\n",
-                    anchorage::mechanismName(
-                        static_cast<anchorage::MechanismKind>(i)),
-                    static_cast<size_t>(m.movedObjects),
-                    static_cast<double>(m.reclaimedBytes) / 1e6,
-                    static_cast<size_t>(m.committed),
-                    static_cast<size_t>(m.aborted));
-    }
-
-    if (report != nullptr) {
-        std::string prefix = std::string("mode.") + mode_name;
-        reportMode(*report, prefix, r);
-        for (size_t i = 0; i < anchorage::kNumMechanisms; i++) {
-            const anchorage::DefragStats &m = r.by_mech[i];
-            const std::string mp =
-                prefix + "." +
-                anchorage::mechanismName(
-                    static_cast<anchorage::MechanismKind>(i));
-            report->add(mp + ".recovered_mb",
-                        static_cast<double>(m.reclaimedBytes) / 1e6,
-                        "MB");
-            report->add(mp + ".moved_objects",
-                        static_cast<double>(m.movedObjects));
-        }
-        report->add(prefix + ".rss_before_mb",
-                    static_cast<double>(r.rss_before) / 1e6, "MB");
-        report->add(prefix + ".rss_min_mb",
-                    static_cast<double>(r.rss_min) / 1e6, "MB");
-        report->add(prefix + ".recovered_mb", recovered_mb, "MB");
-        report->add(prefix + ".moved_objects",
-                    static_cast<double>(r.totals.movedObjects));
-        report->add(prefix + ".defrag_sec", r.defrag_sec, "s");
-    }
 }
 
 void
@@ -703,110 +569,17 @@ runMultiThreadSection(int threads, size_t shards,
                 anchorage::ControlParams{}.fLb, kBatchBytes >> 10);
 }
 
-/** Deliberately oversized per-barrier bound for the adaptive-barrier
- *  section: a single barrier may move this much, far above any
- *  sub-millisecond pause target, so a static bound overshoots. */
-constexpr size_t kOversizedBatchBytes = 8 << 20;
-
-/**
- * The `--target-pause-us=N` section: the same StopTheWorld load twice,
- * both runs capped at kOversizedBatchBytes per barrier. The fixed run
- * uses that cap as its static bound — its barriers move as much as the
- * budget allows and the pause tail lands wherever the copy rate puts
- * it. The adaptive run sets ControlParams::targetBarrierPauseSec: the
- * controller starts each barrier at batchBytesFloor, grows the budget
- * only while pauses sit under half the target, and cuts it
- * multiplicatively on overshoot — so its pause tail should hold near
- * the target while the fixed run overshoots by orders of magnitude.
- */
-void
-runTargetPauseSection(double target_us, int threads, size_t shards,
-                      uint64_t records_per_thread,
-                      uint64_t ops_per_thread,
-                      alaska::bench::JsonReport *report)
+/** Print the flag summary; returns the usage-error exit status. */
+int
+usage(const char *argv0)
 {
-    std::printf("=== adaptive barrier budget vs fixed: YCSB-A at %d "
-                "threads, StopTheWorld, target pause %.0fus ===\n"
-                "=== both runs capped at batchBytes=%zu KiB; the "
-                "adaptive run may spend at most that per barrier ===\n\n",
-                threads, target_us, kOversizedBatchBytes >> 10);
-
-    const ModeResult adaptive = runMode(
-        anchorage::DefragMode::StopTheWorld, threads, shards,
-        records_per_thread, ops_per_thread,
-        [target_us](anchorage::ControlParams &params) {
-            params.batchBytes = kOversizedBatchBytes;
-            params.targetBarrierPauseSec = target_us * 1e-6;
-        });
-    const ModeResult fixed = runMode(
-        anchorage::DefragMode::StopTheWorld, threads, shards,
-        records_per_thread, ops_per_thread,
-        [](anchorage::ControlParams &params) {
-            params.batchBytes = kOversizedBatchBytes;
-        });
-
-    auto row = [](const char *name, double a, double b,
-                  const char *unit) {
-        std::printf("%-30s %12.2f%s %12.2f%s\n", name, a, unit, b,
-                    unit);
-    };
-    std::printf("%-30s %14s %14s\n", "metric", "adaptive", "fixed");
-    row("max per-barrier pause", adaptive.max_barrier_ms * 1e3,
-        fixed.max_barrier_ms * 1e3, "us");
-    row("p99 per-barrier pause", adaptive.p99_barrier_ms * 1e3,
-        fixed.p99_barrier_ms * 1e3, "us");
-    row("total mutator pause", adaptive.pause_sec * 1e3,
-        fixed.pause_sec * 1e3, "ms");
-    std::printf("%-30s %13zu  %13zu \n", "stop-the-world barriers",
-                static_cast<size_t>(adaptive.barriers),
-                static_cast<size_t>(fixed.barriers));
-    row("final batch budget",
-        static_cast<double>(adaptive.batch_bytes_final) / 1024.0,
-        static_cast<double>(fixed.batch_bytes_final) / 1024.0, "KiB");
-    row("bytes reclaimed",
-        static_cast<double>(adaptive.totals.reclaimedBytes) / 1e6,
-        static_cast<double>(fixed.totals.reclaimedBytes) / 1e6, "MB");
-    row("fragmentation at end", adaptive.frag_after, fixed.frag_after,
-        "  ");
-    row("read p99", adaptive.read_p99, fixed.read_p99, "us");
-
-    std::printf("\nThe adaptive run's max per-barrier pause should sit "
-                "near the %.0fus target (the controller\n"
-                "overshoots once, then multiplicatively cuts the batch "
-                "budget); the fixed run's first full\n"
-                "barrier moves up to %zu KiB in one stop and lands "
-                "wherever the copy rate puts it. Both\n"
-                "runs reclaim the same holes — the target trades "
-                "barrier count for pause bound, not recovery.\n",
-                target_us, kOversizedBatchBytes >> 10);
-
-    if (report != nullptr) {
-        report->add("pause.target_us", target_us, "us");
-        report->add("pause.adaptive_max_barrier_us",
-                    adaptive.max_barrier_ms * 1e3, "us");
-        report->add("pause.fixed_max_barrier_us",
-                    fixed.max_barrier_ms * 1e3, "us");
-        report->add("pause.adaptive_p99_barrier_us",
-                    adaptive.p99_barrier_ms * 1e3, "us");
-        report->add("pause.fixed_p99_barrier_us",
-                    fixed.p99_barrier_ms * 1e3, "us");
-        report->add("pause.adaptive_barriers",
-                    static_cast<double>(adaptive.barriers));
-        report->add("pause.fixed_barriers",
-                    static_cast<double>(fixed.barriers));
-        report->add("pause.adaptive_batch_final_kib",
-                    static_cast<double>(adaptive.batch_bytes_final) /
-                        1024.0,
-                    "KiB");
-        report->add("pause.adaptive_reclaimed_mb",
-                    static_cast<double>(
-                        adaptive.totals.reclaimedBytes) / 1e6,
-                    "MB");
-        report->add("pause.fixed_reclaimed_mb",
-                    static_cast<double>(fixed.totals.reclaimedBytes) /
-                        1e6,
-                    "MB");
-    }
+    std::fprintf(stderr,
+                 "usage: %s [--smoke] [--threads=N] [--shards=N] "
+                 "[--records=N] [--ops=N] [--mrecords=N] [--mops=N] "
+                 "[--single-only] [--multi-only] [--telemetry] "
+                 "[--trace=FILE] [--out=FILE]\n",
+                 argv0);
+    return 2;
 }
 
 } // namespace
@@ -825,8 +598,6 @@ main(int argc, char **argv)
     bool telemetry_dump = false;
     const char *trace_file = nullptr;
     const char *out_file = nullptr;
-    const char *mode_name = nullptr;
-    double target_pause_us = 0;
 
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
@@ -843,6 +614,8 @@ main(int argc, char **argv)
             mops = 8000;
         } else if (const char *v = value("--threads=")) {
             threads = std::atoi(v);
+            if (threads < 1)
+                return usage(argv[0]);
         } else if (const char *v = value("--shards=")) {
             shards = std::strtoull(v, nullptr, 10);
         } else if (const char *v = value("--records=")) {
@@ -857,10 +630,6 @@ main(int argc, char **argv)
             single_only = true;
         } else if (arg == "--multi-only") {
             multi_only = true;
-        } else if (value("--mode=") != nullptr) {
-            mode_name = argv[i] + std::strlen("--mode=");
-        } else if (const char *v = value("--target-pause-us=")) {
-            target_pause_us = std::atof(v);
         } else if (arg == "--telemetry") {
             telemetry_dump = true;
         } else if (value("--trace=") != nullptr) {
@@ -869,15 +638,7 @@ main(int argc, char **argv)
         } else if (const char *v = alaska::bench::outFileArg(argv[i])) {
             out_file = v; // points into argv, which outlives the loop
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--threads=N] "
-                         "[--shards=N] [--records=N] [--ops=N] "
-                         "[--mrecords=N] [--mops=N] [--single-only] "
-                         "[--multi-only] [--mode=stw|concurrent|hybrid] "
-                         "[--target-pause-us=N] "
-                         "[--telemetry] [--trace=FILE] [--out=FILE]\n",
-                         argv[0]);
-            return 2;
+            return usage(argv[0]);
         }
     }
 
@@ -886,32 +647,10 @@ main(int argc, char **argv)
 
     alaska::bench::JsonReport report;
     alaska::bench::JsonReport *rp = out_file ? &report : nullptr;
-    if (mode_name != nullptr) {
-        // Named-mode run: replaces both default sections (the default
-        // invocation's report shape — and so the committed baseline's
-        // checksum — is untouched by this path).
-        const std::optional<anchorage::DefragMode> mode =
-            anchorage::parseDefragMode(mode_name);
-        if (!mode) {
-            std::fprintf(stderr,
-                         "--mode= must be one of stw, concurrent, "
-                         "hybrid\n");
-            return 2;
-        }
-        runSingleModeSection(mode_name, *mode, threads, shards,
-                             mrecords, mops, rp);
-    } else if (target_pause_us > 0) {
-        // Adaptive-barrier section: replaces the default sections, so
-        // the default invocation's report shape (and the committed
-        // baseline) stays untouched.
-        runTargetPauseSection(target_pause_us, threads, shards,
-                              mrecords, mops, rp);
-    } else {
-        if (!multi_only)
-            runSingleThreadSection(records, ops, rp);
-        if (!single_only)
-            runMultiThreadSection(threads, shards, mrecords, mops, rp);
-    }
+    if (!multi_only)
+        runSingleThreadSection(records, ops, rp);
+    if (!single_only)
+        runMultiThreadSection(threads, shards, mrecords, mops, rp);
     if (telemetry_dump) {
         std::printf("\n");
         alaska::telemetry::writeText(alaska::telemetry::snapshot(),

@@ -82,39 +82,55 @@ cmake --build build -j "$(nproc)"
 cd build
 ctest --output-on-failure -j "$(nproc)"
 
-# Bench smoke: tiny iteration counts, output discarded — this only
-# proves the harnesses still run end to end (the multi-threaded YCSB
-# smoke covers the concurrent-relocation daemon path). The YCSB smoke
-# runs once sharded (shards=8) and once with the single-shard
-# configuration so neither allocation path can bit-rot. The fig12
-# smoke additionally asserts the batched-defrag invariant: no single
-# barrier of a batched pass moves more than its batch budget.
-./handle_alloc_bench --out=bench_handle_alloc.json > /dev/null
-./translate_baseline_bench --out=bench_translate.json > /dev/null
-./tab_ycsb_latency --smoke --shards=8 --telemetry \
-    --trace=bench_trace.json --out=bench_ycsb.json > /dev/null
-./tab_ycsb_latency --smoke --multi-only --shards=1 > /dev/null
-# Adaptive-barrier smoke: the pause-SLO run must complete and adapt
-# (its value claim — bounded pauses vs the fixed run — is shown in the
-# printed table; run unasserted here since pause tails are wall-clock).
-./tab_ycsb_latency --smoke --target-pause-us=200 > /dev/null
-./fig09_redis_defrag --smoke --out=bench_fig09.json > /dev/null
-./fig11_large_workload --smoke --out=bench_fig11.json > /dev/null
-./fig12_memcached_pauses --smoke > /dev/null
+# Run one smoke: name it, keep its stdout, and on a nonzero exit print
+# that output and stop with the smoke's status — a self-asserting smoke
+# (serve_bench's "SMOKE FAIL:") states its reason on stdout.
+smoke() {
+    echo "smoke: $*"
+    rc=0
+    out=$("$@") || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        printf '%s\n' "$out"
+        echo "smoke failed with exit $rc: $*" >&2
+        exit "$rc"
+    fi
+}
+
+# A bad flag must be rejected with exit 2 (usage), not run and pass.
+usage_error() {
+    rc=0
+    "$@" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "$* exited $rc, expected 2" >&2
+        exit 1
+    fi
+}
+
+# Bench smoke: tiny iteration counts — this only proves the harnesses
+# still run end to end (the multi-threaded YCSB smoke covers the
+# concurrent-relocation daemon path). The YCSB smoke runs once sharded
+# (shards=8) and once with the single-shard configuration so neither
+# allocation path can bit-rot. The fig12 smoke additionally asserts
+# the batched-defrag invariant: no single barrier of a batched pass
+# moves more than its batch budget.
+smoke ./handle_alloc_bench --out=bench_handle_alloc.json
+smoke ./translate_baseline_bench --out=bench_translate.json
+smoke ./tab_ycsb_latency --smoke --shards=8 --telemetry \
+    --trace=bench_trace.json --out=bench_ycsb.json
+smoke ./tab_ycsb_latency --smoke --multi-only --shards=1
+usage_error ./tab_ycsb_latency --smoke --threads=0
+smoke ./fig09_redis_defrag --smoke --out=bench_fig09.json
+smoke ./fig11_large_workload --smoke --out=bench_fig11.json
+smoke ./fig12_memcached_pauses --smoke
 # Serving smoke: open-loop load over all three defrag modes plus the
 # adaptive-vs-fixed pause head-to-head. The binary asserts its own
 # invariants — zero lost responses in every mode, adaptive p999 inside
 # the noise envelope over fixed — and exits nonzero on violation.
-./serve_bench --smoke --trace=serve_trace.json \
-    --out=bench_serve.json > /dev/null
-# An unknown --mode= must be rejected with exit 2, not run no mode and
-# pass the smoke.
-rc=0
-./serve_bench --smoke --mode=bogus > /dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-    echo "serve_bench --mode=bogus exited $rc, expected 2" >&2
-    exit 1
-fi
+smoke ./serve_bench --smoke --trace=serve_trace.json \
+    --out=bench_serve.json
+# An unknown --mode= must be rejected, not run no mode and pass the
+# smoke.
+usage_error ./serve_bench --smoke --mode=bogus
 echo "bench smoke OK"
 
 # Trace gates: the telemetry-instrumented YCSB smoke must emit a
@@ -174,10 +190,10 @@ fi
 # Example smoke: every example binary must run to completion — the
 # examples are the typed-API documentation that compiles, so they may
 # not bit-rot either.
-./example_quickstart > /dev/null
-./example_far_memory > /dev/null
-./example_kv_cache_server > /dev/null
-./example_compiler_pipeline > /dev/null
+smoke ./example_quickstart
+smoke ./example_far_memory
+smoke ./example_kv_cache_server
+smoke ./example_compiler_pipeline
 echo "example smoke OK"
 
 # Repository benchmark smoke: repobench/ compiles ../src on its own and
@@ -188,8 +204,8 @@ echo "example smoke OK"
 if command -v python3 > /dev/null 2>&1; then
     cd ..
     for w in kv-serve kv-defrag cache-churn; do
-        python3 repobench/run.py --workload "$w" --seed 1 --seconds 1 \
-            > /dev/null
+        smoke python3 repobench/run.py --workload "$w" --seed 1 \
+            --seconds 1
     done
     echo "repobench smoke OK"
 else

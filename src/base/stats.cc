@@ -1,39 +1,11 @@
 #include "base/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "base/logging.h"
 
 namespace alaska
 {
-
-Summary
-summarize(std::vector<double> values)
-{
-    Summary s;
-    s.count = values.size();
-    if (values.empty())
-        return s;
-
-    std::sort(values.begin(), values.end());
-    s.min = values.front();
-    s.max = values.back();
-    const size_t n = values.size();
-    s.median = (n % 2 == 1) ? values[n / 2]
-                            : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-
-    double sum = 0;
-    for (double v : values)
-        sum += v;
-    s.mean = sum / static_cast<double>(n);
-
-    double sq = 0;
-    for (double v : values)
-        sq += (v - s.mean) * (v - s.mean);
-    s.stddev = (n > 1) ? std::sqrt(sq / static_cast<double>(n - 1)) : 0.0;
-    return s;
-}
 
 double
 geomean(const std::vector<double> &ratios)
@@ -46,51 +18,6 @@ geomean(const std::vector<double> &ratios)
         log_sum += std::log(r);
     }
     return std::exp(log_sum / static_cast<double>(ratios.size()));
-}
-
-double
-LatencyDigest::percentile(double q) const
-{
-    if (samples_.empty())
-        return 0.0;
-    std::vector<uint64_t> sorted(samples_);
-    std::sort(sorted.begin(), sorted.end());
-    const double rank = (q / 100.0) * static_cast<double>(sorted.size() - 1);
-    const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return static_cast<double>(sorted[lo]) * (1.0 - frac) +
-           static_cast<double>(sorted[hi]) * frac;
-}
-
-double
-LatencyDigest::mean() const
-{
-    if (samples_.empty())
-        return 0.0;
-    double sum = 0;
-    for (uint64_t v : samples_)
-        sum += static_cast<double>(v);
-    return sum / static_cast<double>(samples_.size());
-}
-
-double
-LatencyDigest::stddev() const
-{
-    if (samples_.size() < 2)
-        return 0.0;
-    const double m = mean();
-    double sq = 0;
-    for (uint64_t v : samples_)
-        sq += (static_cast<double>(v) - m) * (static_cast<double>(v) - m);
-    return std::sqrt(sq / static_cast<double>(samples_.size() - 1));
-}
-
-void
-LatencyDigest::merge(const LatencyDigest &other)
-{
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
 }
 
 } // namespace alaska

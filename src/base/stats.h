@@ -1,32 +1,16 @@
 /**
  * @file
- * Small statistics helpers used by the benchmark harnesses: summary
- * statistics, geometric means of ratios, and latency percentile digests.
+ * Geometric means of ratios for the benchmark harnesses' "geomean"
+ * rows. Latency percentiles live in telemetry::Histogram.
  */
 
 #ifndef ALASKA_BASE_STATS_H
 #define ALASKA_BASE_STATS_H
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace alaska
 {
-
-/** Arithmetic summary of a sample. */
-struct Summary
-{
-    double min = 0;
-    double max = 0;
-    double mean = 0;
-    double median = 0;
-    double stddev = 0;
-    size_t count = 0;
-};
-
-/** Compute min/max/mean/median/stddev of a sample (copies + sorts). */
-Summary summarize(std::vector<double> values);
 
 /**
  * Geometric mean of a set of ratios.
@@ -36,40 +20,6 @@ Summary summarize(std::vector<double> values);
  * before calling and back after.
  */
 double geomean(const std::vector<double> &ratios);
-
-/**
- * An accumulating latency digest with exact percentiles.
- *
- * Stores every sample; fine for the ~1e6 sample counts our harnesses
- * produce.
- */
-class LatencyDigest
-{
-  public:
-    /** Record one latency observation (nanoseconds). */
-    void add(uint64_t ns) { samples_.push_back(ns); }
-
-    /** Number of recorded samples. */
-    size_t count() const { return samples_.size(); }
-
-    /** q-th percentile (q in [0,100]) in nanoseconds; 0 if empty. */
-    double percentile(double q) const;
-
-    /** Arithmetic mean in nanoseconds; 0 if empty. */
-    double mean() const;
-
-    /** Sample standard deviation in nanoseconds; 0 if < 2 samples. */
-    double stddev() const;
-
-    /** Merge another digest into this one. */
-    void merge(const LatencyDigest &other);
-
-    /** Drop all samples. */
-    void clear() { samples_.clear(); }
-
-  private:
-    std::vector<uint64_t> samples_;
-};
 
 } // namespace alaska
 

@@ -207,13 +207,6 @@ class AlaskaAlloc
     Runtime &runtime_;
 };
 
-/**
- * Historical name for the campaign-safe policy. Since the typed layer
- * made deref mode-aware, the one policy serves both defrag modes —
- * the alias remains so existing stores and tests read as intended.
- */
-using AlaskaConcurrentAlloc = AlaskaAlloc;
-
 /** An AllocModel (jemalloc-like) behind the policy interface. */
 template <typename M>
 class ModelAlloc

@@ -17,20 +17,11 @@
 #include <mutex>
 #include <vector>
 
-#include "base/stats.h"
 #include "kv/minikv.h"
 #include "ycsb/ycsb.h"
 
 namespace alaska::kv
 {
-
-/** Result of one memcached run. */
-struct MemcachedResult
-{
-    LatencyDigest latency;
-    uint64_t operations = 0;
-    double wallSec = 0;
-};
 
 /**
  * Sharded KV served by worker threads.

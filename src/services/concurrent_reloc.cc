@@ -1,67 +1,7 @@
 #include "services/concurrent_reloc.h"
 
-#include "base/logging.h"
-#include "base/speculative_copy.h"
-#include "core/handle.h"
-
 namespace alaska
 {
-
-bool
-tryRelocateConcurrent(Runtime &runtime, uint32_t id)
-{
-    auto &entry = runtime.table().entry(id);
-    ALASKA_ASSERT(entry.allocated(), "relocation of freed handle %u", id);
-    const size_t size = entry.size;
-
-    // Phase 1: mark. Fails if someone else is relocating this object.
-    void *old_ptr = entry.ptr.load(std::memory_order_acquire);
-    if (reloc::isMarked(old_ptr) || old_ptr == nullptr)
-        return false;
-    if (!entry.ptr.compare_exchange_strong(old_ptr, reloc::marked(old_ptr),
-                                           std::memory_order_seq_cst)) {
-        return false;
-    }
-
-    // Pinned objects cannot move: an accessor that pinned *before* our
-    // mark holds a raw pointer we must not invalidate. Accessors that
-    // pin *after* the mark will clear it and fail our commit CAS.
-    if (entry.state.load(std::memory_order_seq_cst) >>
-        HandleTableEntry::pinCountShift) {
-        void *expected = reloc::marked(old_ptr);
-        entry.ptr.compare_exchange_strong(expected, old_ptr,
-                                          std::memory_order_seq_cst);
-        return false;
-    }
-
-    // Phase 2: speculative copy, immediately — no drain. Scoped
-    // accessors may keep *reading* pre-mark translations of old_ptr
-    // throughout (and we read it too; fine), and any *writer* holds a
-    // pin: one pinned before our mark was caught above, one pinning
-    // now clears the mark and fails our commit, discarding the
-    // (possibly torn) copy.
-    void *new_ptr = runtime.service().alloc(id, size);
-    speculativeCopy(new_ptr, old_ptr, size);
-
-    // Phase 3: commit. An accessor that pinned meanwhile has cleared
-    // the mark, and this CAS fails — the relocation is aborted.
-    void *expected = reloc::marked(old_ptr);
-    if (entry.ptr.compare_exchange_strong(expected, new_ptr,
-                                          std::memory_order_seq_cst)) {
-        // Phase 4: grace-deferred reclaim. Scopes that translated
-        // before the commit still read old_ptr; free it only once
-        // every scope open at commit time has closed. (Campaigns
-        // amortize this wait over a limbo list of many sources; the
-        // single-object protocol just eats it.)
-        runtime.waitForGrace(Runtime::advanceCampaignEpoch());
-        runtime.service().free(id, old_ptr);
-        return true;
-    }
-    runtime.service().free(id, new_ptr);
-    return false;
-}
-
-// --- scoped concurrent access ----------------------------------------------
 
 namespace creloc_detail
 {

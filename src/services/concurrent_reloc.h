@@ -1,9 +1,9 @@
 /**
  * @file
- * Speculative concurrent object relocation (paper §7).
- *
- * The paper sketches a way to move objects *without* stopping the
- * world, resembling Shenandoah's concurrent compaction:
+ * The accessor side of speculative concurrent object relocation
+ * (paper §7). The one mover is AnchorageService::relocateCampaign,
+ * which moves objects *without* stopping the world, resembling
+ * Shenandoah's concurrent compaction:
  *
  *   1. the mover marks the handle's entry (we set the low bit of the
  *      backing pointer — objects are 16-byte aligned), checks the
@@ -14,15 +14,15 @@
  *      mark, and atomically clears it — aborting the relocation —
  *      then proceeds on the old memory;
  *   3. the mover finally tries to CAS {marked old} -> {new}. Success
- *      publishes the move, but the old memory is NOT freed inline: it
- *      is only reclaimed after one grace period
- *      (Runtime::waitForGrace) — campaigns park it on a limbo list —
- *      so every scope that translated the object before the commit
- *      keeps reading valid bytes until it closes. A failed CAS means
- *      an accessor intervened; the copy is discarded.
+ *      publishes the move, but the old memory is NOT freed inline: the
+ *      campaign parks it on a limbo list and reclaims it only after a
+ *      grace period (Runtime::beginGrace), so every scope that
+ *      translated the object before the commit keeps reading valid
+ *      bytes until it closes. A failed CAS means an accessor
+ *      intervened; the copy is discarded.
  *
- * Two accessor APIs split the safety argument between reads and
- * writes:
+ * This file holds the two accessor APIs, which split the safety
+ * argument between reads and writes:
  *
  *  - ConcurrentAccessScope + translateScoped(): scope one application
  *    operation; the *read* path. The scope's only shared-memory
@@ -42,8 +42,8 @@
  *    after clears the mark and fails its commit CAS. Either way the
  *    pinned translation is writable for the pin's lifetime.
  *
- * This is the discipline AnchorageService::relocateCampaign expects
- * mutators on: reads inside scopes, stores under pins.
+ * This is the discipline the campaign expects mutators on: reads
+ * inside scopes, stores under pins.
  */
 
 #ifndef ALASKA_SERVICES_CONCURRENT_RELOC_H
@@ -56,27 +56,6 @@
 
 namespace alaska
 {
-
-/**
- * Try to relocate one object concurrently with running mutators:
- * mark, check pins, copy, CAS-commit — all immediately — then wait
- * one grace period before freeing the source, so every scope holding
- * a pre-commit translation has closed by the time the bytes are
- * reused. Backing memory is allocated/freed through the runtime's
- * service. This is the low-level single-object protocol; Anchorage
- * campaigns implement the same state machine with placement-aware
- * destinations and the source parked on a limbo list so one grace
- * covers many reclaims (AnchorageService::relocateCampaign).
- *
- * Aborts if the object is pinned (atomic pin count, see ConcurrentPin)
- * — the paper: "the relocation is aborted ... as some other thread has
- * pinned that handle while the copy was being made". Scoped accessors
- * neither pin nor abort the move; their stale reads are covered by the
- * grace-deferred free instead.
- *
- * @return true if the move committed, false if it was aborted.
- */
-bool tryRelocateConcurrent(Runtime &runtime, uint32_t id);
 
 /**
  * The write-capable translation under concurrent relocation: if the

@@ -105,13 +105,6 @@ ConcurrentRelocDaemon::fallbacks() const
 }
 
 double
-ConcurrentRelocDaemon::totalDefragSec() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return totalDefragSec_;
-}
-
-double
 ConcurrentRelocDaemon::totalPauseSec() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
@@ -171,7 +164,6 @@ ConcurrentRelocDaemon::run()
             passes_ = controller_.passes();
             fallbacks_ = controller_.fallbacks();
             barriers_ = controller_.barriers();
-            totalDefragSec_ = controller_.totalDefragSec();
             totalPauseSec_ = controller_.totalPauseSec();
             maxBarrierPauseSec_ = controller_.maxBarrierPauseSec();
             if (action.stats.barriers > 0)

@@ -31,7 +31,6 @@
 
 #include "anchorage/anchorage_service.h"
 #include "anchorage/control.h"
-#include "base/stats.h"
 #include "core/runtime.h"
 #include "telemetry/histogram.h"
 #include "sim/clock.h"
@@ -95,9 +94,6 @@ class ConcurrentRelocDaemon
     /** Ticks whose abort-rate fallback ran. */
     size_t fallbacks() const;
 
-    /** Total defrag work time charged so far, seconds. */
-    double totalDefragSec() const;
-
     /** Total mutator-visible pause time caused so far, seconds. */
     double totalPauseSec() const;
 
@@ -125,10 +121,11 @@ class ConcurrentRelocDaemon
      * before it; the `barrier_pause_ns` telemetry histogram records
      * each barrier's whole stopped window. In batched StopTheWorld
      * mode a tick runs exactly one barrier; a Hybrid fallback tick
-     * contributes its worst barrier. A bounded telemetry::Histogram
-     * (log2 buckets), not a LatencyDigest: the daemon is long-lived
-     * and must not accumulate one sample per tick forever. Snapshot
-     * copy; any thread.
+     * contributes its worst barrier. A telemetry::Histogram, the one
+     * percentile structure: log2 buckets in constant memory, since the
+     * daemon is long-lived and must not keep one sample per tick
+     * forever; percentiles never exceed its max(). Snapshot copy; any
+     * thread.
      */
     telemetry::Histogram barrierPauses() const;
 
@@ -163,7 +160,6 @@ class ConcurrentRelocDaemon
     size_t fallbacks_ = 0;
     size_t barriers_ = 0;
     size_t batchBytesCurrent_ = 0;
-    double totalDefragSec_ = 0;
     double totalPauseSec_ = 0;
     double maxBarrierPauseSec_ = 0;
     telemetry::Histogram barrierPauses_;

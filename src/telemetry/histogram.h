@@ -2,14 +2,17 @@
  * @file
  * Fixed-size log2-bucketed histogram: constant memory regardless of
  * sample count, mergeable across threads, safe to record into
- * concurrently. Replaces the store-every-sample LatencyDigest
- * (base/stats.h) in long-running paths — a daemon that records one
- * barrier pause per tick for a week must not grow a vector forever.
+ * concurrently. It is the library's one percentile structure: the
+ * daemon, the SLO windows, telemetry and the latency harnesses under
+ * bench/ record into it (a daemon that records one barrier pause per
+ * tick for a week must not grow a vector forever). Percentiles never
+ * exceed max().
  */
 
 #ifndef ALASKA_TELEMETRY_HISTOGRAM_H
 #define ALASKA_TELEMETRY_HISTOGRAM_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -25,7 +28,7 @@ namespace alaska::telemetry
  * so record() never saturates or clamps. Alongside the buckets the
  * histogram tracks exact count, sum and max, so mean() and max() are
  * exact; percentile() is bucket-resolution (within 2x, linearly
- * interpolated inside the winning bucket).
+ * interpolated inside the winning bucket) and never exceeds max().
  *
  * Concurrency: record() and merge() use relaxed atomics and may race
  * freely with readers; readers see a possibly-torn but
@@ -162,7 +165,8 @@ class Histogram
      * Approximate percentile p in [0, 100]: finds the bucket holding
      * the rank-ceil(p/100 * count) sample and linearly interpolates
      * inside it. Exact for single-valued buckets (e.g. bucket 0);
-     * within the bucket's 2x span otherwise. Returns 0 when empty.
+     * within the bucket's 2x span otherwise, and clamped to max() so a
+     * tail never reads above the largest sample. Returns 0 when empty.
      */
     double
     percentile(double p) const
@@ -189,7 +193,10 @@ class Histogram
                 double hi = static_cast<double>(bucketHigh(b));
                 double frac =
                     static_cast<double>(rank - cum) / static_cast<double>(c);
-                return lo + (hi - lo) * frac;
+                // The bucket's top can sit up to 2x above the largest
+                // sample it holds.
+                return std::min(lo + (hi - lo) * frac,
+                                static_cast<double>(max()));
             }
             cum += c;
         }

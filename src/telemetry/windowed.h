@@ -37,7 +37,7 @@ struct WindowSummary
  *
  * record() is thread-safe and wait-free (it is Histogram::record on
  * the current window). rotate() must be called by a single rotator
- * thread (typically a sampler on the window cadence); it summarizes
+ * thread (typically a sampler on the window cadence); it snapshots
  * and clears the current window and appends the summary to a bounded
  * ring of recent windows. record() may race rotate(): a sample landing
  * exactly on the boundary is counted in whichever window the race

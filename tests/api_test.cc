@@ -3,23 +3,25 @@
  * Tests for the typed API layer (src/api): href arithmetic at the
  * offset-field boundary, hbox ownership and lifetime rules (including
  * use-after-move), the mode-aware access/pinned guards against live
- * relocation (guard outliving a campaign commit attempt), the
+ * relocation (a guard held across a real Anchorage campaign), the
  * handle-backed STL allocator, and the PinFrame misuse diagnostics.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "anchorage/anchorage_service.h"
 #include "api/api.h"
 #include "core/malloc_service.h"
-#include "services/concurrent_reloc.h"
 #include "services/swap_service.h"
+#include "sim/address_space.h"
 
 namespace
 {
@@ -170,57 +172,7 @@ TEST_F(ApiTest, HboxReleaseBridgesToRawApiAndAdoptBack)
 
 // ===== access<T> / pinned<T> vs live relocation ============================
 
-TEST_F(ApiTest, AccessGuardDefersSourceReclaimViaGrace)
-{
-    hbox<int64_t> box(runtime_, 8);
-    const uint32_t id = box.ref().id();
-    {
-        alaska::access<int64_t> mem(box);
-        mem[0] = 1234;
-        mem[1] = 5678;
-    }
-
-    // Announce concurrent defrag, as a daemon or campaign driver would
-    // *before* mutators run: guards now open epoch scopes.
-    Runtime::declareConcurrentDefrag();
-    ASSERT_EQ(Runtime::translationDiscipline(),
-              TranslationDiscipline::Scoped);
-    std::atomic<bool> reclaimed{false};
-    std::thread mover;
-    {
-        alaska::access<int64_t> guard(box);
-        const int64_t *raw = guard.get();
-        // A mover on another thread marks, copies and commits the move
-        // immediately — no wait in the window — then parks in its grace
-        // wait before freeing the source our translation still reads.
-        mover = std::thread([&] {
-            ThreadRegistration reg(runtime_);
-            EXPECT_TRUE(tryRelocateConcurrent(runtime_, id));
-            reclaimed.store(true, std::memory_order_seq_cst);
-        });
-        auto &entry = runtime_.table().entry(id);
-        while (reloc::unmarked(
-                   entry.ptr.load(std::memory_order_seq_cst)) ==
-               static_cast<void *>(const_cast<int64_t *>(raw)))
-            std::this_thread::yield();
-        // Committed but not reclaimed: the mover sits in the grace wait
-        // our open scope stalls, so the stale source stays readable.
-        EXPECT_FALSE(reclaimed.load(std::memory_order_seq_cst));
-        EXPECT_EQ(raw[0], 1234);
-        EXPECT_EQ(raw[1], 5678);
-        EXPECT_EQ(raw, guard.get()); // the guard's cached view is stable
-    }
-    // Guard gone: grace elapses and the mover frees the source.
-    mover.join();
-    EXPECT_TRUE(reclaimed.load(std::memory_order_seq_cst));
-    Runtime::retireConcurrentDefrag();
-
-    alaska::access<int64_t> after(box);
-    EXPECT_EQ(after[0], 1234);
-    EXPECT_EQ(after[1], 5678);
-}
-
-TEST_F(ApiTest, ScopedDerefStaysValidUntilScopeCloses)
+TEST_F(ApiTest, ScopedDerefReadsThroughAMarkWithoutClearingIt)
 {
     hbox<int64_t> box(runtime_, 8);
     const uint32_t id = box.ref().id();
@@ -233,9 +185,6 @@ TEST_F(ApiTest, ScopedDerefStaysValidUntilScopeCloses)
     // raises it) so the scope's derefs take the mark-aware strip path.
     Runtime::declareConcurrentDefrag();
     Runtime::gConcurrentRelocCampaigns.fetch_add(1);
-    std::atomic<bool> reclaimed{false};
-    bool committed = false;
-    std::thread mover;
     {
         access_scope op;
         const int64_t *raw = api::deref(box.get());
@@ -250,31 +199,7 @@ TEST_F(ApiTest, ScopedDerefStaysValidUntilScopeCloses)
         EXPECT_TRUE(reloc::isMarked(
             entry.ptr.load(std::memory_order_seq_cst)));
         entry.ptr.store(unmarked_ptr, std::memory_order_seq_cst);
-
-        mover = std::thread([&] {
-            ThreadRegistration reg(runtime_);
-            committed = tryRelocateConcurrent(runtime_, id);
-            reclaimed.store(true, std::memory_order_seq_cst);
-        });
-        // The mover's copy and commit proceed under our open scope —
-        // only the source free waits for our epoch.
-        while (reloc::unmarked(
-                   entry.ptr.load(std::memory_order_seq_cst)) ==
-               static_cast<void *>(const_cast<int64_t *>(raw)))
-            std::this_thread::yield();
-        EXPECT_FALSE(reclaimed.load(std::memory_order_seq_cst));
-        // The stale translation stays readable: the source is parked on
-        // limbo, not freed, until our scope closes.
-        EXPECT_EQ(raw[2], 99);
-        // A *new* deref inside the scope follows the entry to the
-        // copy: same bytes, new home.
-        const int64_t *fresh = api::deref(box.get());
-        EXPECT_NE(fresh, raw);
-        EXPECT_EQ(fresh[2], 99);
     }
-    mover.join();
-    EXPECT_TRUE(reclaimed.load(std::memory_order_seq_cst));
-    EXPECT_TRUE(committed);
     Runtime::gConcurrentRelocCampaigns.fetch_sub(1);
     Runtime::retireConcurrentDefrag();
 
@@ -298,19 +223,6 @@ TEST_F(ApiTest, PinnedGuardIsImmobileAcrossBarriers)
     });
 }
 
-TEST_F(ApiTest, PinnedGuardAbortsConcurrentRelocation)
-{
-    hbox<int> box(runtime_, 1);
-    const uint32_t id = box.ref().id();
-    Runtime::declareConcurrentDefrag();
-    {
-        pinned<int> pin(box);
-        EXPECT_FALSE(tryRelocateConcurrent(runtime_, id));
-    }
-    EXPECT_TRUE(tryRelocateConcurrent(runtime_, id));
-    Runtime::retireConcurrentDefrag();
-}
-
 TEST_F(ApiTest, AccessScopeIsInertUnderDirectDiscipline)
 {
     ASSERT_EQ(Runtime::translationDiscipline(),
@@ -320,6 +232,109 @@ TEST_F(ApiTest, AccessScopeIsInertUnderDirectDiscipline)
     int *raw = api::deref(box.get());
     *raw = 3;
     EXPECT_EQ(*alaska::access<int>(box), 3);
+}
+
+// ===== access<T> / pinned<T> vs a relocation campaign ======================
+
+/**
+ * The guards against the one mover, AnchorageService::relocateCampaign,
+ * on a layout it always wants to compact: a filler then the target,
+ * filler freed, so the campaign slides the target down into the hole.
+ */
+class ApiCampaignTest : public ::testing::Test
+{
+  protected:
+    ApiCampaignTest()
+        : service_(space_,
+                   anchorage::AnchorageConfig{.subHeapBytes = 1 << 20}),
+          runtime_(RuntimeConfig{.tableCapacity = 1u << 12}),
+          registration_(runtime_)
+    {
+        runtime_.attachService(&service_);
+    }
+
+    /** An n-element box with a free hole of its size just below it. */
+    template <typename T>
+    hbox<T>
+    movableBox(size_t n)
+    {
+        hbox<T> filler(runtime_, n);
+        return hbox<T>(runtime_, n);
+    }
+
+    // Declaration order matters: the service must outlive the runtime.
+    RealAddressSpace space_;
+    anchorage::AnchorageService service_;
+    Runtime runtime_;
+    ThreadRegistration registration_;
+};
+
+TEST_F(ApiCampaignTest, AccessGuardHoldsCampaignOffUntilItCloses)
+{
+    hbox<int64_t> box = movableBox<int64_t>(64);
+    {
+        alaska::access<int64_t> mem(box);
+        mem[0] = 1234;
+        mem[63] = 5678;
+    }
+    auto &entry = runtime_.table().entry(box.ref().id());
+
+    // Announce concurrent defrag, as a daemon would *before* mutators
+    // run: guards now open epoch scopes.
+    Runtime::declareConcurrentDefrag();
+    ASSERT_EQ(Runtime::translationDiscipline(),
+              TranslationDiscipline::Scoped);
+    std::atomic<bool> done{false};
+    anchorage::DefragStats stats;
+    std::thread campaign;
+    {
+        alaska::access<int64_t> guard(box);
+        const int64_t *raw = guard.get();
+        campaign = std::thread([&] {
+            ThreadRegistration reg(runtime_);
+            stats = service_.relocateCampaign(SIZE_MAX);
+            done.store(true, std::memory_order_seq_cst);
+        });
+        // The campaign's first grace wait covers the guard's scope:
+        // give it ample time to prove it cannot finish or move the
+        // object while the guard is open.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_FALSE(done.load(std::memory_order_seq_cst));
+        EXPECT_EQ(raw[0], 1234);
+        EXPECT_EQ(raw[63], 5678);
+        EXPECT_EQ(raw, guard.get()); // the guard's cached view is stable
+        EXPECT_EQ(reloc::unmarked(entry.ptr.load(std::memory_order_seq_cst)),
+                  static_cast<void *>(const_cast<int64_t *>(raw)));
+    }
+    // Guard gone: the grace elapses and the campaign moves the object.
+    campaign.join();
+    Runtime::retireConcurrentDefrag();
+    EXPECT_GT(stats.committed, 0u);
+    EXPECT_EQ(runtime_.stats().barriers, 0u);
+
+    alaska::access<int64_t> after(box);
+    EXPECT_EQ(after[0], 1234);
+    EXPECT_EQ(after[63], 5678);
+}
+
+TEST_F(ApiCampaignTest, PinnedGuardMakesCampaignSkipTheObject)
+{
+    hbox<int> box = movableBox<int>(4);
+    Runtime::declareConcurrentDefrag();
+    {
+        pinned<int> pin(box);
+        *pin = 7;
+        const anchorage::DefragStats held =
+            service_.relocateCampaign(SIZE_MAX);
+        EXPECT_EQ(held.committed, 0u);
+        EXPECT_GT(held.pinnedSkips, 0u);
+        EXPECT_EQ(*pin, 7);
+    }
+    const anchorage::DefragStats released =
+        service_.relocateCampaign(SIZE_MAX);
+    EXPECT_GT(released.committed, 0u);
+    Runtime::retireConcurrentDefrag();
+    EXPECT_EQ(*alaska::access<int>(box), 7);
 }
 
 // ===== checked access (handle faults) ======================================

@@ -17,6 +17,7 @@
 #include "kv/alloc_policy.h"
 #include "kv/memcached_sim.h"
 #include "sim/address_space.h"
+#include "telemetry/histogram.h"
 
 namespace
 {
@@ -55,7 +56,7 @@ TEST(MemcachedSim, ConcurrentWorkersOnAlaskaWithPauses)
     constexpr int n_threads = 4;
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> served{0};
-    std::vector<LatencyDigest> digests(n_threads);
+    std::vector<telemetry::Histogram> latencies(n_threads);
     std::vector<std::thread> workers;
     for (int t = 0; t < n_threads; t++) {
         workers.emplace_back([&, t] {
@@ -65,7 +66,7 @@ TEST(MemcachedSim, ConcurrentWorkersOnAlaskaWithPauses)
             while (!stop.load(std::memory_order_relaxed)) {
                 Stopwatch watch;
                 server.serve(workload.next(), workload);
-                digests[t].add(watch.elapsedNs());
+                latencies[t].record(watch.elapsedNs());
                 served.fetch_add(1, std::memory_order_relaxed);
                 poll(); // between-request safepoint
             }
@@ -84,9 +85,9 @@ TEST(MemcachedSim, ConcurrentWorkersOnAlaskaWithPauses)
     for (auto &worker : workers)
         worker.join();
 
-    LatencyDigest all;
-    for (auto &digest : digests)
-        all.merge(digest);
+    telemetry::Histogram all;
+    for (const auto &h : latencies)
+        all.merge(h);
     EXPECT_GE(all.count(), 40000u);
     EXPECT_GT(all.mean(), 0.0);
     EXPECT_GT(runtime.stats().barriers, 0u);

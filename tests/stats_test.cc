@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the statistics helpers used by the benchmark harnesses.
+ * Tests for the geometric-mean helper used by the benchmark harnesses.
  */
 
 #include <gtest/gtest.h>
@@ -11,29 +11,6 @@ namespace
 {
 
 using namespace alaska;
-
-TEST(Summary, BasicMoments)
-{
-    const Summary s = summarize({1, 2, 3, 4, 5});
-    EXPECT_DOUBLE_EQ(s.min, 1);
-    EXPECT_DOUBLE_EQ(s.max, 5);
-    EXPECT_DOUBLE_EQ(s.mean, 3);
-    EXPECT_DOUBLE_EQ(s.median, 3);
-    EXPECT_NEAR(s.stddev, 1.5811, 1e-3);
-    EXPECT_EQ(s.count, 5u);
-}
-
-TEST(Summary, EvenCountMedianInterpolates)
-{
-    EXPECT_DOUBLE_EQ(summarize({1, 2, 3, 4}).median, 2.5);
-}
-
-TEST(Summary, EmptyIsZero)
-{
-    const Summary s = summarize({});
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_DOUBLE_EQ(s.mean, 0);
-}
 
 TEST(Geomean, MatchesHandComputation)
 {
@@ -46,37 +23,6 @@ TEST(Geomean, MatchesHandComputation)
 TEST(Geomean, SingleElement)
 {
     EXPECT_DOUBLE_EQ(geomean({3.5}), 3.5);
-}
-
-TEST(LatencyDigest, ExactPercentiles)
-{
-    LatencyDigest d;
-    for (uint64_t i = 1; i <= 100; i++)
-        d.add(i);
-    EXPECT_EQ(d.count(), 100u);
-    EXPECT_NEAR(d.percentile(0), 1, 1e-9);
-    EXPECT_NEAR(d.percentile(100), 100, 1e-9);
-    EXPECT_NEAR(d.percentile(50), 50.5, 1e-9);
-    EXPECT_NEAR(d.mean(), 50.5, 1e-9);
-}
-
-TEST(LatencyDigest, MergeCombinesSamples)
-{
-    LatencyDigest a, b;
-    a.add(10);
-    b.add(30);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_NEAR(a.mean(), 20, 1e-9);
-}
-
-TEST(LatencyDigest, StddevOfConstantIsZero)
-{
-    LatencyDigest d;
-    d.add(5);
-    d.add(5);
-    d.add(5);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
 }
 
 } // namespace

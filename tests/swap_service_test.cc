@@ -1,18 +1,13 @@
 /**
  * @file
- * Tests for the handle-fault-based swap service and the concurrent
- * relocation experiment (paper §7).
+ * Tests for the handle-fault-based swap service and the accessor half
+ * of the concurrent-relocation handshake (paper §7).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
-#include <thread>
 #include <vector>
-
-#include "anchorage/anchorage_service.h"
-#include "base/rng.h"
 
 #include "core/malloc_service.h"
 #include "core/pin.h"
@@ -146,21 +141,6 @@ class RelocTest : public ::testing::Test
     ThreadRegistration registration_;
 };
 
-TEST_F(RelocTest, UncontendedRelocationCommits)
-{
-    void *h = runtime_.halloc(64);
-    std::memset(translate(h), 0x42, 64);
-    void *before = translate(h);
-    const uint32_t id = handleId(reinterpret_cast<uint64_t>(h));
-    EXPECT_TRUE(tryRelocateConcurrent(runtime_, id));
-    void *after = translate(h);
-    EXPECT_NE(before, after);
-    auto *p = static_cast<unsigned char *>(after);
-    for (int i = 0; i < 64; i++)
-        ASSERT_EQ(p[i], 0x42);
-    runtime_.hfree(h);
-}
-
 TEST_F(RelocTest, AccessorAbortsInFlightRelocation)
 {
     // Simulate the race by hand: mark, then access, then commit fails.
@@ -175,69 +155,6 @@ TEST_F(RelocTest, AccessorAbortsInFlightRelocation)
     EXPECT_EQ(translateConcurrent(h), old_ptr);
     EXPECT_EQ(entry.ptr.load(), old_ptr);
     runtime_.hfree(h);
-}
-
-TEST_F(RelocTest, RacingMutatorsNeverSeeTornObjects)
-{
-    // Enough objects that each is unpinned most of the time, so the
-    // mover finds windows to commit; few enough that conflicts (and
-    // thus aborts) still happen.
-    constexpr int n_objects = 256;
-    constexpr size_t obj_size = 256;
-    std::vector<void *> handles;
-    for (int i = 0; i < n_objects; i++) {
-        handles.push_back(runtime_.halloc(obj_size));
-        // Object invariant: all bytes equal.
-        std::memset(translateConcurrent(handles.back()), 7, obj_size);
-    }
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> checks{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; t++) {
-        threads.emplace_back([&, t] {
-            ThreadRegistration reg(runtime_);
-            Rng rng(t);
-            // Each thread owns a disjoint slice of the objects, so the
-            // only writer racing a mutator is the relocator itself.
-            const int lo = t * (n_objects / 4);
-            while (!stop.load(std::memory_order_relaxed)) {
-                void *h = handles[lo + rng.below(n_objects / 4)];
-                ConcurrentPin pin(h);
-                auto *p = static_cast<unsigned char *>(pin.get());
-                const unsigned char v = p[0];
-                for (size_t i = 0; i < obj_size; i++)
-                    ASSERT_EQ(p[i], v);
-                const auto next = static_cast<unsigned char>(v + 1);
-                std::memset(p, next, obj_size);
-                checks.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    // Wait for the mutators to be scheduled at least once (a loaded or
-    // single-core machine can otherwise finish the relocation loop
-    // before any mutator starts, leaving checks == 0).
-    while (checks.load(std::memory_order_relaxed) == 0)
-        std::this_thread::yield();
-    anchorage::DefragStats stats;
-    Rng rng(99);
-    for (int i = 0; i < 20000; i++) {
-        const uint32_t id = handleId(
-            reinterpret_cast<uint64_t>(handles[rng.below(n_objects)]));
-        stats.attempts++;
-        if (tryRelocateConcurrent(runtime_, id)) {
-            stats.committed++;
-        } else {
-            stats.aborted++;
-        }
-    }
-    stop.store(true);
-    for (auto &th : threads)
-        th.join();
-    EXPECT_GT(checks.load(), 0u);
-    EXPECT_GT(stats.committed, 0u);
-    EXPECT_EQ(stats.attempts, stats.committed + stats.aborted);
-    for (void *h : handles)
-        runtime_.hfree(h);
 }
 
 } // namespace

@@ -73,6 +73,26 @@ TEST(Histogram, BucketBoundaries)
     EXPECT_DOUBLE_EQ(h.percentile(0), 0.0);
 }
 
+TEST(Histogram, PercentilesNeverExceedMax)
+{
+    // One sample: interpolation alone would report the top of its
+    // bucket [64, 127].
+    tel::Histogram one;
+    one.record(100);
+    EXPECT_DOUBLE_EQ(one.percentile(50), 100.0);
+    EXPECT_DOUBLE_EQ(one.percentile(99), 100.0);
+
+    // A tight cluster low in a wide bucket: 1.500-1.501 ms sits in
+    // [2^20, 2^21) ns, whose top is ~40% above the largest sample.
+    tel::Histogram tight;
+    for (uint64_t i = 0; i < 1000; i++)
+        tight.record(1500000 + i);
+    for (double p : {50.0, 99.0, 99.9, 100.0})
+        EXPECT_LE(tight.percentile(p), static_cast<double>(tight.max()))
+            << "p" << p;
+    EXPECT_DOUBLE_EQ(tight.percentile(100), 1500999.0);
+}
+
 TEST(Histogram, CrossThreadMergeExactness)
 {
     // N threads each record into a private histogram; the merge must
