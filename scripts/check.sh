@@ -3,18 +3,48 @@
 # registered test suite, then smoke the bench binaries so they cannot
 # bit-rot. Developers run this locally; CI runs the same steps
 # (.github/workflows/ci.yml).
+#
+# Every gate runs even when an earlier one failed: a failure prints a
+# "FAILED:" line at once, and the script ends by listing every failed
+# gate, one per line, and exiting 1. Only a failed configure or build
+# stops it at once (nothing after it could run). Deterministic gates
+# run first; the wall-clock serving smoke runs last.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+failed=""
+
+# Record a failed gate: report it now and list it again at the end.
+fail() {
+    echo "FAILED: $*" >&2
+    failed="$failed
+$*"
+}
+
+# Run a command as a gate; a nonzero exit is recorded, not fatal.
+gate() {
+    "$@" || fail "$*"
+}
+
+# End the run: list the failed gates and exit 1, or print ok_message.
+finish() {
+    if [ -n "$failed" ]; then
+        echo "failed gates:$failed" >&2
+        exit 1
+    fi
+    echo "$1"
+    exit 0
+}
 
 # TSAN mode (`scripts/check.sh --tsan`): build the concurrency suites
 # under ThreadSanitizer in a separate tree and run just them — the
 # suites that drive the epoch-scope / pin-handshake /
 # grace-deferred-reclaim protocol, barriers (which read HTE pin
 # counts while other threads pin and unpin), the
-# lock-free page-residency bitmap and the per-thread allocation
-# counters end to end (the full suite under TSAN is slow and mostly
-# single-threaded).
+# lock-free page-residency bitmap, the per-thread allocation
+# counters and the shards' remote-free inboxes end to end (the full
+# suite under TSAN is slow and mostly single-threaded).
 # The intentional mark-window copy race is whitelisted in
 # base/speculative_copy.h; anything else TSAN reports is a real
 # protocol bug.
@@ -23,7 +53,7 @@ if [ "${1:-}" = "--tsan" ]; then
             epoch_grace_test telemetry_test defrag_equivalence_test
             policy_test serve_test barrier_test
             pin_test batched_defrag_test anchorage_test page_model_test
-            runtime_test"
+            runtime_test anchorage_shard_test"
     targets=""
     for t in $suites; do
         targets="$targets --target $t"
@@ -31,10 +61,9 @@ if [ "${1:-}" = "--tsan" ]; then
     cmake -B build-tsan -S . -DALASKA_TSAN=ON
     cmake --build build-tsan -j "$(nproc)" $targets
     for t in $suites; do
-        ./build-tsan/"$t"
+        gate ./build-tsan/"$t"
     done
-    echo "tsan OK"
-    exit 0
+    finish "tsan OK"
 fi
 
 # ASan+UBSan lane (`scripts/check.sh --asan`): build the whole tree
@@ -66,13 +95,13 @@ fi
 # src/services/ must document every public class (the raw and typed
 # API contracts and the locking/shard-affinity contracts live there;
 # see docs/ARCHITECTURE.md and docs/API.md).
-sh scripts/check_header_docs.sh
+gate sh scripts/check_header_docs.sh
 
 # Telemetry catalogue gate: every counter, gauge, histogram and trace
 # event the source emits has a row in docs/OBSERVABILITY.md, and every
 # row names something the source still emits.
 if command -v python3 > /dev/null 2>&1; then
-    python3 scripts/check_observability_docs.py
+    gate python3 scripts/check_observability_docs.py
 else
     echo "check_observability_docs skipped (no python3)"
 fi
@@ -80,10 +109,10 @@ fi
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 cd build
-ctest --output-on-failure -j "$(nproc)"
+gate ctest --output-on-failure -j "$(nproc)"
 
-# Run one smoke: name it, keep its stdout, and on a nonzero exit print
-# that output and stop with the smoke's status — a self-asserting smoke
+# Run one smoke: name it and keep its stdout; on a nonzero exit print
+# that output and record the failure — a self-asserting smoke
 # (serve_bench's "SMOKE FAIL:") states its reason on stdout.
 smoke() {
     echo "smoke: $*"
@@ -91,8 +120,7 @@ smoke() {
     out=$("$@") || rc=$?
     if [ "$rc" -ne 0 ]; then
         printf '%s\n' "$out"
-        echo "smoke failed with exit $rc: $*" >&2
-        exit "$rc"
+        fail "smoke exited $rc: $*"
     fi
 }
 
@@ -101,91 +129,85 @@ usage_error() {
     rc=0
     "$@" > /dev/null 2>&1 || rc=$?
     if [ "$rc" -ne 2 ]; then
-        echo "$* exited $rc, expected 2" >&2
-        exit 1
+        fail "usage check: $* exited $rc, expected 2"
     fi
 }
 
-# Bench smoke: tiny iteration counts — this only proves the harnesses
-# still run end to end (the multi-threaded YCSB smoke covers the
-# concurrent-relocation daemon path). The YCSB smoke runs once sharded
-# (shards=8) and once with the single-shard configuration so neither
-# allocation path can bit-rot. The fig12 smoke additionally asserts
-# the batched-defrag invariant: no single barrier of a batched pass
-# moves more than its batch budget.
-smoke ./handle_alloc_bench --out=bench_handle_alloc.json
-smoke ./translate_baseline_bench --out=bench_translate.json
+# Usage checks: a zero thread count, an empty keyspace, a zero op
+# count and an unknown --mode= must each be rejected, not crash or run
+# and pass.
+usage_error ./tab_ycsb_latency --smoke --threads=0
+usage_error ./tab_ycsb_latency --smoke --single-only --records=0
+usage_error ./tab_ycsb_latency --smoke --single-only --ops=0
+usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=0
+usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=1
+usage_error ./tab_ycsb_latency --smoke --multi-only --mops=0
+usage_error ./serve_bench --smoke --mode=bogus
+
+have_python=0
+if command -v python3 > /dev/null 2>&1; then
+    have_python=1
+else
+    echo "check_trace and diff_bench skipped (no python3)"
+fi
+
+# Bench regression gate: each smoke's JSON is diffed against its
+# committed baseline — structural changes (metric set, units) always
+# fail; numeric drift beyond the per-metric noise band warns, except
+# on the promoted metrics, where it fails. fig09 and fig11 come first
+# and are diffed value for value (--band=0): both run on a virtual
+# clock with fixed seeds, so any drift is a behaviour change, not
+# noise.
+diff_bench() {
+    if [ "$have_python" -eq 1 ]; then
+        gate python3 ../scripts/diff_bench.py "$@"
+    fi
+}
+
+smoke ./fig09_redis_defrag --smoke --out=bench_fig09.json
+diff_bench ../BENCH_fig09.json bench_fig09.json --strict --band=0
+smoke ./fig11_large_workload --smoke --out=bench_fig11.json
+diff_bench ../BENCH_fig11.json bench_fig11.json --strict --band=0
+
+# YCSB smoke: tiny iteration counts — this only proves the harness
+# still runs end to end (the multi-threaded section covers the
+# concurrent-relocation daemon path). It runs once sharded (shards=8)
+# and once with the single-shard configuration so neither allocation
+# path can bit-rot. Its strict metrics are the workload-invariant
+# columns (a concurrent run has zero barriers and zero pause by
+# construction, an STW run zero campaign traffic, and the pre-run
+# fragmentation is set by the deterministic load) — correctness
+# claims, not timings.
 smoke ./tab_ycsb_latency --smoke --shards=8 --telemetry \
     --trace=bench_trace.json --out=bench_ycsb.json
 smoke ./tab_ycsb_latency --smoke --multi-only --shards=1
-usage_error ./tab_ycsb_latency --smoke --threads=0
-smoke ./fig09_redis_defrag --smoke --out=bench_fig09.json
-smoke ./fig11_large_workload --smoke --out=bench_fig11.json
-smoke ./fig12_memcached_pauses --smoke
-# Serving smoke: open-loop load over all three defrag modes plus the
-# adaptive-vs-fixed pause head-to-head. The binary asserts its own
-# invariants — zero lost responses in every mode, adaptive p999 inside
-# the noise envelope over fixed — and exits nonzero on violation.
-smoke ./serve_bench --smoke --trace=serve_trace.json \
-    --out=bench_serve.json
-# An unknown --mode= must be rejected, not run no mode and pass the
-# smoke.
-usage_error ./serve_bench --smoke --mode=bogus
-echo "bench smoke OK"
+diff_bench ../BENCH_ycsb.json bench_ycsb.json \
+    --strict-metrics='conc.barriers,conc.pause_ms,conc1.barriers,conc1.pause_ms,stw.committed,stw.abort_rate,stw.grace_waits,stw.grace_wait_ms,stw.limbo_parked,stw.frag_before,conc.frag_before,conc1.frag_before'
 
-# Trace gates: the telemetry-instrumented YCSB smoke must emit a
+# Trace gate: the telemetry-instrumented YCSB smoke must emit a
 # parseable Chrome trace with at least one campaign span, one barrier
 # span and one policy_decision span (the controller's per-tick
 # decision: the mode's mechanism calls, budget split, fallback gate and
 # abandonment) — proof the defrag pipeline's tracer stays wired for
 # both mechanisms and for the controller above them (see
 # docs/OBSERVABILITY.md for the event schema).
-if command -v python3 > /dev/null 2>&1; then
-    python3 ../scripts/check_trace.py bench_trace.json campaign \
+if [ "$have_python" -eq 1 ]; then
+    gate python3 ../scripts/check_trace.py bench_trace.json campaign \
         barrier policy_decision
-    # The serving smoke must emit at least one request span — proof
-    # every served request is bracketed by the tracer.
-    python3 ../scripts/check_trace.py serve_trace.json request
-else
-    echo "check_trace skipped (no python3)"
 fi
 
-# Bench regression gate: each smoke's JSON is diffed against its
-# committed baseline — structural changes (metric set, units) always
-# fail; numeric drift beyond the per-metric noise band warns, except
-# on the promoted metrics below, where it fails:
-#   * YCSB: the workload-invariant columns (a concurrent run has zero
-#     barriers and zero pause by construction, an STW run zero
-#     campaign traffic, and the pre-run fragmentation is set by the
-#     deterministic load) — these are correctness claims, not timings;
-#   * handle_alloc: the deref/scoped translate costs (multi-sample,
-#     low CV); the single-sample alloc throughputs stay advisory;
-#   * translate: the whole report (multi-sample medians, low CV);
-#   * fig09 and fig11: the whole report, value for value (--band=0):
-#     both run on a virtual clock with fixed seeds, so any drift is a
-#     behaviour change, not noise.
-if command -v python3 > /dev/null 2>&1; then
-    python3 ../scripts/diff_bench.py ../BENCH_ycsb.json \
-        bench_ycsb.json \
-        --strict-metrics='conc.barriers,conc.pause_ms,conc1.barriers,conc1.pause_ms,stw.committed,stw.abort_rate,stw.grace_waits,stw.grace_wait_ms,stw.limbo_parked,stw.frag_before,conc.frag_before,conc1.frag_before'
-    python3 ../scripts/diff_bench.py ../BENCH_handle_alloc.json \
-        bench_handle_alloc.json --strict-metrics='deref.*,scoped.*'
-    python3 ../scripts/diff_bench.py ../BENCH_translate.json \
-        bench_translate.json --strict
-    python3 ../scripts/diff_bench.py ../BENCH_fig09.json \
-        bench_fig09.json --strict --band=0
-    python3 ../scripts/diff_bench.py ../BENCH_fig11.json \
-        bench_fig11.json --strict --band=0
-    #   * serve: the by-construction columns — every offered request
-    #     completes (lost == 0 exactly), and the load generator's
-    #     offered count is fixed by the deterministic schedule; the
-    #     latency percentiles stay advisory (wall-clock).
-    python3 ../scripts/diff_bench.py ../BENCH_serve.json \
-        bench_serve.json \
-        --strict-metrics='*.offered,*.completed,*.lost'
-else
-    echo "diff_bench skipped (no python3)"
-fi
+# The fig12 smoke asserts the batched-defrag invariant: no single
+# barrier of a batched pass moves more than its batch budget.
+smoke ./fig12_memcached_pauses --smoke
+
+# Allocator and translate benches: the deref/scoped translate costs
+# and the whole translate report are multi-sample, low-CV medians and
+# gate strictly; the single-sample alloc throughputs stay advisory.
+smoke ./handle_alloc_bench --out=bench_handle_alloc.json
+diff_bench ../BENCH_handle_alloc.json bench_handle_alloc.json \
+    --strict-metrics='deref.*,scoped.*'
+smoke ./translate_baseline_bench --out=bench_translate.json
+diff_bench ../BENCH_translate.json bench_translate.json --strict
 
 # Example smoke: every example binary must run to completion — the
 # examples are the typed-API documentation that compiles, so they may
@@ -194,20 +216,39 @@ smoke ./example_quickstart
 smoke ./example_far_memory
 smoke ./example_kv_cache_server
 smoke ./example_compiler_pipeline
-echo "example smoke OK"
 
 # Repository benchmark smoke: repobench/ compiles ../src on its own and
 # includes control.h, mechanism.h and anchorage_service.h, so a header
 # change could break it while every gate above stays green. Build it
 # (Release, into .bench_build/) and run each workload for one second;
 # run.py exits nonzero when the build or any operation fails.
-if command -v python3 > /dev/null 2>&1; then
+if [ "$have_python" -eq 1 ]; then
     cd ..
     for w in kv-serve kv-defrag cache-churn; do
         smoke python3 repobench/run.py --workload "$w" --seed 1 \
             --seconds 1
     done
-    echo "repobench smoke OK"
+    cd build
 else
     echo "repobench smoke skipped (no python3)"
 fi
+
+# Serving smoke, last because it asserts wall-clock numbers: open-loop
+# load over all three defrag modes plus the adaptive-vs-fixed pause
+# head-to-head. The binary asserts its own invariants — zero lost
+# responses in every mode, adaptive p999 inside the noise envelope
+# over fixed — and exits nonzero on violation, after writing its trace
+# and report, so the gates below still judge them. Every served
+# request must be bracketed by a request span; the by-construction
+# columns gate strictly (every offered request completes, lost == 0
+# exactly, and the offered count is fixed by the deterministic
+# schedule); the latency percentiles stay advisory.
+smoke ./serve_bench --smoke --trace=serve_trace.json \
+    --out=bench_serve.json
+if [ "$have_python" -eq 1 ]; then
+    gate python3 ../scripts/check_trace.py serve_trace.json request
+fi
+diff_bench ../BENCH_serve.json bench_serve.json \
+    --strict-metrics='*.offered,*.completed,*.lost'
+
+finish "check OK"

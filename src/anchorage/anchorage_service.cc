@@ -64,6 +64,36 @@ AnchorageService::homeShardIndex() const
     return HandleTable::threadOrdinal() & (shards_.size() - 1);
 }
 
+template <typename... TryTag>
+std::unique_lock<std::mutex>
+AnchorageService::lockShard(const Shard &sh, TryTag... tag)
+{
+    std::unique_lock<std::mutex> lock(sh.mutex, tag...);
+    if (lock.owns_lock())
+        drainInboxLocked(sh);
+    return lock;
+}
+
+void
+AnchorageService::drainInboxLocked(const Shard &sh)
+{
+    // A relaxed load suffices: a free that happened-before this lock
+    // acquisition is visible by coherence, and one racing with it is
+    // simply applied by the next holder.
+    if (!sh.inboxPending.load(std::memory_order_relaxed))
+        return;
+    {
+        std::lock_guard<std::mutex> guard(sh.inboxMutex);
+        sh.draining.swap(sh.inbox);
+        sh.inboxPending.store(false, std::memory_order_relaxed);
+    }
+    // In arrival order, so the free lists come out as if each free
+    // had taken the lock itself.
+    for (const RemoteFree &f : sh.draining)
+        f.heap->free(f.addr);
+    sh.draining.clear();
+}
+
 const AnchorageService::HeapRegion *
 AnchorageService::regionOf(uint64_t addr) const
 {
@@ -138,7 +168,7 @@ AnchorageService::alloc(uint32_t id, size_t size)
 {
     const size_t shard_idx = homeShardIndex();
     Shard &sh = *shards_[shard_idx];
-    std::lock_guard<std::mutex> guard(sh.mutex);
+    auto guard = lockShard(sh);
 
     // Oversized objects get a dedicated sub-heap.
     const size_t heap_bytes = std::max(config_.subHeapBytes, size);
@@ -202,8 +232,7 @@ AnchorageService::alloc(uint32_t id, size_t size)
             const size_t other_idx =
                 (shard_idx + step) & (shards_.size() - 1);
             Shard &other = *shards_[other_idx];
-            std::unique_lock<std::mutex> other_guard(other.mutex,
-                                                     std::try_to_lock);
+            auto other_guard = lockShard(other, std::try_to_lock);
             if (!other_guard.owns_lock())
                 continue;
             for (auto &heap : other.heaps) {
@@ -248,13 +277,30 @@ void
 AnchorageService::free(uint32_t id, void *ptr)
 {
     (void)id;
-    const HeapRegion *region = regionOf(reinterpret_cast<uint64_t>(ptr));
+    const uint64_t addr = reinterpret_cast<uint64_t>(ptr);
+    const HeapRegion *region = regionOf(addr);
     ALASKA_ASSERT(region != nullptr, "free of pointer outside the heap");
-    if (region->shard != homeShardIndex())
-        telemetry::count(telemetry::Counter::CrossShardFree);
     Shard &sh = *shards_[region->shard];
-    std::lock_guard<std::mutex> guard(sh.mutex);
-    region->heap->free(reinterpret_cast<uint64_t>(ptr));
+    if (region->shard == homeShardIndex()) {
+        auto guard = lockShard(sh);
+        region->heap->free(addr);
+        return;
+    }
+    // Another shard's block (typically one a defrag pass moved there):
+    // leave it in that shard's inbox rather than contend for the
+    // owner's lock. The block still looks live until the next lock
+    // holder applies the inbox, but hfree already cleared its entry,
+    // so no mover will touch it.
+    telemetry::count(telemetry::Counter::CrossShardFree);
+    bool full = false;
+    {
+        std::lock_guard<std::mutex> guard(sh.inboxMutex);
+        sh.inbox.push_back(RemoteFree{region->heap, addr});
+        sh.inboxPending.store(true, std::memory_order_relaxed);
+        full = sh.inbox.size() >= inboxCapacity;
+    }
+    if (full)
+        lockShard(sh); // applies the inbox, then unlocks
 }
 
 size_t
@@ -263,8 +309,7 @@ AnchorageService::usableSize(const void *ptr) const
     const HeapRegion *region = regionOf(reinterpret_cast<uint64_t>(ptr));
     if (!region)
         return 0;
-    Shard &sh = *shards_[region->shard];
-    std::lock_guard<std::mutex> guard(sh.mutex);
+    auto guard = lockShard(*shards_[region->shard]);
     const int idx =
         region->heap->findBlock(reinterpret_cast<uint64_t>(ptr));
     return idx < 0 ? 0 : region->heap->blocks()[idx].size;
@@ -275,7 +320,7 @@ AnchorageService::heapExtent() const
 {
     size_t total = 0;
     for (const auto &sh : shards_) {
-        std::lock_guard<std::mutex> guard(sh->mutex);
+        auto guard = lockShard(*sh);
         for (const auto &heap : sh->heaps)
             total += heap->extent();
     }
@@ -287,7 +332,7 @@ AnchorageService::activeBytes() const
 {
     size_t total = 0;
     for (const auto &sh : shards_) {
-        std::lock_guard<std::mutex> guard(sh->mutex);
+        auto guard = lockShard(*sh);
         for (const auto &heap : sh->heaps)
             total += heap->liveBytes();
     }
@@ -299,7 +344,7 @@ AnchorageService::fragmentation() const
 {
     size_t extent = 0, active = 0;
     for (const auto &sh : shards_) {
-        std::lock_guard<std::mutex> guard(sh->mutex);
+        auto guard = lockShard(*sh);
         for (const auto &heap : sh->heaps) {
             extent += heap->extent();
             active += heap->liveBytes();
@@ -315,7 +360,7 @@ AnchorageService::subHeapCount() const
 {
     size_t total = 0;
     for (const auto &sh : shards_) {
-        std::lock_guard<std::mutex> guard(sh->mutex);
+        auto guard = lockShard(*sh);
         total += sh->heaps.size();
     }
     return total;
@@ -328,7 +373,7 @@ AnchorageService::shardStats(size_t shard) const
                   shard);
     ShardStats stats;
     const Shard &sh = *shards_[shard];
-    std::lock_guard<std::mutex> guard(sh.mutex);
+    auto guard = lockShard(sh);
     stats.subHeaps = sh.heaps.size();
     for (const auto &heap : sh.heaps) {
         stats.extent += heap->extent();
@@ -403,11 +448,13 @@ AnchorageService::batchBarrier(BatchedPass &pass, size_t batch_bytes)
         Stopwatch watch;
         // The world is stopped, so no registered thread holds a shard
         // lock; still take every lock (index order) so unregistered
-        // allocator threads cannot race the move loop either.
+        // allocator threads cannot race the move loop either. Taking
+        // each lock applies that shard's inbox, so the ranking and the
+        // move loop see every remote free made before the stop.
         std::vector<std::unique_lock<std::mutex>> locks;
         locks.reserve(shards_.size());
         for (auto &sh : shards_)
-            locks.emplace_back(sh->mutex);
+            locks.push_back(lockShard(*sh));
         moveBatchLocked(pass, pinned, batch_bytes, stats);
         stats.measuredSec = watch.elapsedSec();
         stats.modeledSec = config_.modelPauseFloor +
@@ -663,7 +710,7 @@ AnchorageService::relocateCampaign(size_t max_bytes)
     std::vector<double> occupancy;
     for (uint32_t s = 0; s < shards_.size(); s++) {
         Shard &sh = *shards_[s];
-        std::lock_guard<std::mutex> guard(sh.mutex);
+        auto guard = lockShard(sh);
         double best = -1.0;
         size_t best_idx = SIZE_MAX;
         for (uint32_t h = 0; h < sh.heaps.size(); h++) {
@@ -719,7 +766,7 @@ AnchorageService::relocateCampaign(size_t max_bytes)
         SubHeap::CompactionIndex index;
         {
             Shard &sh = *shards_[src_ref.shard];
-            std::lock_guard<std::mutex> guard(sh.mutex);
+            auto guard = lockShard(sh);
             SubHeap &heap = *sh.heaps[src_ref.heapIdx];
             const auto &blocks = heap.blocks();
             size_t snapshotted = 0;
@@ -809,7 +856,7 @@ AnchorageService::relocateCampaign(size_t max_bytes)
     // Final sweep: trailing holes opened by mutator frees during the
     // campaign, and destination heaps whose tails the moves freed.
     for (auto &sh : shards_) {
-        std::lock_guard<std::mutex> guard(sh->mutex);
+        auto guard = lockShard(*sh);
         for (auto &heap : sh->heaps)
             stats.reclaimedBytes += heap->trimTop();
         invalidatePlacementLocked(*sh);
@@ -870,7 +917,7 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
     size_t bytes = 0;
     {
         Shard &ssh = *shards_[cand.src.shard];
-        std::lock_guard<std::mutex> guard(ssh.mutex);
+        auto guard = lockShard(ssh);
         SubHeap &src = *ssh.heaps[cand.src.heapIdx];
         const int src_idx = src.findBlock(cand.addr);
         if (src_idx < 0 || src.blocks()[src_idx].handleId != cand.id)
@@ -893,7 +940,7 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
         cache.rank > cand.rank) {
         const HeapRef ref = order[cache.rank];
         Shard &dsh = *shards_[ref.shard];
-        std::lock_guard<std::mutex> guard(dsh.mutex);
+        auto guard = lockShard(dsh);
         SubHeap &heap = *dsh.heaps[ref.heapIdx];
         if (heap.extent() > 0) {
             const SubHeapAlloc r = heap.alloc(cand.id, bytes);
@@ -913,7 +960,7 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
         for (size_t r2 = order.size(); r2-- > cand.rank + 1;) {
             const HeapRef ref = order[r2];
             Shard &dsh = *shards_[ref.shard];
-            std::lock_guard<std::mutex> guard(dsh.mutex);
+            auto guard = lockShard(dsh);
             const SubHeapAlloc r =
                 dsh.heaps[ref.heapIdx]->allocFromFreeList(cand.id,
                                                           bytes);
@@ -929,7 +976,7 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
              dest_heap == nullptr && r2-- > cand.rank + 1;) {
             const HeapRef ref = order[r2];
             Shard &dsh = *shards_[ref.shard];
-            std::lock_guard<std::mutex> guard(dsh.mutex);
+            auto guard = lockShard(dsh);
             SubHeap &heap = *dsh.heaps[ref.heapIdx];
             // Never bump an empty heap: occupancyOf ranks extent-0
             // heaps densest (a source-selection convention), but as a
@@ -954,7 +1001,7 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
     }
     auto releaseDest = [&] {
         Shard &dsh = *shards_[dest_shard];
-        std::lock_guard<std::mutex> guard(dsh.mutex);
+        auto guard = lockShard(dsh);
         dest_heap->free(dest_addr);
     };
 
@@ -1093,7 +1140,7 @@ AnchorageService::freeBatch(PendingReclaim &batch, DefragStats &stats)
     // blocks are unreachable and safe to free.
     for (const LimboBlock &b : batch.blocks) {
         Shard &ssh = *shards_[b.src.shard];
-        std::lock_guard<std::mutex> guard(ssh.mutex);
+        auto guard = lockShard(ssh);
         SubHeap &src = *ssh.heaps[b.src.heapIdx];
         const int idx = src.findBlock(b.addr);
         ALASKA_ASSERT(idx >= 0 && !src.blocks()[idx].isFree(),
@@ -1112,7 +1159,7 @@ AnchorageService::finishSource(const HeapRef &src, DefragStats &stats)
     // reindexing blocks_ is safe) and give the emptied tail back, so
     // reclamation keeps pace with the campaign's walk.
     Shard &sh = *shards_[src.shard];
-    std::lock_guard<std::mutex> guard(sh.mutex);
+    auto guard = lockShard(sh);
     sh.heaps[src.heapIdx]->coalesceHoles();
     stats.reclaimedBytes += sh.heaps[src.heapIdx]->trimTop();
     invalidatePlacementLocked(sh);

@@ -15,7 +15,10 @@
  * halloc/hfree from different threads never touch the same lock unless
  * they collide mod the shard count. Frees locate the owning shard
  * through a lock-free region registry, so any thread can free any
- * pointer.
+ * pointer. A free of another shard's block does not take that shard's
+ * lock: it is appended to the shard's remote-free inbox and applied by
+ * whichever thread next takes the shard lock (the mimalloc/snmalloc
+ * message-passing free).
  *
  * Defragmentation is a cross-shard stealer. Two execution models share
  * the move loop's placement policy: defrag() stops the world and may
@@ -194,14 +197,24 @@ struct DefragStats
  * The defragmenting allocator service.
  *
  * Locking model: all allocation state lives in the per-shard chains;
- * there is no service-wide mutex. The mutator-facing paths take exactly
- * one shard lock — alloc() the calling thread's home shard, free() and
- * usableSize() the shard owning the pointer (found via the lock-free
- * region registry). Aggregate accessors visit the shards one at a time,
- * so concurrent callers may observe a transiently skewed sum; quiescent
- * reads are exact. defrag() runs inside a barrier holding every shard
- * lock; relocateCampaign() holds at most one shard lock at a time and
- * relies on the §7 mark/commit protocol for cross-shard atomicity.
+ * there is no service-wide mutex. The mutator-facing paths take at most
+ * one shard lock — alloc() and a same-shard free() the calling thread's
+ * home shard, usableSize() the shard owning the pointer (found via the
+ * lock-free region registry). A free() of another shard's block takes
+ * no shard lock: it appends (sub-heap, address) to the owning shard's
+ * inbox under that shard's small inbox lock. Every shard-lock
+ * acquisition in the service first applies the shard's inbox, so the
+ * lock holder sees every free that completed before it locked; until
+ * then an inboxed block still counts as live in its sub-heap, which is
+ * safe because Runtime::hfree clears the block's handle-table entry
+ * before it calls free(), and both movers skip a block whose entry no
+ * longer points at it. Lock order is shard lock, then inbox lock.
+ * Aggregate accessors visit the shards one at a time, so concurrent
+ * callers may observe a transiently skewed sum; quiescent reads are
+ * exact. defrag() runs inside a barrier holding every shard lock (and
+ * applies every inbox before it ranks); relocateCampaign() holds at
+ * most one shard lock at a time and relies on the §7 mark/commit
+ * protocol for cross-shard atomicity.
  */
 class AnchorageService : public Service
 {
@@ -238,7 +251,13 @@ class AnchorageService : public Service
     /**
      * Free a block previously returned by alloc(). Any thread may free
      * any pointer: the owning shard is found via the lock-free region
-     * registry and only that shard's lock is taken.
+     * registry. A block of the calling thread's home shard is freed
+     * under that shard's lock; a block of any other shard is deferred
+     * to the owning shard's inbox without taking its lock, and becomes
+     * a reusable hole when the next holder of that lock applies the
+     * inbox. When an inbox reaches inboxCapacity entries the freeing
+     * thread takes the shard lock and applies it itself, so the inbox
+     * of a shard whose owner went idle stays bounded.
      */
     void free(uint32_t id, void *ptr) override;
     /** Block size backing ptr; 0 if unknown. Locks the owning shard. */
@@ -448,10 +467,25 @@ class AnchorageService : public Service
         size_t rank;
     };
 
+    /** One deferred cross-shard free: the block at addr in heap. */
+    struct RemoteFree
+    {
+        SubHeap *heap;
+        uint64_t addr;
+    };
+
     /**
-     * One allocation shard. All fields are guarded by mutex; the chain
-     * only grows (sub-heaps are never destroyed before the service),
-     * so indices and SubHeap pointers are stable once published.
+     * Entries a shard's inbox holds before the freeing thread applies
+     * it under the shard lock itself. Bounds the inbox of a shard whose
+     * owner has gone idle or exited (4096 entries = 64 KiB).
+     */
+    static constexpr size_t inboxCapacity = 4096;
+
+    /**
+     * One allocation shard. The chain fields are guarded by mutex; the
+     * chain only grows (sub-heaps are never destroyed before the
+     * service), so indices and SubHeap pointers are stable once
+     * published.
      */
     struct alignas(64) Shard
     {
@@ -472,6 +506,21 @@ class AnchorageService : public Service
          */
         std::vector<size_t> densityOrder;
         bool orderDirty = true;
+        /** The inbox's entries being applied; swapped with inbox so
+         *  remote freers wait only for the swap. Guarded by mutex. */
+        mutable std::vector<RemoteFree> draining;
+
+        // Remote-free inbox: frees of this shard's blocks by threads
+        // homed on other shards, applied by the next holder of mutex
+        // (lockShard). On its own cache line, apart from the owner's
+        // mutex and cursor, so remote freers do not bounce that line.
+        // mutable like mutex: the const accessors apply it too.
+        alignas(64) mutable std::mutex inboxMutex;
+        /** Guarded by inboxMutex. */
+        mutable std::vector<RemoteFree> inbox;
+        /** inbox is non-empty. Read without inboxMutex, so a lock
+         *  holder with nothing to apply pays one load. */
+        mutable std::atomic<bool> inboxPending{false};
     };
 
     /**
@@ -496,8 +545,17 @@ class AnchorageService : public Service
         SubHeap *heap;
     };
 
-    /** The calling thread's shard. */
-    Shard &homeShard() { return *shards_[homeShardIndex()]; }
+    /**
+     * Lock sh.mutex — blocking, or non-blocking when passed
+     * std::try_to_lock — and, once it is held, apply sh's inbox. Every
+     * shard-lock acquisition in the service goes through here.
+     */
+    template <typename... TryTag>
+    static std::unique_lock<std::mutex> lockShard(const Shard &sh,
+                                                  TryTag... tag);
+
+    /** Apply sh's pending remote frees. Caller holds sh.mutex. */
+    static void drainInboxLocked(const Shard &sh);
 
     /** Chain access by reference; caller holds the relevant locks. */
     SubHeap &

@@ -1,16 +1,21 @@
 /**
  * @file
  * Tests for sharded Anchorage allocation: thread-to-shard affinity,
- * per-shard vs aggregate accounting, cross-shard frees, and — the
- * important part — defragmentation as a cross-shard stealer, in both
- * the stop-the-world and the concurrent-campaign execution models.
+ * per-shard vs aggregate accounting, cross-shard frees and the
+ * remote-free inbox they go through, and — the important part —
+ * defragmentation as a cross-shard stealer, in both the stop-the-world
+ * and the concurrent-campaign execution models.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "core/runtime.h"
 #include "core/translate.h"
 #include "services/concurrent_reloc.h"
+#include "services/concurrent_reloc_daemon.h"
 #include "sim/address_space.h"
 
 namespace
@@ -169,6 +175,98 @@ TEST_F(AnchorageShardTest, PerShardAndAggregateAccountingAgree)
     sum = sumShards();
     EXPECT_EQ(sum.liveBytes, 0u);
     EXPECT_EQ(sum.liveBytes, service_.activeBytes());
+}
+
+TEST_F(AnchorageShardTest, OwnerReusesHolesOfRemoteFrees)
+{
+    std::vector<void *> handles;
+    for (int i = 0; i < 256; i++)
+        handles.push_back(runtime_.halloc(512));
+    const size_t extent = service_.heapExtent();
+
+    // Another shard's thread frees every fourth block: the frees wait
+    // in this shard's inbox, untouched by any accessor in between.
+    std::vector<void *> freed;
+    std::vector<uint64_t> holes;
+    for (size_t i = 0; i < handles.size(); i += 4) {
+        freed.push_back(handles[i]);
+        holes.push_back(reinterpret_cast<uint64_t>(translate(handles[i])));
+    }
+    ASSERT_EQ(freed.size(), 64u);
+    onOtherShard(service_.homeShardIndex(), [&] {
+        for (void *h : freed)
+            runtime_.hfree(h);
+    });
+
+    // The owner's next same-size allocations apply the inbox when they
+    // take the shard lock and reuse exactly those holes: no bump.
+    std::vector<uint64_t> reused;
+    std::vector<void *> fresh;
+    for (size_t i = 0; i < freed.size(); i++) {
+        fresh.push_back(runtime_.halloc(512));
+        reused.push_back(reinterpret_cast<uint64_t>(translate(fresh.back())));
+    }
+    EXPECT_EQ(service_.heapExtent(), extent);
+    std::sort(holes.begin(), holes.end());
+    std::sort(reused.begin(), reused.end());
+    EXPECT_EQ(reused, holes);
+
+    for (size_t i = 0; i < handles.size(); i++) {
+        if (i % 4 != 0)
+            runtime_.hfree(handles[i]);
+    }
+    for (void *h : fresh)
+        runtime_.hfree(h);
+    EXPECT_EQ(service_.activeBytes(), 0u);
+}
+
+TEST_F(AnchorageShardTest, BarrierAppliesPendingRemoteFreesBeforeRanking)
+{
+    constexpr size_t kSize = 256;
+    std::vector<void *> handles;
+    std::vector<std::vector<unsigned char>> shadows;
+    for (int i = 0; i < 400; i++) {
+        handles.push_back(runtime_.halloc(kSize));
+        std::vector<unsigned char> shadow(kSize);
+        for (size_t b = 0; b < kSize; b++)
+            shadow[b] = static_cast<unsigned char>(i * 31 + b);
+        std::memcpy(translate(handles.back()), shadow.data(), kSize);
+        shadows.push_back(std::move(shadow));
+    }
+
+    // Another shard's thread frees the odd blocks of the lower 300 and
+    // the whole upper 100, leaving 150 live blocks. Those frees stay in
+    // the inbox until the barrier: nothing here takes the shard lock.
+    std::vector<void *> live, dead;
+    std::vector<std::vector<unsigned char>> live_shadows;
+    for (size_t i = 0; i < handles.size(); i++) {
+        if (i < 300 && i % 2 == 0) {
+            live.push_back(handles[i]);
+            live_shadows.push_back(shadows[i]);
+        } else {
+            dead.push_back(handles[i]);
+        }
+    }
+    onOtherShard(service_.homeShardIndex(), [&] {
+        for (void *h : dead)
+            runtime_.hfree(h);
+    });
+
+    // Only with the inbox applied does the pass see the holes: each
+    // live block above one moves down into it, and the freed top trims.
+    const DefragStats stats = service_.defrag(SIZE_MAX);
+    EXPECT_GT(stats.movedObjects, 0u);
+    EXPECT_LE(stats.movedBytes, live.size() * kSize); // no freed block
+    for (size_t i = 0; i < live.size(); i++) {
+        ASSERT_EQ(std::memcmp(translate(live[i]), live_shadows[i].data(),
+                              kSize),
+                  0);
+    }
+    EXPECT_EQ(service_.activeBytes(), live.size() * kSize);
+    EXPECT_EQ(service_.heapExtent(), live.size() * kSize);
+
+    for (void *h : live)
+        runtime_.hfree(h);
 }
 
 /**
@@ -370,6 +468,160 @@ TEST_F(AnchorageShardStealTest,
         runtime_.hfree(h);
     for (void *h : dense_)
         runtime_.hfree(h);
+}
+
+
+namespace stress
+{
+
+/** One queued object: its handle and what its bytes must read. */
+struct Item
+{
+    void *handle;
+    uint32_t size;
+    uint32_t seed;
+    int owner;
+};
+
+unsigned char
+stampByte(uint32_t seed, size_t i)
+{
+    return static_cast<unsigned char>(seed * 131u + i * 7u);
+}
+
+void
+stamp(const Item &item)
+{
+    auto *bytes = static_cast<unsigned char *>(translate(item.handle));
+    for (size_t i = 0; i < item.size; i++)
+        bytes[i] = stampByte(item.seed, i);
+}
+
+bool
+intact(const Item &item)
+{
+    const auto *bytes =
+        static_cast<const unsigned char *>(translate(item.handle));
+    for (size_t i = 0; i < item.size; i++) {
+        if (bytes[i] != stampByte(item.seed, i))
+            return false;
+    }
+    return true;
+}
+
+} // namespace stress
+
+TEST(AnchorageInboxStressTest, RemoteFreesRaceStopTheWorldDaemon)
+{
+    RealAddressSpace space;
+    AnchorageService service(space, AnchorageConfig{.subHeapBytes = 1 << 20,
+                                                    .shards = 4});
+    Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 18});
+    runtime.attachService(&service);
+    ControlParams params{.mode = DefragMode::StopTheWorld};
+    params.pollInterval = 0.001;
+    params.alpha = 1.0;
+    params.batchBytes = 64 << 10;
+    ConcurrentRelocDaemon daemon(runtime, service, params);
+
+    // Four mutators pass objects around a ring through one shared,
+    // mutex-guarded queue: each allocates and stamps objects for its
+    // successor and frees the oldest object its predecessor passed it,
+    // checking the stamp first. The object sits in its allocator's
+    // shard (unless a barrier moved it), so most frees cross shards.
+    // Growing and shrinking phases leave the heap fragmented enough
+    // that the daemon keeps running barriers, which must apply the
+    // inboxes before they rank.
+    constexpr int kThreads = 4;
+    constexpr int kPhase = 1500;
+    std::mutex queue_mutex;
+    std::deque<stress::Item> queue[kThreads]; // indexed by recipient
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> torn{0}, frees{0}, remote_frees{0};
+    std::atomic<int> home[kThreads]; // each worker's home shard
+
+    auto worker = [&](int owner) {
+        ThreadRegistration reg(runtime);
+        home[owner].store(static_cast<int>(service.homeShardIndex()));
+        const int next = (owner + 1) % kThreads;
+        uint32_t rng = 0x9e3779b9u * static_cast<uint32_t>(owner + 1);
+        uint32_t seed = static_cast<uint32_t>(owner) << 24;
+        for (int round = 0; !stop.load(std::memory_order_acquire);
+             round++) {
+            const bool growing = round % 2 == 0;
+            for (int i = 0; i < kPhase; i++) {
+                const int pushes = growing ? 2 : 1;
+                for (int p = 0; p < pushes; p++) {
+                    rng = rng * 1664525u + 1013904223u;
+                    const uint32_t size = 16u << ((rng >> 24) % 7);
+                    stress::Item item{runtime.halloc(size), size, seed++,
+                                      owner};
+                    stress::stamp(item);
+                    std::lock_guard<std::mutex> guard(queue_mutex);
+                    queue[next].push_back(item);
+                }
+                const int pops = growing ? 1 : 2;
+                for (int p = 0; p < pops; p++) {
+                    stress::Item item{};
+                    {
+                        std::lock_guard<std::mutex> guard(queue_mutex);
+                        if (queue[owner].empty())
+                            break;
+                        item = queue[owner].front();
+                        queue[owner].pop_front();
+                    }
+                    if (!stress::intact(item))
+                        torn.fetch_add(1, std::memory_order_relaxed);
+                    frees.fetch_add(1, std::memory_order_relaxed);
+                    if (home[item.owner].load() != home[owner].load())
+                        remote_frees.fetch_add(1,
+                                               std::memory_order_relaxed);
+                    runtime.hfree(item.handle);
+                }
+                poll();
+            }
+        }
+    };
+
+    daemon.start();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++)
+        threads.emplace_back(worker, t);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (daemon.barriers() < 20 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stop.store(true, std::memory_order_release);
+    for (auto &t : threads)
+        t.join();
+    daemon.stop();
+
+    EXPECT_GT(daemon.barriers(), 0u);
+    EXPECT_EQ(torn.load(), 0u);
+    EXPECT_GT(remote_frees.load() * 2, frees.load());
+
+    ThreadRegistration reg(runtime);
+    size_t live_bytes = 0;
+    for (const auto &inbound : queue) {
+        for (const stress::Item &item : inbound) {
+            EXPECT_TRUE(stress::intact(item));
+            live_bytes += service.usableSize(translate(item.handle));
+        }
+    }
+    // Every pending remote free was applied: the live set is all the
+    // heap holds, shard by shard and in aggregate.
+    size_t shard_live = 0;
+    for (size_t s = 0; s < service.shardCount(); s++)
+        shard_live += service.shardStats(s).liveBytes;
+    EXPECT_EQ(service.activeBytes(), live_bytes);
+    EXPECT_EQ(shard_live, live_bytes);
+
+    for (const auto &inbound : queue) {
+        for (const stress::Item &item : inbound)
+            runtime.hfree(item.handle);
+    }
+    EXPECT_EQ(service.activeBytes(), 0u);
 }
 
 } // namespace
