@@ -72,6 +72,18 @@ class JsonReport
         m.samples.push_back(value);
     }
 
+    /** The median the report will write for a metric (0 if absent). */
+    double
+    median(const std::string &metric) const
+    {
+        const auto it = metrics_.find(metric);
+        if (it == metrics_.end())
+            return 0.0;
+        std::vector<double> sorted = it->second.samples;
+        std::sort(sorted.begin(), sorted.end());
+        return percentile(sorted, 50.0);
+    }
+
     /** @return false (with a perror-style message) on I/O failure. */
     bool
     writeTo(const char *path, const char *bench_name) const

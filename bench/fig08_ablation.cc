@@ -5,34 +5,30 @@
  * before every access). Hoisting is the dominant optimization; the
  * tracking machinery should cost little on top of translation.
  *
- * A second section ablates the *deref protection* itself, three-way:
- * the retired per-deref atomic pin (one RMW per access) vs the
- * shipped epoch scope (one epoch publish per operation, plain loads
- * inside) vs raw translate() (no protection — the lower bound). This
- * is the measurement behind retiring the pin RMW from the scoped
- * translation path.
+ * Usage: fig08_ablation (no flags)
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
-#include "api/api.h"
 #include "base/stats.h"
-#include "base/timer.h"
 #include "bench/bench_util.h"
 #include "core/malloc_service.h"
 #include "core/runtime.h"
 #include "kernels/registry.h"
-#include "services/concurrent_reloc.h"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace alaska;
     using namespace alaska::kernels;
     using namespace alaska::bench;
+
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
+    }
 
     std::printf("=== Figure 8: ablation on SPEC-like kernels "
                 "(%% overhead vs raw baseline) ===\n\n");
@@ -67,90 +63,5 @@ main()
                 "overheads; removing tracking helps little except for\n"
                 "kernels hit by the experimental StackMaps machinery "
                 "(nab, xz).\n");
-
-    // --- deref-protection ablation: atomic pin vs epoch scope vs raw --------
-    {
-        constexpr int kWindow = 256;
-        constexpr size_t kObjBytes = 256;
-        constexpr int kReps = 20000;
-        constexpr int kTrials = 5;
-        constexpr int kOpSize = 16;
-
-        void *window[kWindow];
-        for (int i = 0; i < kWindow; i++) {
-            window[i] = runtime.halloc(kObjBytes);
-            auto *p = static_cast<int64_t *>(translate(window[i]));
-            for (size_t j = 0; j < kObjBytes / sizeof(int64_t); j++)
-                p[j] = i + static_cast<int64_t>(j);
-        }
-
-        Runtime::declareConcurrentDefrag();
-        double best_raw = 1e30, best_epoch = 1e30, best_pin = 1e30;
-        for (int trial = 0; trial < kTrials; trial++) {
-            int64_t sum = 0;
-            {
-                Stopwatch watch;
-                for (int rep = 0; rep < kReps; rep++)
-                    for (int i = 0; i < kWindow; i++)
-                        sum += static_cast<int64_t *>(
-                            translate(window[i]))[rep % (kObjBytes / 8)];
-                best_raw = std::min(best_raw, watch.elapsedSec());
-            }
-            {
-                // The shipped design: one epoch publish per kOpSize-
-                // access operation, plain loads inside.
-                Stopwatch watch;
-                for (int rep = 0; rep < kReps; rep++) {
-                    for (int base = 0; base < kWindow; base += kOpSize) {
-                        access_scope op;
-                        for (int i = 0; i < kOpSize; i++)
-                            sum += api::deref(
-                                static_cast<int64_t *>(window[base + i]))
-                                [rep % (kObjBytes / 8)];
-                    }
-                }
-                best_epoch = std::min(best_epoch, watch.elapsedSec());
-            }
-            {
-                // The retired design: one atomic pin RMW pair around
-                // every single deref.
-                Stopwatch watch;
-                for (int rep = 0; rep < kReps; rep++) {
-                    for (int i = 0; i < kWindow; i++) {
-                        HandleTableEntry *e =
-                            ConcurrentPin::pinFor(window[i]);
-                        sum += static_cast<int64_t *>(translateConcurrent(
-                            window[i]))[rep % (kObjBytes / 8)];
-                        ConcurrentPin::unpin(e);
-                    }
-                }
-                best_pin = std::min(best_pin, watch.elapsedSec());
-            }
-            if (sum == 0x7fffffffffffffff)
-                std::printf("(unlikely checksum)\n");
-        }
-        Runtime::retireConcurrentDefrag();
-        for (int i = 0; i < kWindow; i++)
-            runtime.hfree(window[i]);
-
-        const double ops =
-            static_cast<double>(kReps) * kWindow / 1e6;
-        std::printf("\n=== deref-protection ablation (1 thread, M "
-                    "loads/s, best of %d) ===\n\n",
-                    kTrials);
-        std::printf("%-14s %14s %14s %14s\n", "", "raw translate",
-                    "epoch scope", "atomic pin");
-        std::printf("%-14s %14.2f %14.2f %14.2f\n", "Mops/s",
-                    ops / best_raw, ops / best_epoch, ops / best_pin);
-        std::printf("%-14s %14s %13.1f%% %13.1f%%\n", "overhead", "-",
-                    overheadPct(ops / best_raw, ops / best_epoch) * -1,
-                    overheadPct(ops / best_raw, ops / best_pin) * -1);
-        std::printf("\nthe epoch scope amortizes its one shared-memory "
-                    "write over the whole %d-access operation;\n"
-                    "the retired per-deref pin pays two RMWs per "
-                    "access — the gap is the campaign-mode deref\n"
-                    "overhead this rework removed.\n",
-                    kOpSize);
-    }
     return 0;
 }

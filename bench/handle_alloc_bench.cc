@@ -19,38 +19,24 @@
  * sub-heap chain + lock per shard, thread-affine). This is the
  * allocation hot path the sharded sub-heap work targets.
  *
- * Section 3 — translation: the raw translate() fast path against the
- * typed layer it compiles down to (api::deref, the access<T> guard,
- * and an access_scope-bracketed op), first under the stop-the-world
- * discipline and then under Scoped — idle and with a campaign flagged
- * in flight. This is the zero-overhead check for src/api and for the
- * epoch rework: the typed columns must sit within noise of the raw
- * column, and scope-bracketed derefs under Scoped must stay within a
- * few percent of raw (the epoch publish amortizes over the operation;
- * no per-deref RMW remains).
- *
  * Workload: each thread owns a window of live IDs (or handles) and
  * repeatedly releases a slot and allocates a replacement, which is the
  * steady state of a mutator under churn. One "op" is one
- * release+allocate pair (sections 1-2) or one 8-byte load through a
- * translation (section 3).
+ * release+allocate pair. Translation costs live in
+ * fig05_translate_cost.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "anchorage/anchorage_service.h"
-#include "api/api.h"
 #include "base/logging.h"
 #include "base/timer.h"
 #include "bench/bench_util.h"
 #include "core/handle_table.h"
 #include "core/malloc_service.h"
-#include "services/concurrent_reloc.h"
 #include "sim/address_space.h"
 
 namespace
@@ -226,189 +212,6 @@ benchHalloc(int nThreads, size_t shards)
            1e6;
 }
 
-// --- section 3: raw translate vs the typed guard path -----------------------
-
-constexpr int kDerefReps = 20000;
-// Trials interleave the columns round-robin and each column keeps its
-// best; 9 rounds (~a second) rides out the multi-hundred-millisecond
-// scheduling swings of a shared host that best-of-5 still fell into.
-constexpr int kDerefTrials = 9;
-
-/**
- * One timed pass: sum an int64 out of every object in the window,
- * kDerefReps times, loading through `loadFn(handle, i)`. The checksum
- * defeats dead-code elimination. @return seconds taken.
- */
-template <typename LoadFn>
-double
-derefPass(void *const *window, LoadFn &&loadFn)
-{
-    int64_t checksum = 0;
-    Stopwatch watch;
-    for (int rep = 0; rep < kDerefReps; rep++) {
-        for (int i = 0; i < kWindow; i++)
-            checksum += loadFn(window[i], rep);
-    }
-    const double sec = watch.elapsedSec();
-    // Consume the checksum so the loops cannot be optimized away.
-    if (checksum == 0x7fffffffffffffff)
-        std::printf("(unlikely checksum)\n");
-    return sec;
-}
-
-/**
- * One timed scope+deref pass: one access_scope per kOpSize-access
- * operation (the policy-layer granularity), api::deref inside.
- * @return seconds taken.
- */
-constexpr int kOpSize = 16;
-
-double
-scopedDerefPass(void *const *window)
-{
-    int64_t checksum = 0;
-    Stopwatch watch;
-    for (int rep = 0; rep < kDerefReps; rep++) {
-        for (int base = 0; base < kWindow; base += kOpSize) {
-            access_scope op;
-            for (int i = 0; i < kOpSize; i++) {
-                checksum += api::deref(static_cast<int64_t *>(
-                    window[base + i]))[rep % (kObjectSize / 8)];
-            }
-        }
-    }
-    const double sec = watch.elapsedSec();
-    if (checksum == 0x7fffffffffffffff)
-        std::printf("(unlikely checksum)\n");
-    return sec;
-}
-
-void
-benchTypedGuards(alaska::bench::JsonReport *report)
-{
-    MallocService service;
-    Runtime runtime(RuntimeConfig{.tableCapacity = kTableCapacity});
-    runtime.attachService(&service);
-    ThreadRegistration reg(runtime);
-
-    void *window[kWindow];
-    for (int i = 0; i < kWindow; i++) {
-        window[i] = runtime.halloc(kObjectSize);
-        auto *raw = static_cast<int64_t *>(translate(window[i]));
-        for (size_t j = 0; j < kObjectSize / sizeof(int64_t); j++)
-            raw[j] = i + static_cast<int64_t>(j);
-    }
-    const double ops = static_cast<double>(kDerefReps) * kWindow / 1e6;
-
-    // Interleave the configurations round-robin and keep each one's
-    // best trial: throughput on a shared host drifts on millisecond
-    // scales, and measuring the columns back-to-back would fold that
-    // drift into the comparison. All trials still land in the JSON
-    // report so the baseline diff can see the spread.
-    auto track = [&](const char *metric, double sec, double &best) {
-        best = std::min(best, sec);
-        if (report != nullptr)
-            report->add(metric, ops / sec, "Mops");
-    };
-    double best[4] = {1e30, 1e30, 1e30, 1e30};
-    for (int trial = 0; trial < kDerefTrials; trial++) {
-        track("deref.raw_mops", derefPass(window, [](void *h, int rep) {
-                  return static_cast<int64_t *>(
-                      translate(h))[rep % (kObjectSize / 8)];
-              }),
-              best[0]);
-        track("deref.api_deref_mops",
-              derefPass(window, [](void *h, int rep) {
-                  return api::deref(
-                      static_cast<int64_t *>(h))[rep % (kObjectSize / 8)];
-              }),
-              best[1]);
-        track("deref.access_guard_mops",
-              derefPass(window, [](void *h, int rep) {
-                  alaska::access<int64_t> guard(static_cast<int64_t *>(h));
-                  return guard[rep % (kObjectSize / 8)];
-              }),
-              best[2]);
-        track("deref.scope_deref_mops", scopedDerefPass(window), best[3]);
-    }
-    const double raw = ops / best[0];
-    const double typed_deref = ops / best[1];
-    const double typed_guard = ops / best[2];
-    const double typed_scope = ops / best[3];
-
-    std::printf("\n# translation throughput, stop-the-world discipline "
-                "(M loads per second, 1 thread, best of %d)\n",
-                kDerefTrials);
-    std::printf("# typed columns are the src/api guard family; all "
-                "compile down to the raw fast path\n"
-                "# (scope+deref opens one access_scope per %d-access "
-                "operation, the policy-layer granularity)\n\n",
-                kOpSize);
-    std::printf("%-16s %14s %14s %14s %14s\n", "", "raw translate",
-                "api::deref", "access<T>", "scope+deref");
-    std::printf("%-16s %14.2f %14.2f %14.2f %14.2f\n", "Mops/s", raw,
-                typed_deref, typed_guard, typed_scope);
-    std::printf("%-16s %14s %13.2fx %13.2fx %13.2fx\n", "vs raw", "-",
-                typed_deref / raw, typed_guard / raw, typed_scope / raw);
-
-    // --- the same derefs under the Scoped discipline ------------------------
-    // The epoch rework's target: scope-bracketed derefs pay only the
-    // per-operation epoch publish (plus, campaign-flagged, the
-    // mark-aware seq_cst load) — never a per-deref RMW.
-    Runtime::declareConcurrentDefrag();
-    double sbest[4] = {1e30, 1e30, 1e30, 1e30};
-    for (int trial = 0; trial < kDerefTrials; trial++) {
-        track("scoped.raw_mops",
-              derefPass(window, [](void *h, int rep) {
-                  return static_cast<int64_t *>(
-                      translate(h))[rep % (kObjectSize / 8)];
-              }),
-              sbest[0]);
-        {
-            // The per-deref acceptance bar: inside an already-open
-            // scope, api::deref is the translateScoped fast path —
-            // one thread-local test over raw translate, no RMW — and
-            // must stay within a few percent of the raw column.
-            ConcurrentAccessScope pass_scope;
-            track("scoped.api_deref_mops",
-                  derefPass(window, [](void *h, int rep) {
-                      return api::deref(static_cast<int64_t *>(
-                          h))[rep % (kObjectSize / 8)];
-                  }),
-                  sbest[1]);
-        }
-        track("scoped.scope_deref_mops", scopedDerefPass(window),
-              sbest[2]);
-        // With a campaign flagged in flight, scopes go mark-aware:
-        // every deref is a seq_cst load plus a mark test.
-        Runtime::gConcurrentRelocCampaigns.fetch_add(1);
-        track("scoped.campaign_scope_deref_mops", scopedDerefPass(window),
-              sbest[3]);
-        Runtime::gConcurrentRelocCampaigns.fetch_sub(1);
-    }
-    Runtime::retireConcurrentDefrag();
-    const double s_raw = ops / sbest[0];
-    const double s_deref = ops / sbest[1];
-    const double s_scope = ops / sbest[2];
-    const double s_campaign = ops / sbest[3];
-
-    std::printf("\n# translation throughput, Scoped discipline (epoch "
-                "scopes; campaign column has a relocation\n"
-                "# campaign flagged in flight, so derefs take the "
-                "mark-aware path; api::deref runs inside one\n"
-                "# open scope — the marginal per-deref cost, the "
-                "epoch rework's within-5%%-of-raw target)\n\n");
-    std::printf("%-16s %14s %14s %14s %17s\n", "", "raw translate",
-                "api::deref", "scope+deref", "campaign+deref");
-    std::printf("%-16s %14.2f %14.2f %14.2f %17.2f\n", "Mops/s", s_raw,
-                s_deref, s_scope, s_campaign);
-    std::printf("%-16s %14s %13.2fx %13.2fx %16.2fx\n", "vs raw", "-",
-                s_deref / s_raw, s_scope / s_raw, s_campaign / s_raw);
-
-    for (int i = 0; i < kWindow; i++)
-        runtime.hfree(window[i]);
-}
-
 } // namespace
 
 int
@@ -468,7 +271,6 @@ main(int argc, char **argv)
         }
     }
 
-    benchTypedGuards(rp);
     if (out_file != nullptr &&
         !report.writeTo(out_file, "handle_alloc_bench"))
         return 1;

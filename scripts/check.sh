@@ -134,8 +134,8 @@ usage_error() {
 }
 
 # Usage checks: a zero thread count, an empty keyspace, a zero op
-# count and an unknown --mode= must each be rejected, not crash or run
-# and pass.
+# count, an unknown --mode= and an unknown flag must each be rejected,
+# not crash or run and pass.
 usage_error ./tab_ycsb_latency --smoke --threads=0
 usage_error ./tab_ycsb_latency --smoke --single-only --records=0
 usage_error ./tab_ycsb_latency --smoke --single-only --ops=0
@@ -143,6 +143,9 @@ usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=0
 usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=1
 usage_error ./tab_ycsb_latency --smoke --multi-only --mops=0
 usage_error ./serve_bench --smoke --mode=bogus
+usage_error ./fig05_translate_cost --bogus
+usage_error ./fig08_ablation --bogus
+usage_error ./tab_ablations --bogus
 
 have_python=0
 if command -v python3 > /dev/null 2>&1; then
@@ -200,14 +203,20 @@ fi
 # barrier of a batched pass moves more than its batch budget.
 smoke ./fig12_memcached_pauses --smoke
 
-# Allocator and translate benches: the deref/scoped translate costs
-# and the whole translate report are multi-sample, low-CV medians and
-# gate strictly; the single-sample alloc throughputs stay advisory.
+# Allocator bench: single-sample throughputs, an advisory diff.
 smoke ./handle_alloc_bench --out=bench_handle_alloc.json
-diff_bench ../BENCH_handle_alloc.json bench_handle_alloc.json \
-    --strict-metrics='deref.*,scoped.*'
-smoke ./translate_baseline_bench --out=bench_translate.json
-diff_bench ../BENCH_translate.json bench_translate.json --strict
+diff_bench ../BENCH_handle_alloc.json bench_handle_alloc.json
+
+# Translate costs (fig05): each *_ratio metric is a row's cost over the
+# base row of the same round, which cancels the host's speed, so the
+# ratios gate strictly at a 20% band (4 CVs where those are wider). The
+# gated rows are dependent chases: one extra dependent load in
+# translate() moves direct.translate_ratio from ~3.0 to ~5.0, while an
+# unmodified tree stays within ~4% run to run. The ns and Mpins/s rows
+# stay advisory.
+smoke ./fig05_translate_cost --out=bench_translate.json
+diff_bench ../BENCH_translate.json bench_translate.json \
+    --strict-metrics='*_ratio' --band=0.2
 
 # Example smoke: every example binary must run to completion — the
 # examples are the typed-API documentation that compiles, so they may

@@ -38,8 +38,8 @@
  *                           honored by STW passes and campaigns).
  *
  * Everything is header-only and compiles down to the raw surface; the
- * Direct fast paths are measured against raw translate() in
- * bench/handle_alloc_bench.cc (section 3).
+ * fast paths are measured against raw translate() in
+ * bench/fig05_translate_cost.cc.
  */
 
 #ifndef ALASKA_API_ACCESS_H

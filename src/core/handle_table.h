@@ -57,9 +57,9 @@ struct HandleTableEntry
      * Entry state. The low bits are StateBits; the remaining bits are
      * an atomic pin count. Since the epoch rework of scoped
      * translation, the count is fed only by pinned<T> (via
-     * ConcurrentPin — the API's one per-object pin) and by the
-     * ablation-only AtomicPins tracking mode; campaigns veto a move
-     * when the count is nonzero, everything else rides epoch grace.
+     * ConcurrentPin — the API's one per-object pin); campaigns veto a
+     * move when the count is nonzero, everything else rides epoch
+     * grace.
      */
     std::atomic<uint32_t> state{0};
 

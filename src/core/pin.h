@@ -20,7 +20,6 @@
 #include <cstdint>
 
 #include "base/logging.h"
-#include "core/handle.h"
 #include "core/runtime.h"
 #include "core/translate.h"
 
@@ -119,41 +118,6 @@ class PinFrame
 // safe against concurrent relocation campaigns — a stack pin alone is
 // invisible to campaigns, which check HTE pin counts. Keeping a
 // case-only sibling of the safe guard invited silent misuse.
-
-/**
- * Atomic pin-count pinning — the naive strategy the paper's design
- * section argues against (contention under high pin rates). Present only
- * so the ablation benchmark can measure the difference; requires the
- * runtime to be in PinMode::AtomicPins.
- */
-class AtomicPin
-{
-  public:
-    explicit AtomicPin(const void *maybe_handle)
-    {
-        const uint64_t v = reinterpret_cast<uint64_t>(maybe_handle);
-        if (isHandle(v)) {
-            entry_ = &Runtime::gRuntime->table().entry(handleId(v));
-            entry_->state.fetch_add(HandleTableEntry::pinCountOne,
-                                    std::memory_order_acq_rel);
-        }
-        raw_ = translate(maybe_handle);
-    }
-
-    ~AtomicPin()
-    {
-        if (entry_) {
-            entry_->state.fetch_sub(HandleTableEntry::pinCountOne,
-                                    std::memory_order_acq_rel);
-        }
-    }
-
-    void *get() const { return raw_; }
-
-  private:
-    HandleTableEntry *entry_ = nullptr;
-    void *raw_ = nullptr;
-};
 
 } // namespace alaska
 

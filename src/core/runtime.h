@@ -59,30 +59,20 @@ enum class TranslationDiscipline
     Scoped,
 };
 
-/** Pin tracking strategy; AtomicPins exists only for the ablation. */
-enum class PinMode
-{
-    /** Paper default: private per-frame pin sets, no atomics. */
-    StackPinSets,
-    /** Naive scheme the paper argues against: atomic per-HTE counts. */
-    AtomicPins,
-};
-
 /** Configuration for a Runtime. */
 struct RuntimeConfig
 {
     /** Handle table capacity (entries). */
     uint32_t tableCapacity = 1U << 22;
-    /** Pin tracking mode. */
-    PinMode pinMode = PinMode::StackPinSets;
 };
 
 /**
  * The handles a barrier must not move: those held in any thread's pin
- * frames, plus those whose HTE atomic pin count is nonzero (ConcurrentPin
- * and the AtomicPins ablation). The frame pins are collected when the
- * world stops; the atomic count is read per query, so a barrier never
- * sweeps the handle table. Valid only inside the barrier callback.
+ * frames, plus those whose HTE atomic pin count is nonzero
+ * (ConcurrentPin, which pinned<T> takes under Scoped). The frame pins
+ * are collected when the world stops; the atomic count is read per
+ * query, so a barrier never sweeps the handle table. Valid only inside
+ * the barrier callback.
  */
 class PinnedSet
 {
@@ -381,9 +371,6 @@ class Runtime
      * mover must let them drain before marking its first object.
      */
     void quiesceConcurrentAccessors();
-
-    /** Pin mode (see PinMode). */
-    PinMode pinMode() const { return config_.pinMode; }
 
     // --- handle faults (§7) ----------------------------------------------
     /**

@@ -9,7 +9,7 @@ namespace creloc_detail
 // local-exec: this library only ever links statically into the final
 // executable, so the flag can skip the GOT indirection — together with
 // constinit this makes the translateScoped() fast path a single
-// %fs-relative load (verified in handle_alloc_bench section 3).
+// %fs-relative load (fig05_translate_cost's api_deref rows).
 thread_local constinit bool
     __attribute__((tls_model("local-exec"))) tlsScopeMarkAware = false;
 

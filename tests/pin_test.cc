@@ -153,17 +153,18 @@ TEST_F(PinTest, PinnedHelperReleasesOnScopeExit)
 
 TEST(PinAtomicTest, AtomicModeCountsPins)
 {
+    // An atomic pin (ConcurrentPin, what pinned<T> takes under Scoped)
+    // is honored by barriers under the default configuration.
     MallocService service;
-    Runtime runtime(RuntimeConfig{.tableCapacity = 256,
-                                  .pinMode = PinMode::AtomicPins});
+    Runtime runtime(RuntimeConfig{.tableCapacity = 256});
     runtime.attachService(&service);
     ThreadRegistration reg(runtime);
 
     void *h = runtime.halloc(16);
     const uint32_t id = handleId(reinterpret_cast<uint64_t>(h));
     {
-        AtomicPin pin(h);
-        EXPECT_NE(pin.get(), nullptr);
+        ConcurrentPin pin(h);
+        EXPECT_EQ(pin.get(), translate(h));
         runtime.barrier([&](const PinnedSet &pinned) {
             EXPECT_TRUE(pinned.contains(id));
         });
