@@ -43,8 +43,10 @@ finish() {
 # grace-deferred-reclaim protocol, barriers (which read HTE pin
 # counts while other threads pin and unpin), the
 # lock-free page-residency bitmap, the per-thread allocation
-# counters and the shards' remote-free inboxes end to end (the full
-# suite under TSAN is slow and mostly single-threaded).
+# counters, the shards' remote-free inboxes and the campaign's
+# unlocked reads of sub-heap fit hints while a mutator grows the
+# destination shard's chain (anchorage_shard_test) end to end (the
+# full suite under TSAN is slow and mostly single-threaded).
 # The intentional mark-window copy race is whitelisted in
 # base/speculative_copy.h; anything else TSAN reports is a real
 # protocol bug.

@@ -66,9 +66,18 @@ AnchorageService::homeShardIndex() const
 
 template <typename... TryTag>
 std::unique_lock<std::mutex>
-AnchorageService::lockShard(const Shard &sh, TryTag... tag)
+AnchorageService::lockShard(const Shard &sh, TryTag...)
 {
-    std::unique_lock<std::mutex> lock(sh.mutex, tag...);
+    // Try first, so only an acquisition that must block is timed: the
+    // uncontended path stays one atomic op.
+    std::unique_lock<std::mutex> lock(sh.mutex, std::try_to_lock);
+    if (sizeof...(TryTag) == 0 && !lock.owns_lock()) {
+        Stopwatch wait;
+        lock.lock();
+        telemetry::count(telemetry::Counter::ShardLockWait);
+        telemetry::record(telemetry::Hist::ShardLockWaitNs,
+                          wait.elapsedNs());
+    }
     if (lock.owns_lock())
         drainInboxLocked(sh);
     return lock;
@@ -483,13 +492,13 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
         // holes — and it is ranked once per pass, so every barrier of
         // the pass works the same plan a monolithic barrier would.
         for (uint32_t s = 0; s < shards_.size(); s++) {
-            for (uint32_t h = 0; h < shards_[s]->heaps.size(); h++)
-                pass.order_.push_back(HeapRef{s, h});
+            for (const auto &heap : shards_[s]->heaps)
+                pass.order_.push_back(HeapRef{s, heap.get()});
         }
         std::stable_sort(pass.order_.begin(), pass.order_.end(),
-                         [&](HeapRef a, HeapRef b) {
-                             return occupancyOf(heapAt(a)) <
-                                    occupancyOf(heapAt(b));
+                         [](HeapRef a, HeapRef b) {
+                             return occupancyOf(*a.heap) <
+                                    occupancyOf(*b.heap);
                          });
         pass.ranked_ = true;
     }
@@ -513,7 +522,7 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
             pass.cursor_ = -1;
             continue;
         }
-        SubHeap &src = heapAt(ref);
+        SubHeap &src = *ref.heap;
         auto &blocks = src.blocks();
         if (pass.cursor_ < 0) {
             // Entering this source fresh: snapshot its holes and start
@@ -562,7 +571,7 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
             } else {
                 for (size_t r2 = pass.order_.size();
                      r2-- > pass.rank_ + 1;) {
-                    SubHeap &cand = heapAt(pass.order_[r2]);
+                    SubHeap &cand = *pass.order_[r2].heap;
                     // Never bump an empty heap: occupancyOf ranks
                     // extent-0 heaps densest (a source-selection
                     // convention), but filling one only relocates
@@ -715,7 +724,10 @@ AnchorageService::relocateCampaign(size_t max_bytes)
         size_t best_idx = SIZE_MAX;
         for (uint32_t h = 0; h < sh.heaps.size(); h++) {
             const double occ = occupancyOf(*sh.heaps[h]);
-            order.push_back(HeapRef{s, h});
+            // The pointer, not the index: the destination search reads
+            // its fit hints without this lock, while a mutator may be
+            // reallocating sh.heaps.
+            order.push_back(HeapRef{s, sh.heaps[h].get()});
             occupancy.push_back(occ);
             if (sh.heaps[h]->extent() > 0 && occ >= best) {
                 best = occ;
@@ -765,9 +777,8 @@ AnchorageService::relocateCampaign(size_t max_bytes)
         candidates.clear();
         SubHeap::CompactionIndex index;
         {
-            Shard &sh = *shards_[src_ref.shard];
-            auto guard = lockShard(sh);
-            SubHeap &heap = *sh.heaps[src_ref.heapIdx];
+            auto guard = lockShard(*shards_[src_ref.shard]);
+            SubHeap &heap = *src_ref.heap;
             const auto &blocks = heap.blocks();
             size_t snapshotted = 0;
             for (size_t i = blocks.size();
@@ -916,9 +927,8 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
     uint32_t dest_shard = 0;
     size_t bytes = 0;
     {
-        Shard &ssh = *shards_[cand.src.shard];
-        auto guard = lockShard(ssh);
-        SubHeap &src = *ssh.heaps[cand.src.heapIdx];
+        auto guard = lockShard(*shards_[cand.src.shard]);
+        SubHeap &src = *cand.src.heap;
         const int src_idx = src.findBlock(cand.addr);
         if (src_idx < 0 || src.blocks()[src_idx].handleId != cand.id)
             return; // freed and possibly reused since the snapshot
@@ -932,6 +942,20 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
             dest_shard = cand.src.shard;
         }
     }
+    // Every cross-heap destination below is locked only when its fit
+    // hints, read without the lock through the ranking's stable
+    // pointer, say the object may fit, or when its shard's inbox holds
+    // remote frees: the hints cannot see those until a lock holder
+    // applies them, and taking the lock does. A candidate with nowhere
+    // to go thus costs a scan of loads, not two lock acquisitions per
+    // denser sub-heap. The locked call still decides, since a hint may
+    // be stale under live traffic; at quiescence (inboxes empty) a
+    // "no" here is exactly the locked call's failure, so placement
+    // does not change.
+    auto worthLocking = [this](const HeapRef &ref, bool hint_fits) {
+        return hint_fits || shards_[ref.shard]->inboxPending.load(
+                                std::memory_order_relaxed);
+    };
     // Cached destination first: one lock, one probe. The cache only
     // ever holds a rank strictly denser than the current source (ranks
     // are campaign-global and sources are walked sparsest-first), and
@@ -939,15 +963,16 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
     if (dest_heap == nullptr && cache.rank != SIZE_MAX &&
         cache.rank > cand.rank) {
         const HeapRef ref = order[cache.rank];
-        Shard &dsh = *shards_[ref.shard];
-        auto guard = lockShard(dsh);
-        SubHeap &heap = *dsh.heaps[ref.heapIdx];
-        if (heap.extent() > 0) {
-            const SubHeapAlloc r = heap.alloc(cand.id, bytes);
-            if (r.ok) {
-                dest_addr = r.addr;
-                dest_heap = &heap;
-                dest_shard = ref.shard;
+        SubHeap &heap = *ref.heap;
+        if (worthLocking(ref, heap.extent() > 0 && heap.mayAlloc(bytes))) {
+            auto guard = lockShard(*shards_[ref.shard]);
+            if (heap.extent() > 0) {
+                const SubHeapAlloc r = heap.alloc(cand.id, bytes);
+                if (r.ok) {
+                    dest_addr = r.addr;
+                    dest_heap = &heap;
+                    dest_shard = ref.shard;
+                }
             }
         }
     }
@@ -959,14 +984,14 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
         // reduction for any source below full occupancy.
         for (size_t r2 = order.size(); r2-- > cand.rank + 1;) {
             const HeapRef ref = order[r2];
-            Shard &dsh = *shards_[ref.shard];
-            auto guard = lockShard(dsh);
-            const SubHeapAlloc r =
-                dsh.heaps[ref.heapIdx]->allocFromFreeList(cand.id,
-                                                          bytes);
+            if (!worthLocking(ref, ref.heap->mayReuse(bytes)))
+                continue;
+            auto guard = lockShard(*shards_[ref.shard]);
+            const SubHeapAlloc r = ref.heap->allocFromFreeList(cand.id,
+                                                               bytes);
             if (r.ok) {
                 dest_addr = r.addr;
-                dest_heap = dsh.heaps[ref.heapIdx].get();
+                dest_heap = ref.heap;
                 dest_shard = ref.shard;
                 cache.rank = r2;
                 break;
@@ -975,12 +1000,14 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
         for (size_t r2 = order.size();
              dest_heap == nullptr && r2-- > cand.rank + 1;) {
             const HeapRef ref = order[r2];
-            Shard &dsh = *shards_[ref.shard];
-            auto guard = lockShard(dsh);
-            SubHeap &heap = *dsh.heaps[ref.heapIdx];
+            SubHeap &heap = *ref.heap;
             // Never bump an empty heap: occupancyOf ranks extent-0
             // heaps densest (a source-selection convention), but as a
             // destination that would regrow a fully evacuated region.
+            if (!worthLocking(ref, heap.extent() > 0 &&
+                                       heap.mayAlloc(bytes)))
+                continue;
+            auto guard = lockShard(*shards_[ref.shard]);
             if (heap.extent() == 0)
                 continue;
             const SubHeapAlloc r = heap.alloc(cand.id, bytes);
@@ -1139,9 +1166,8 @@ AnchorageService::freeBatch(PendingReclaim &batch, DefragStats &stats)
     // a parked source before its move committed is still open, so the
     // blocks are unreachable and safe to free.
     for (const LimboBlock &b : batch.blocks) {
-        Shard &ssh = *shards_[b.src.shard];
-        auto guard = lockShard(ssh);
-        SubHeap &src = *ssh.heaps[b.src.heapIdx];
+        auto guard = lockShard(*shards_[b.src.shard]);
+        SubHeap &src = *b.src.heap;
         const int idx = src.findBlock(b.addr);
         ALASKA_ASSERT(idx >= 0 && !src.blocks()[idx].isFree(),
                       "limbo source block vanished");
@@ -1160,8 +1186,8 @@ AnchorageService::finishSource(const HeapRef &src, DefragStats &stats)
     // reclamation keeps pace with the campaign's walk.
     Shard &sh = *shards_[src.shard];
     auto guard = lockShard(sh);
-    sh.heaps[src.heapIdx]->coalesceHoles();
-    stats.reclaimedBytes += sh.heaps[src.heapIdx]->trimTop();
+    src.heap->coalesceHoles();
+    stats.reclaimedBytes += src.heap->trimTop();
     invalidatePlacementLocked(sh);
 }
 

@@ -290,11 +290,18 @@ class AnchorageService : public Service
     DefragStats defrag(size_t max_bytes);
 
   private:
-    /** Identifies one sub-heap: shard index + index in its chain. */
+    /**
+     * Identifies one sub-heap: the shard whose lock guards it, and the
+     * sub-heap itself. The pointer is captured under that lock and
+     * stays valid for the service's life (chains only grow), so a
+     * holder never indexes Shard::heaps again — which a mutator's
+     * addSubHeapLocked() may reallocate — and may read the sub-heap's
+     * fit hints without the lock.
+     */
     struct HeapRef
     {
         uint32_t shard;
-        uint32_t heapIdx;
+        SubHeap *heap;
     };
 
   public:
@@ -410,11 +417,18 @@ class AnchorageService : public Service
      * Holds at most one shard lock at any instant and never a lock
      * across a grace wait: destinations are claimed under the
      * destination shard's lock, copies run lock-free, sources are
-     * freed under the source shard's lock after reclamation. Mutators
-     * must translate through the scoped path
-     * (services/concurrent_reloc.h) while campaigns can run. At most
-     * one campaign runs at a time; a second caller returns an empty
-     * result immediately.
+     * freed under the source shard's lock after reclamation. The
+     * destination search locks only sub-heaps whose fit hints
+     * (SubHeap::mayReuse / mayAlloc, read without the lock) say the
+     * object may fit, or whose shard's inbox holds remote frees that
+     * the lock would apply, so a candidate with nowhere to go costs a
+     * scan of lock-free loads, not a lock acquisition per denser
+     * sub-heap; the locked call still decides, and at quiescence
+     * (inboxes empty) the hints are exact, so placement is the same as
+     * locking every one. Mutators must translate through the scoped
+     * path (services/concurrent_reloc.h) while campaigns can run. At
+     * most one campaign runs at a time; a second caller returns an
+     * empty result immediately.
      *
      * Calls from a runtime-registered thread poll safepoints between
      * objects, so Hybrid-mode barriers never wait on more than one
@@ -519,7 +533,8 @@ class AnchorageService : public Service
         /** Guarded by inboxMutex. */
         mutable std::vector<RemoteFree> inbox;
         /** inbox is non-empty. Read without inboxMutex, so a lock
-         *  holder with nothing to apply pays one load. */
+         *  holder with nothing to apply pays one load; the campaign's
+         *  destination search reads it without the shard lock too. */
         mutable std::atomic<bool> inboxPending{false};
     };
 
@@ -528,8 +543,9 @@ class AnchorageService : public Service
      * order) of the last successful cross-heap destination. Candidates
      * walked off one bump-packed source are near-identically sized, so
      * the next move almost always fits the same destination — trying
-     * it first turns the O(heaps) lock-hop destination scan into one
-     * lock acquisition amortized. SIZE_MAX when cold.
+     * it first makes the common move one hint check and one lock
+     * acquisition instead of a walk over the denser ranks' hints.
+     * SIZE_MAX when cold.
      */
     struct DestCache
     {
@@ -548,7 +564,10 @@ class AnchorageService : public Service
     /**
      * Lock sh.mutex — blocking, or non-blocking when passed
      * std::try_to_lock — and, once it is held, apply sh's inbox. Every
-     * shard-lock acquisition in the service goes through here.
+     * shard-lock acquisition in the service goes through here. A
+     * blocking acquisition that finds the lock held counts
+     * shard_lock_wait and records its wait in shard_lock_wait_ns
+     * (docs/OBSERVABILITY.md); the uncontended path is one atomic op.
      */
     template <typename... TryTag>
     static std::unique_lock<std::mutex> lockShard(const Shard &sh,
@@ -556,13 +575,6 @@ class AnchorageService : public Service
 
     /** Apply sh's pending remote frees. Caller holds sh.mutex. */
     static void drainInboxLocked(const Shard &sh);
-
-    /** Chain access by reference; caller holds the relevant locks. */
-    SubHeap &
-    heapAt(HeapRef ref)
-    {
-        return *shards_[ref.shard]->heaps[ref.heapIdx];
-    }
 
     /**
      * Find the region containing addr via the current registry

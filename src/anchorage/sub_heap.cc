@@ -7,16 +7,8 @@
 namespace alaska::anchorage
 {
 
-namespace
-{
-
-uint64_t
-alignUp(uint64_t value, uint64_t alignment)
-{
-    return (value + alignment - 1) & ~(alignment - 1);
-}
-
-} // anonymous namespace
+static_assert(SubHeap::numClasses <= 32,
+              "freeClassMask() holds one bit per class");
 
 SubHeap::SubHeap(AddressSpace &space, size_t capacity,
                  uint32_t owner_shard)
@@ -31,13 +23,22 @@ SubHeap::~SubHeap()
     space_.unmap(base_, capacity_);
 }
 
-int
-SubHeap::classOf(size_t size)
+void
+SubHeap::countFree(int cls)
 {
-    if (size < alignment)
-        size = alignment;
-    const int cls = 63 - __builtin_clzll(size) - 4; // 16 B -> class 0
-    return std::min(cls, numClasses - 1);
+    if (freeCount_[cls]++ == 0) {
+        freeClassMask_.store(freeClassMask() | (1u << cls),
+                             std::memory_order_relaxed);
+    }
+}
+
+void
+SubHeap::uncountFree(int cls)
+{
+    if (--freeCount_[cls] == 0) {
+        freeClassMask_.store(freeClassMask() & ~(1u << cls),
+                             std::memory_order_relaxed);
+    }
 }
 
 SubHeapAlloc
@@ -46,13 +47,13 @@ SubHeap::alloc(uint32_t id, size_t size)
     const SubHeapAlloc reused = allocFromFreeList(id, size);
     if (reused.ok)
         return reused;
-    return bumpAlloc(id, alignUp(size, alignment));
+    return bumpAlloc(id, alignUp(size));
 }
 
 SubHeapAlloc
 SubHeap::allocFromFreeList(uint32_t id, size_t size)
 {
-    const size_t need = alignUp(size, alignment);
+    const size_t need = alignUp(size);
     const int cls = classOf(need);
 
     // O(1) reuse: only the front of the class list is checked (§4.3).
@@ -66,6 +67,7 @@ SubHeap::allocFromFreeList(uint32_t id, size_t size)
         if (blk.size >= need) {
             list.pop_back();
             blk.handleId = id;
+            uncountFree(cls);
             freeBytes_ -= blk.size;
             liveBytes_ += blk.size;
             liveCount_++;
@@ -79,10 +81,11 @@ SubHeap::allocFromFreeList(uint32_t id, size_t size)
 SubHeapAlloc
 SubHeap::bumpAlloc(uint32_t id, size_t need)
 {
-    if (bump_ + need > capacity_)
+    const size_t bump = extent();
+    if (bump + need > capacity_)
         return {false, 0};
-    const uint64_t addr = base_ + bump_;
-    bump_ += need;
+    const uint64_t addr = base_ + bump;
+    bump_.store(bump + need, std::memory_order_relaxed);
     blocks_.push_back(Block{addr, static_cast<uint32_t>(need), id});
     liveBytes_ += need;
     liveCount_++;
@@ -96,9 +99,13 @@ SubHeap::pruneClassFront(int cls)
     auto &list = freeLists_[cls];
     while (!list.empty()) {
         const uint32_t idx = list.back();
-        if (idx < blocks_.size() && blocks_[idx].isFree())
+        // An index can outlive its block: trimTop() pops trailing
+        // blocks, and a regrown heap may put a block of another class
+        // there. Only a free block of this class is a live entry.
+        if (idx < blocks_.size() && blocks_[idx].isFree() &&
+            classOf(blocks_[idx].size) == cls)
             return;
-        list.pop_back(); // stale: trimmed away or already reused
+        list.pop_back(); // stale: trimmed away, reused, or reclassed
     }
 }
 
@@ -132,7 +139,9 @@ SubHeap::freeBlockAt(int index)
     liveBytes_ -= blk.size;
     liveCount_--;
     freeBytes_ += blk.size;
-    freeLists_[classOf(blk.size)].push_back(static_cast<uint32_t>(index));
+    const int cls = classOf(blk.size);
+    freeLists_[cls].push_back(static_cast<uint32_t>(index));
+    countFree(cls);
 }
 
 void
@@ -142,6 +151,7 @@ SubHeap::claimBlock(int index, uint32_t id, size_t size)
     ALASKA_ASSERT(blk.isFree(), "claim of live block");
     ALASKA_ASSERT(blk.size >= size, "claimed block too small");
     blk.handleId = id;
+    uncountFree(classOf(blk.size));
     freeBytes_ -= blk.size;
     liveBytes_ += blk.size;
     liveCount_++;
@@ -152,7 +162,7 @@ SubHeap::claimBlock(int index, uint32_t id, size_t size)
 int
 SubHeap::lowestFreeBlockBelow(size_t size, uint64_t limit)
 {
-    const size_t need = alignUp(size, alignment);
+    const size_t need = alignUp(size);
     const int cls = classOf(need);
     int best = -1;
     // Full scan of the class list: this runs inside the stop-the-world
@@ -187,7 +197,7 @@ int
 SubHeap::popLowestFreeBelow(CompactionIndex &index, size_t size,
                             uint64_t limit)
 {
-    const size_t need = alignUp(size, alignment);
+    const size_t need = alignUp(size);
     const int cls = classOf(need);
     auto &list = index.sorted[cls];
     auto &cursor = index.cursor[cls];
@@ -239,37 +249,45 @@ SubHeap::coalesceHoles()
     if (merged == 0)
         return 0;
     blocks_.resize(w);
-    // Every index changed: rebuild the free lists from scratch. The
-    // reverse walk makes each class's back() (the O(1) reuse slot) the
-    // lowest-addressed hole, which is also where defrag wants mutator
-    // reuse to land.
+    // Every index changed: rebuild the free lists and counts from
+    // scratch. The reverse walk makes each class's back() (the O(1)
+    // reuse slot) the lowest-addressed hole, which is also where
+    // defrag wants mutator reuse to land.
     for (auto &list : freeLists_)
         list.clear();
+    freeCount_.fill(0);
+    uint32_t mask = 0;
     for (size_t i = blocks_.size(); i-- > 0;) {
         if (blocks_[i].isFree()) {
-            freeLists_[classOf(blocks_[i].size)].push_back(
-                static_cast<uint32_t>(i));
+            const int cls = classOf(blocks_[i].size);
+            freeLists_[cls].push_back(static_cast<uint32_t>(i));
+            freeCount_[cls]++;
+            mask |= 1u << cls;
         }
     }
+    freeClassMask_.store(mask, std::memory_order_relaxed);
     return merged;
 }
 
 size_t
 SubHeap::trimTop()
 {
-    const size_t old_bump = bump_;
+    const size_t old_bump = extent();
+    size_t bump = old_bump;
     while (!blocks_.empty() && blocks_.back().isFree()) {
         const Block &blk = blocks_.back();
         freeBytes_ -= blk.size;
-        bump_ = blk.addr - base_;
+        uncountFree(classOf(blk.size));
+        bump = blk.addr - base_;
         blocks_.pop_back();
         // The free-list entries for popped indices go stale and are
         // pruned lazily on their next pop.
     }
-    if (bump_ < old_bump) {
+    if (bump < old_bump) {
+        bump_.store(bump, std::memory_order_relaxed);
         // Return the reclaimed tail to the kernel (MADV_DONTNEED).
-        space_.discard(base_ + bump_, old_bump - bump_);
-        return old_bump - bump_;
+        space_.discard(base_ + bump, old_bump - bump);
+        return old_bump - bump;
     }
     return 0;
 }

@@ -4,7 +4,8 @@
  *
  * Each sub-heap is a contiguous region allocated with a naive bump
  * pointer plus a power-of-two free list: an allocation first checks the
- * front of its size class's list (O(1)), then bumps. There is no
+ * front of its size class's list (O(1)), then bumps. A class list
+ * yields only blocks of its own class. There is no
  * splitting, no thread caching, and no coalescing on the mutator free
  * path — the allocator is deliberately simple because defragmentation,
  * not placement cleverness, is what fights fragmentation here. Defrag
@@ -15,12 +16,19 @@
  * Block metadata is kept out-of-band (a sorted vector per sub-heap)
  * rather than in headers so the same code runs over real and phantom
  * address spaces; see docs/ARCHITECTURE.md, layers 4 and 6.
+ *
+ * Each sub-heap also publishes two fit hints, in the manner of TLSF's
+ * per-class free bitmaps (Masmano et al., ECRTS 2004): a mask with bit
+ * c set iff a free block of class c exists (kept from an exact count
+ * per class), and the bump offset. A mover reads them without the
+ * owning shard's lock to skip sub-heaps that cannot take an object.
  */
 
 #ifndef ALASKA_ANCHORAGE_SUB_HEAP_H
 #define ALASKA_ANCHORAGE_SUB_HEAP_H
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -128,8 +136,15 @@ class SubHeap
     uint64_t base() const { return base_; }
     /** Region capacity in bytes. */
     size_t capacity() const { return capacity_; }
-    /** Current bump offset — the sub-heap's used extent. */
-    size_t extent() const { return bump_; }
+    /**
+     * Current bump offset — the sub-heap's used extent. A fit hint:
+     * see freeClassMask() for who may read it without the lock.
+     */
+    size_t
+    extent() const
+    {
+        return bump_.load(std::memory_order_relaxed);
+    }
     /** Bytes in live blocks. */
     size_t liveBytes() const { return liveBytes_; }
     /** Bytes sitting in free blocks (reusable holes). */
@@ -184,18 +199,73 @@ class SubHeap
                            uint64_t limit);
 
     /** Size class of a request (index into the free lists). */
-    static int classOf(size_t size);
+    static int
+    classOf(size_t size)
+    {
+        if (size < alignment)
+            size = alignment;
+        const int cls = 63 - __builtin_clzll(size) - 4; // 16 B -> class 0
+        return cls < numClasses ? cls : numClasses - 1;
+    }
+
+    // --- fit hints ---------------------------------------------------------
+    //
+    // Invariant: with no writer mid-operation, bit c of freeClassMask()
+    // is set iff blocks() holds a free block of class c, and extent()
+    // is the end of the last block. Only code that may mutate the heap
+    // (the owning shard's lock holder, or the heap's only user) writes
+    // them. Any thread holding a stable SubHeap* may read them without
+    // the lock; such a read can be stale by the operations in flight,
+    // so it only says whether taking the lock can pay off, and the
+    // locked call still decides. At quiescence the hints are exact:
+    // mayReuse() / mayAlloc() false means the call would fail.
+
+    /** Bit c set iff a free block of size class c exists. */
+    uint32_t
+    freeClassMask() const
+    {
+        return freeClassMask_.load(std::memory_order_relaxed);
+    }
+
+    /** Hint: allocFromFreeList(id, size) can succeed — a free block of
+     *  the request's class exists. */
+    bool
+    mayReuse(size_t size) const
+    {
+        return (freeClassMask() >> classOf(alignUp(size))) & 1;
+    }
+
+    /** Hint: alloc(id, size) can succeed — a free block of the
+     *  request's class exists, or the bump has room. */
+    bool
+    mayAlloc(size_t size) const
+    {
+        return mayReuse(size) || extent() + alignUp(size) <= capacity_;
+    }
 
   private:
+    /** size rounded up to the block alignment. */
+    static size_t
+    alignUp(size_t size)
+    {
+        return (size + alignment - 1) & ~(alignment - 1);
+    }
+
     SubHeapAlloc bumpAlloc(uint32_t id, size_t size);
-    /** Drop stale indices from the front of a class list. */
+    /** Drop stale indices from the front of a class list: trimmed,
+     *  reused, or naming a block of another class. */
     void pruneClassFront(int cls);
+    /** A free block of class cls appeared / went away: keep the count
+     *  and publish the class bit when it flips. */
+    void countFree(int cls);
+    void uncountFree(int cls);
 
     AddressSpace &space_;
     uint64_t base_ = 0;
     size_t capacity_ = 0;
     uint32_t ownerShard_ = 0;
-    size_t bump_ = 0;
+    /** Bump offset; a published fit hint (see freeClassMask()). */
+    std::atomic<size_t> bump_{0};
     size_t liveBytes_ = 0;
     size_t freeBytes_ = 0;
     size_t liveCount_ = 0;
@@ -204,8 +274,13 @@ class SubHeap
      *  trailing pops in trimTop(). */
     std::vector<Block> blocks_;
     /** LIFO free lists of block indices, one per power-of-two class.
-     *  Entries may be stale (trimmed or reused); validated on pop. */
+     *  Entries may be stale (trimmed, reused, or — after a trim and a
+     *  regrow — naming a block of another class); validated on pop. */
     std::array<std::vector<uint32_t>, numClasses> freeLists_;
+    /** Exact number of free blocks per class (not list entries). */
+    std::array<uint32_t, numClasses> freeCount_{};
+    /** Bit c set iff freeCount_[c] > 0; a published fit hint. */
+    std::atomic<uint32_t> freeClassMask_{0};
 };
 
 } // namespace alaska::anchorage

@@ -20,6 +20,7 @@ counterName(Counter c)
     case Counter::MagazineSpill: return "magazine_spill";
     case Counter::CrossShardFree: return "cross_shard_free";
     case Counter::ShardHoleSteal: return "shard_hole_steal";
+    case Counter::ShardLockWait: return "shard_lock_wait";
     case Counter::IdShardSteal: return "id_shard_steal";
     case Counter::CampaignCommit: return "campaign_commit";
     case Counter::CampaignAbort: return "campaign_abort";
@@ -58,6 +59,7 @@ histName(Hist h)
     case Hist::CampaignCopyNs: return "campaign_copy_ns";
     case Hist::GraceAgeNs: return "grace_age_ns";
     case Hist::AllocMissDepth: return "alloc_miss_depth";
+    case Hist::ShardLockWaitNs: return "shard_lock_wait_ns";
     case Hist::kCount: break;
     }
     return "unknown";

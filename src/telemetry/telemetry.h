@@ -56,6 +56,7 @@ enum class Counter : uint32_t {
     MagazineSpill,    ///< handle-id magazine spills (unreserveBatch)
     CrossShardFree,   ///< frees landing on a non-home shard
     ShardHoleSteal,   ///< alloc miss path stole a heap hole cross-shard
+    ShardLockWait,    ///< Anchorage shard-lock acquisitions that blocked
     IdShardSteal,     ///< handle-id reserve stole from a foreign shard
     CampaignCommit,   ///< concurrent relocations committed
     CampaignAbort,    ///< concurrent relocations aborted (pin/mark lost)
@@ -87,6 +88,7 @@ enum class Hist : uint32_t {
     CampaignCopyNs,   ///< per-object speculative copy latency
     GraceAgeNs,       ///< limbo-batch age from seal to retire
     AllocMissDepth,   ///< sub-heaps probed on the alloc miss path
+    ShardLockWaitNs,  ///< time blocked acquiring an Anchorage shard lock
     kCount
 };
 

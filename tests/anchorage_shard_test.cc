@@ -2,9 +2,12 @@
  * @file
  * Tests for sharded Anchorage allocation: thread-to-shard affinity,
  * per-shard vs aggregate accounting, cross-shard frees and the
- * remote-free inbox they go through, and — the important part —
- * defragmentation as a cross-shard stealer, in both the stop-the-world
- * and the concurrent-campaign execution models.
+ * remote-free inbox they go through, shard-lock wait telemetry, and —
+ * the important part — defragmentation as a cross-shard stealer, in
+ * both the stop-the-world and the concurrent-campaign execution
+ * models, including a campaign reading sub-heap fit hints without the
+ * shard lock while a mutator grows the destination shard's chain, and
+ * a destination hole whose remote free is still in its shard's inbox.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -25,6 +29,7 @@
 #include "services/concurrent_reloc.h"
 #include "services/concurrent_reloc_daemon.h"
 #include "sim/address_space.h"
+#include "telemetry/telemetry.h"
 
 namespace
 {
@@ -470,6 +475,269 @@ TEST_F(AnchorageShardStealTest,
         runtime_.hfree(h);
 }
 
+/**
+ * A real address space whose next touch() can be held shut: the thread
+ * inside it holds its shard lock (SubHeap::alloc touches under it)
+ * until open() is called.
+ */
+class GatedSpace : public RealAddressSpace
+{
+  public:
+    void
+    touch(uint64_t addr, size_t len) override
+    {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            if (armed_) {
+                armed_ = false;
+                holding_ = true;
+                cv_.notify_all();
+                cv_.wait(lock, [&] { return open_; });
+            }
+        }
+        RealAddressSpace::touch(addr, len);
+    }
+
+    /** Hold the next touch() until open(). */
+    void
+    arm()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        armed_ = true;
+        holding_ = open_ = false;
+    }
+
+    /** Wait until a thread is held inside touch(). */
+    void
+    waitHolding()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] { return holding_; });
+    }
+
+    void
+    open()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        open_ = true;
+        cv_.notify_all();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool armed_ = false, holding_ = false, open_ = false;
+};
+
+TEST(AnchorageShardLockWaitTest, BlockedAcquisitionIsCountedAndTimed)
+{
+#if ALASKA_TELEMETRY_LEVEL < 1
+    GTEST_SKIP() << "counters compiled out at this telemetry level";
+#else
+    namespace tel = alaska::telemetry;
+    GatedSpace space;
+    // One shard: every thread's home shard is shard 0.
+    AnchorageService service(space, AnchorageConfig{.subHeapBytes = 1 << 20,
+                                                    .shards = 1});
+    // The holder sits inside touch() with the shard lock held while the
+    // waiter asks for the same lock. Nothing shows when the waiter has
+    // reached the lock, so give it a head start and retry if it still
+    // arrived after the holder let go.
+    for (int attempt = 0; attempt < 20; attempt++) {
+        const tel::Snapshot before = tel::snapshot();
+        space.arm();
+        std::thread holder([&] { service.free(1, service.alloc(1, 64)); });
+        space.waitHolding();
+        std::atomic<bool> started{false};
+        std::thread waiter([&] {
+            started.store(true);
+            service.free(2, service.alloc(2, 64));
+        });
+        while (!started.load())
+            std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        space.open();
+        holder.join();
+        waiter.join();
+
+        const tel::Snapshot after = tel::snapshot();
+        const uint64_t waits = after.counter(tel::Counter::ShardLockWait) -
+                               before.counter(tel::Counter::ShardLockWait);
+        if (waits == 0)
+            continue;
+        const auto &hist_before =
+            before.histogram(tel::Hist::ShardLockWaitNs);
+        const auto &hist_after = after.histogram(tel::Hist::ShardLockWaitNs);
+        EXPECT_EQ(hist_after.count() - hist_before.count(), waits);
+        EXPECT_GT(hist_after.sum(), hist_before.sum());
+        return;
+    }
+    FAIL() << "the waiter never found the shard lock held";
+#endif
+}
+
+TEST(AnchorageHintRaceTest, CampaignReadsHintsWhileDestinationChainGrows)
+{
+    // Small sub-heaps, so the mutator's growth adds many and its
+    // shard's chain vector reallocates several times mid-campaign.
+    RealAddressSpace space;
+    AnchorageService service(space, AnchorageConfig{.subHeapBytes = 64 << 10,
+                                                    .shards = 4});
+    Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 18});
+    runtime.attachService(&service);
+    ThreadRegistration reg(runtime);
+
+    // One mutator churns objects on its home shard while the live set
+    // grows: the random frees leave sparse sub-heaps (campaign
+    // sources), the growth adds sub-heaps behind the campaign's
+    // ranking, and every denser sub-heap of that shard is a
+    // destination whose hints the campaign reads without the lock.
+    constexpr size_t kAddedHeaps = 96;
+    std::atomic<bool> done{false};
+    std::vector<std::pair<void *, uint32_t>> objects; // (handle, size)
+    size_t shard = SIZE_MAX;
+    std::thread mutator([&] {
+        ThreadRegistration mreg(runtime);
+        shard = service.homeShardIndex();
+        uint32_t rng = 12345;
+        for (uint64_t i = 0; objects.size() < 40000; i++) {
+            if (i % 64 == 0 &&
+                service.shardStats(shard).subHeaps >= kAddedHeaps)
+                break;
+            rng = rng * 1664525u + 1013904223u;
+            const uint32_t size = 16 + (rng >> 8) % 2048;
+            void *h = runtime.halloc(size);
+            {
+                ConcurrentPin pin(h);
+                std::memset(pin.get(), static_cast<int>(size & 0xff), size);
+            }
+            objects.emplace_back(h, size);
+            if ((rng >> 4) % 5 < 2) {
+                const size_t victim = (rng >> 12) % objects.size();
+                runtime.hfree(objects[victim].first);
+                objects[victim] = objects.back();
+                objects.pop_back();
+            }
+            poll();
+        }
+        done.store(true, std::memory_order_release);
+    });
+
+    // Campaign back to back for as long as the chain grows.
+    DefragStats stats;
+    while (!done.load(std::memory_order_acquire))
+        stats.accumulate(service.relocateCampaign(SIZE_MAX));
+    mutator.join();
+
+    EXPECT_GE(service.shardStats(shard).subHeaps, kAddedHeaps);
+    EXPECT_GT(stats.committed, 0u);
+    EXPECT_EQ(stats.attempts,
+              stats.committed + stats.aborted + stats.noSpace);
+    EXPECT_EQ(runtime.stats().barriers, 0u);
+    // Every surviving object still reads what the mutator stored, and
+    // the heap accounts for exactly the live set.
+    size_t live_bytes = 0;
+    for (const auto &[h, size] : objects) {
+        const auto *bytes = static_cast<const unsigned char *>(translate(h));
+        for (uint32_t i = 0; i < size; i++)
+            ASSERT_EQ(bytes[i], size & 0xff);
+        live_bytes += service.usableSize(translate(h));
+    }
+    EXPECT_EQ(service.activeBytes(), live_bytes);
+    for (const auto &[h, size] : objects)
+        runtime.hfree(h);
+    EXPECT_EQ(service.activeBytes(), 0u);
+}
+
+/** A real address space that runs a one-shot hook inside its next
+ *  touch(), i.e. while the allocating thread holds its shard lock. */
+class HookedSpace : public RealAddressSpace
+{
+  public:
+    void
+    touch(uint64_t addr, size_t len) override
+    {
+        if (hook) {
+            const std::function<void()> run = std::move(hook);
+            hook = nullptr;
+            run();
+        }
+        RealAddressSpace::touch(addr, len);
+    }
+
+    std::function<void()> hook;
+};
+
+TEST(AnchorageHintRaceTest, DestinationHoleFreedRemotelyAfterRankingIsUsed)
+{
+    constexpr size_t kHeapBytes = 64 << 10;
+    constexpr size_t kSize = 64;
+    HookedSpace space;
+    AnchorageService service(space, AnchorageConfig{.subHeapBytes = kHeapBytes,
+                                                    .shards = 2});
+    Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 18});
+    runtime.attachService(&service);
+    ThreadRegistration reg(runtime);
+    const size_t home = service.homeShardIndex();
+
+    // The destination: the other shard's only sub-heap, packed full, so
+    // a hole is the only way in.
+    std::vector<void *> dense;
+    size_t dense_shard = SIZE_MAX;
+    for (int attempt = 0; attempt < 64 && dense_shard == SIZE_MAX;
+         attempt++) {
+        std::thread t([&] {
+            ThreadRegistration treg(runtime);
+            if (service.homeShardIndex() == home)
+                return;
+            dense_shard = service.homeShardIndex();
+            for (size_t i = 0; i < kHeapBytes / kSize; i++)
+                dense.push_back(runtime.halloc(kSize));
+        });
+        t.join();
+    }
+    ASSERT_NE(dense_shard, SIZE_MAX);
+    ASSERT_EQ(service.shardStats(dense_shard).subHeaps, 1u);
+    ASSERT_EQ(service.shardStats(dense_shard).extent, kHeapBytes);
+
+    // The source, on this thread's shard: [hole][a1][a2]. The campaign
+    // moves a2 down into the hole, then needs somewhere else for a1.
+    void *a0 = runtime.halloc(kSize);
+    void *a1 = runtime.halloc(kSize);
+    void *a2 = runtime.halloc(kSize);
+    std::memset(translate(a1), 0x5a, kSize);
+    std::memset(translate(a2), 0xa5, kSize);
+    runtime.hfree(a0);
+
+    // While a2 claims that hole (after the ranking applied every
+    // inbox), free one dense block from this shard: the free waits in
+    // the destination shard's inbox, where the fit hints cannot see it,
+    // and its hole is the only place a1 fits.
+    void *victim = dense[dense.size() / 2];
+    const uint64_t hole = reinterpret_cast<uint64_t>(translate(victim));
+    bool fired = false;
+    space.hook = [&] {
+        fired = true;
+        runtime.hfree(victim);
+    };
+    const DefragStats stats = service.relocateCampaign(2 * kSize);
+    ASSERT_TRUE(fired);
+    EXPECT_EQ(stats.committed, 2u);
+    EXPECT_EQ(stats.noSpace, 0u);
+    EXPECT_EQ(reinterpret_cast<uint64_t>(translate(a1)), hole);
+    for (size_t b = 0; b < kSize; b++) {
+        ASSERT_EQ(static_cast<const unsigned char *>(translate(a1))[b], 0x5a);
+        ASSERT_EQ(static_cast<const unsigned char *>(translate(a2))[b], 0xa5);
+    }
+
+    runtime.hfree(a1);
+    runtime.hfree(a2);
+    for (void *h : dense) {
+        if (h != victim)
+            runtime.hfree(h);
+    }
+    EXPECT_EQ(service.activeBytes(), 0u);
+}
 
 namespace stress
 {

@@ -1,12 +1,14 @@
 /**
  * @file
- * Placement-trace golden test: one seeded halloc/hfree trace over a
- * single-shard phantom heap, interleaved with the three ways the
- * runtime moves objects — a batched stop-the-world pass stepped
- * between mutator operations, one monolithic defrag() and one
+ * Placement-trace golden tests. The first runs one seeded halloc/hfree
+ * trace over a single-shard phantom heap, interleaved with the three
+ * ways the runtime moves objects — a batched stop-the-world pass
+ * stepped between mutator operations, one monolithic defrag() and one
  * concurrent relocateCampaign(). At every quiesce point the live
  * (handle -> address) list, sorted by handle, is folded into one
- * FNV-1a checksum.
+ * FNV-1a checksum. The second runs a trace over four heap shards, one
+ * worker thread homed on each, and pins where concurrent campaigns put
+ * objects when a sparse shard evacuates into denser shards' heaps.
  *
  * The checksum pins *placement*, not just the mutator-visible heap
  * (defrag_equivalence_test covers that): any change to where the
@@ -18,7 +20,11 @@
  * A phantom address space hands out the same synthetic addresses in
  * every process (no mmap), and shards = 1 puts every allocation in
  * one chain whatever the thread's ordinal, so the trace is a pure
- * function of the code.
+ * function of the code. The sharded trace picks its workers by
+ * homeShardIndex() and runs them one at a time; it folds slot ->
+ * address in slot order, because handle IDs depend on the thread's
+ * handle-ID shard, so its checksum does not depend on thread
+ * ordinals either.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +32,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -147,6 +155,130 @@ runTrace()
     return result;
 }
 
+// --- the sharded trace ------------------------------------------------------
+
+constexpr uint64_t kShardedSeed = 0x5aa4d0ce5eedull;
+constexpr size_t kShards = 4;
+constexpr int kSlotsPerShard = 800;
+constexpr int kOpsPerTurn = 400;
+constexpr int kRounds = 22;
+/** Rounds in which shards 2 and 3, then shards 0 and 1, only free:
+ *  their heaps go sparse, and the campaign run after the last of those
+ *  rounds must evacuate them into the other pair's heaps. */
+constexpr int kThinHighFrom = 12, kFirstCampaignAfter = 13;
+constexpr int kThinLowFrom = 19, kSecondCampaignAfter = 20;
+
+/** The sharded trace's checksum, as recorded when it was introduced. */
+constexpr uint64_t kShardedGoldenChecksum = 0x776e3a95277e16dfull;
+
+struct ShardedTraceResult
+{
+    uint64_t checksum = kFnvOffset;
+    DefragStats campaigns;
+    /** Live bytes the campaigns moved from one shard into another. */
+    size_t crossShardBytes = 0;
+};
+
+/** Run fn on a fresh registered thread homed on heap shard `shard`. */
+void
+onShard(Runtime &runtime, const AnchorageService &service, size_t shard,
+        const std::function<void()> &fn)
+{
+    // Ordinals are handed out round-robin, so a few spawns reach every
+    // residue mod the shard count.
+    for (int attempt = 0; attempt < 64; attempt++) {
+        bool ran = false;
+        std::thread t([&] {
+            ThreadRegistration reg(runtime);
+            if (service.homeShardIndex() == shard) {
+                ran = true;
+                fn();
+            }
+        });
+        t.join();
+        if (ran)
+            return;
+    }
+    ADD_FAILURE() << "could not land a thread on shard " << shard;
+}
+
+ShardedTraceResult
+runShardedTrace()
+{
+    PhantomAddressSpace space;
+    AnchorageService service(
+        space, AnchorageConfig{.subHeapBytes = 64 << 10, .shards = kShards});
+    Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 18});
+    runtime.attachService(&service);
+    ThreadRegistration reg(runtime);
+
+    std::vector<void *> slots(kShards * kSlotsPerShard, nullptr);
+    ShardedTraceResult result;
+
+    auto quiesce = [&] {
+        for (size_t i = 0; i < slots.size(); i++) {
+            if (slots[i] != nullptr) {
+                result.checksum = fnv1a(result.checksum, i);
+                result.checksum = fnv1a(
+                    result.checksum,
+                    reinterpret_cast<uint64_t>(translate(slots[i])));
+            }
+        }
+    };
+    auto campaign = [&] {
+        std::vector<size_t> before(kShards);
+        for (size_t s = 0; s < kShards; s++)
+            before[s] = service.shardStats(s).liveBytes;
+        result.campaigns.accumulate(service.relocateCampaign(SIZE_MAX));
+        // Nothing else runs, so live bytes a shard gained came from
+        // another shard's heaps.
+        for (size_t s = 0; s < kShards; s++) {
+            const size_t after = service.shardStats(s).liveBytes;
+            if (after > before[s])
+                result.crossShardBytes += after - before[s];
+        }
+        quiesce();
+    };
+
+    Rng rng(kShardedSeed);
+    for (int round = 0; round < kRounds; round++) {
+        for (size_t s = 0; s < kShards; s++) {
+            const bool thin =
+                (s >= 2 && round >= kThinHighFrom &&
+                 round <= kFirstCampaignAfter) ||
+                (s < 2 && round >= kThinLowFrom &&
+                 round <= kSecondCampaignAfter);
+            onShard(runtime, service, s, [&] {
+                for (int op = 0; op < kOpsPerTurn; op++) {
+                    void *&h = slots[s * kSlotsPerShard +
+                                     rng.below(kSlotsPerShard)];
+                    if (h == nullptr) {
+                        const size_t size =
+                            rng.below(8) == 0 ? 512 + rng.below(3585)
+                                              : 16 + rng.below(497);
+                        if (!thin)
+                            h = runtime.halloc(size);
+                    } else if (rng.below(10) < (thin ? 7u : 5u)) {
+                        runtime.hfree(h);
+                        h = nullptr;
+                    }
+                }
+            });
+        }
+        if (round == kFirstCampaignAfter || round == kSecondCampaignAfter)
+            campaign();
+    }
+    quiesce();
+
+    for (void *&h : slots) {
+        if (h != nullptr) {
+            runtime.hfree(h);
+            h = nullptr;
+        }
+    }
+    return result;
+}
+
 TEST(PlacementTrace, TraceExercisesEveryMover)
 {
     const TraceResult r = runTrace();
@@ -170,6 +302,24 @@ TEST(PlacementTrace, ChecksumIsDeterministicAndMatchesGolden)
     EXPECT_EQ(a.checksum, kGoldenChecksum)
         << std::hex << "placement changed: checksum 0x" << a.checksum
         << ", golden 0x" << kGoldenChecksum;
+}
+
+TEST(PlacementTrace, ShardedCampaignsMoveAcrossShards)
+{
+    const ShardedTraceResult r = runShardedTrace();
+    EXPECT_GT(r.campaigns.committed, 0u);
+    EXPECT_GT(r.crossShardBytes, 0u);
+}
+
+TEST(PlacementTrace, ShardedChecksumIsDeterministicAndMatchesGolden)
+{
+    const ShardedTraceResult a = runShardedTrace();
+    const ShardedTraceResult b = runShardedTrace();
+    ASSERT_EQ(a.checksum, b.checksum)
+        << "the sharded trace itself is nondeterministic";
+    EXPECT_EQ(a.checksum, kShardedGoldenChecksum)
+        << std::hex << "placement changed: checksum 0x" << a.checksum
+        << ", golden 0x" << kShardedGoldenChecksum;
 }
 
 } // namespace

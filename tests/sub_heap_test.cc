@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for Anchorage sub-heaps: bump allocation, power-of-two free-list
- * reuse, and tail trimming (§4.3).
+ * reuse, tail trimming (§4.3), and the fit hints movers read without
+ * the shard lock.
  */
 
 #include <gtest/gtest.h>
@@ -144,6 +145,27 @@ TEST_F(SubHeapTest, StaleFreeListEntriesAreHarmless)
     EXPECT_EQ(heap.liveBytes(), 64u);
 }
 
+TEST_F(SubHeapTest, ClassListYieldsOnlyBlocksOfItsClass)
+{
+    SubHeap heap(space_, 1 << 20);
+    heap.alloc(1, 64);
+    auto a = heap.alloc(2, 320); // class 4 (256..511 B)
+    heap.free(a.addr);
+    heap.trimTop(); // a's class-4 free-list entry outlives its block
+    // The regrown heap puts a class-5 block at the same index, and
+    // freeing it leaves that stale class-4 entry naming a free block.
+    auto b = heap.alloc(3, 816);
+    ASSERT_EQ(b.addr, a.addr);
+    heap.free(b.addr);
+    const size_t live = heap.liveBytes();
+    // A class-4 request must not take the 816-byte class-5 hole.
+    auto c = heap.alloc(4, 320);
+    ASSERT_TRUE(c.ok);
+    EXPECT_NE(c.addr, b.addr);
+    EXPECT_EQ(heap.liveBytes(), live + 320);
+    EXPECT_EQ(heap.freeBytes(), 816u);
+}
+
 TEST_F(SubHeapTest, LowestFreeBlockBelowFindsCompactionTargets)
 {
     SubHeap heap(space_, 1 << 20);
@@ -160,42 +182,106 @@ TEST_F(SubHeapTest, LowestFreeBlockBelowFindsCompactionTargets)
     EXPECT_EQ(heap.lowestFreeBlockBelow(64, a.addr), -1);
 }
 
-/** Property: accounting invariants hold under random churn. */
+/**
+ * Property: accounting invariants hold under random churn, and the fit
+ * hints are exact after every operation.
+ */
 class SubHeapChurn : public ::testing::TestWithParam<uint64_t>
 {
 };
 
+/** The class mask recounted from blocks(). */
+uint32_t
+recountClassMask(const SubHeap &heap)
+{
+    uint32_t mask = 0;
+    for (const Block &blk : heap.blocks()) {
+        if (blk.isFree())
+            mask |= 1u << SubHeap::classOf(blk.size);
+    }
+    return mask;
+}
+
+/** The extent recounted from blocks(): they tile it with no gaps. */
+size_t
+recountExtent(const SubHeap &heap)
+{
+    if (heap.blocks().empty())
+        return 0;
+    const Block &last = heap.blocks().back();
+    return last.addr + last.size - heap.base();
+}
+
 TEST_P(SubHeapChurn, AccountingInvariants)
 {
     PhantomAddressSpace space;
-    SubHeap heap(space, 8 << 20);
+    // Small enough that the bump runs out, so the hint's no-room answer
+    // is exercised as well as its no-hole answer.
+    SubHeap heap(space, 1 << 20);
     Rng rng(GetParam());
     std::vector<std::pair<uint64_t, size_t>> live;
     size_t expected_live_bytes = 0;
+    uint32_t next_id = 1000;
+
+    auto track = [&](uint64_t addr) {
+        // Reused blocks may be up to 2x the request (same class);
+        // account what the heap actually handed out.
+        const int idx = heap.findBlock(addr);
+        ASSERT_GE(idx, 0);
+        const size_t actual = heap.blocks()[idx].size;
+        live.emplace_back(addr, actual);
+        expected_live_bytes += actual;
+    };
 
     for (int step = 0; step < 20000; step++) {
-        if (live.empty() || rng.chance(0.55)) {
+        const uint64_t op = rng.below(100);
+        if (live.empty() || op < 50) {
             const size_t size = 1 + rng.below(2048);
-            auto r = heap.alloc(1000 + step, size);
-            if (!r.ok)
-                continue;
-            // Reused blocks may be up to 2x the request (same class);
-            // account what the heap actually handed out.
-            const int idx = heap.findBlock(r.addr);
-            ASSERT_GE(idx, 0);
-            const size_t actual = heap.blocks()[idx].size;
-            live.emplace_back(r.addr, actual);
-            expected_live_bytes += actual;
-        } else {
+            auto r = heap.alloc(next_id++, size);
+            if (r.ok)
+                track(r.addr);
+        } else if (op < 90) {
             const size_t idx = rng.below(live.size());
             heap.free(live[idx].first);
             expected_live_bytes -= live[idx].second;
             live[idx] = live.back();
             live.pop_back();
+        } else if (op < 96) {
+            // A defrag claim: any free block, for a request it fits.
+            std::vector<int> holes;
+            for (size_t i = 0; i < heap.blocks().size(); i++) {
+                if (heap.blocks()[i].isFree())
+                    holes.push_back(static_cast<int>(i));
+            }
+            if (!holes.empty()) {
+                const int idx = holes[rng.below(holes.size())];
+                const Block blk = heap.blocks()[idx];
+                heap.claimBlock(idx, next_id++, 1 + rng.below(blk.size));
+                track(blk.addr);
+            }
+        } else if (op < 98) {
+            heap.trimTop();
+        } else {
+            heap.coalesceHoles();
         }
         ASSERT_EQ(heap.liveBlocks(), live.size());
         ASSERT_EQ(heap.liveBytes(), expected_live_bytes);
         ASSERT_LE(heap.liveBytes() + heap.freeBytes(), heap.extent());
+
+        // The published hints match a recount...
+        ASSERT_EQ(heap.freeClassMask(), recountClassMask(heap))
+            << "step " << step;
+        ASSERT_EQ(heap.extent(), recountExtent(heap)) << "step " << step;
+        // ...and a "no" from them means the locked call fails.
+        const size_t probe = 1 + rng.below(4096);
+        if (!heap.mayReuse(probe)) {
+            const auto r = heap.allocFromFreeList(next_id++, probe);
+            ASSERT_FALSE(r.ok) << "step " << step;
+        }
+        if (!heap.mayAlloc(probe)) {
+            const auto r = heap.alloc(next_id++, probe);
+            ASSERT_FALSE(r.ok) << "step " << step;
+        }
     }
     // Freeing everything and trimming returns the heap to pristine.
     for (auto &[addr, size] : live)
@@ -204,6 +290,7 @@ TEST_P(SubHeapChurn, AccountingInvariants)
     EXPECT_EQ(heap.extent(), 0u);
     EXPECT_EQ(heap.liveBytes(), 0u);
     EXPECT_EQ(heap.freeBytes(), 0u);
+    EXPECT_EQ(heap.freeClassMask(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubHeapChurn,
