@@ -14,8 +14,8 @@
  * daemon's per-mechanism totals), separating "the pause did it" from
  * "the server was just overloaded" (violated_idle).
  *
- * Default run: all three defrag modes (stw, concurrent, hybrid) under
- * the same offered load, reporting per-op
+ * Default run: both defrag modes (stw, concurrent) under the same
+ * offered load, reporting per-op
  * p50/p99/p999, violated windows (and their mechanism attribution),
  * queue depth, steals, backpressure, and the mode's recovery/pause
  * economics. --mode=NAME runs one mode only.
@@ -34,7 +34,10 @@
  * --slo-us=N, --window-ms=N, --target-pause-us=N,
  * --workload=a|b|c|f, --queue-cap=N, --value-size=N, --fixed-rate
  * (constant inter-arrival instead of Poisson), --trace=FILE,
- * --out=FILE.
+ * --out=FILE. A rate, window or SLO that is not a positive number, a
+ * zero record, op or queue count, or fewer than one worker is a usage
+ * error (exit 2): the server, load generator and SLO tracker would
+ * otherwise clamp it, hang on it, or abort on it.
  */
 
 #include <algorithm>
@@ -359,6 +362,21 @@ reportRun(bench::JsonReport &report, const std::string &prefix,
  *  barriers land wherever the copy rate puts them. */
 constexpr size_t kOversizedBatchBytes = 8 << 20;
 
+/** Print the flag summary; returns the usage-error exit status. */
+int
+usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--smoke] [--mode=stw|concurrent] "
+                 "[--rate=N] [--threads=N] "
+                 "[--records=N] [--ops=N] [--slo-us=N] [--window-ms=N] "
+                 "[--target-pause-us=N] [--workload=a|b|c|f] "
+                 "[--queue-cap=N] [--value-size=N] [--fixed-rate] "
+                 "[--trace=FILE] [--out=FILE]\n",
+                 argv0);
+    return 2;
+}
+
 } // namespace
 
 int
@@ -391,26 +409,39 @@ main(int argc, char **argv)
             only_mode = anchorage::parseDefragMode(v);
             if (!only_mode) {
                 std::fprintf(stderr,
-                             "--mode= must be one of stw, concurrent, "
-                             "hybrid\n");
+                             "--mode= must be one of stw, concurrent\n");
                 return 2;
             }
         } else if (const char *v = value("--rate=")) {
             opt.ratePerSec = std::atof(v);
+            if (!(opt.ratePerSec > 0))
+                return usage(argv[0]);
         } else if (const char *v = value("--threads=")) {
             opt.workers = std::atoi(v);
+            if (opt.workers < 1)
+                return usage(argv[0]);
         } else if (const char *v = value("--records=")) {
             opt.records = std::strtoull(v, nullptr, 10);
+            if (opt.records < 1)
+                return usage(argv[0]);
         } else if (const char *v = value("--ops=")) {
             opt.ops = std::strtoull(v, nullptr, 10);
+            if (opt.ops < 1)
+                return usage(argv[0]);
         } else if (const char *v = value("--slo-us=")) {
             opt.sloUs = std::atof(v);
+            if (!(opt.sloUs > 0))
+                return usage(argv[0]);
         } else if (const char *v = value("--window-ms=")) {
             opt.windowMs = std::atof(v);
+            if (!(opt.windowMs > 0))
+                return usage(argv[0]);
         } else if (const char *v = value("--target-pause-us=")) {
             target_pause_us = std::atof(v);
         } else if (const char *v = value("--queue-cap=")) {
             opt.queueCap = std::strtoull(v, nullptr, 10);
+            if (opt.queueCap < 1)
+                return usage(argv[0]);
         } else if (const char *v = value("--value-size=")) {
             opt.valueSize = std::strtoull(v, nullptr, 10);
         } else if (arg == "--fixed-rate") {
@@ -431,16 +462,7 @@ main(int argc, char **argv)
         } else if (const char *v = bench::outFileArg(argv[i])) {
             out_file = v;
         } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--smoke] [--mode=stw|concurrent|hybrid] "
-                "[--rate=N] [--threads=N] "
-                "[--records=N] [--ops=N] [--slo-us=N] [--window-ms=N] "
-                "[--target-pause-us=N] [--workload=a|b|c|f] "
-                "[--queue-cap=N] [--value-size=N] [--fixed-rate] "
-                "[--trace=FILE] [--out=FILE]\n",
-                argv[0]);
-            return 2;
+            return usage(argv[0]);
         }
     }
 
@@ -458,8 +480,7 @@ main(int argc, char **argv)
 
     for (const anchorage::DefragMode mode :
          {anchorage::DefragMode::StopTheWorld,
-          anchorage::DefragMode::Concurrent,
-          anchorage::DefragMode::Hybrid}) {
+          anchorage::DefragMode::Concurrent}) {
         if (only_mode && *only_mode != mode)
             continue;
         const char *name = anchorage::defragModeName(mode);

@@ -212,8 +212,7 @@ struct ModeResult
     double p99_barrier_ms = 0;
     anchorage::DefragStats totals;
     /** The same work attributed per mechanism (daemon totalsFor()):
-     *  a Hybrid run's campaign and its STW fallback land in separate
-     *  entries instead of folded into `totals`. */
+     *  the mode's mechanism carries `totals`, the other is empty. */
     anchorage::DefragStats by_mech[anchorage::kNumMechanisms];
 };
 

@@ -137,7 +137,10 @@ usage_error() {
 
 # Usage checks: a zero thread count, an empty keyspace, a zero op
 # count, an unknown --mode= and an unknown flag must each be rejected,
-# not crash or run and pass.
+# not crash or run and pass. serve_bench also rejects a rate, window or
+# SLO that is not a positive number and a zero queue capacity, which
+# the load generator, SLO tracker and server would otherwise hang on,
+# abort on, or silently clamp.
 usage_error ./tab_ycsb_latency --smoke --threads=0
 usage_error ./tab_ycsb_latency --smoke --single-only --records=0
 usage_error ./tab_ycsb_latency --smoke --single-only --ops=0
@@ -145,6 +148,16 @@ usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=0
 usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=1
 usage_error ./tab_ycsb_latency --smoke --multi-only --mops=0
 usage_error ./serve_bench --smoke --mode=bogus
+usage_error ./serve_bench --smoke --mode=hybrid
+usage_error ./serve_bench --smoke --rate=0
+usage_error ./serve_bench --smoke --rate=abc
+usage_error ./serve_bench --smoke --records=0
+usage_error ./serve_bench --smoke --ops=0
+usage_error ./serve_bench --smoke --threads=0
+usage_error ./serve_bench --smoke --threads=-1
+usage_error ./serve_bench --smoke --queue-cap=0
+usage_error ./serve_bench --smoke --window-ms=0
+usage_error ./serve_bench --smoke --slo-us=-5
 usage_error ./fig05_translate_cost --bogus
 usage_error ./fig08_ablation --bogus
 usage_error ./tab_ablations --bogus
@@ -192,10 +205,10 @@ diff_bench ../BENCH_ycsb.json bench_ycsb.json \
 # Trace gate: the telemetry-instrumented YCSB smoke must emit a
 # parseable Chrome trace with at least one campaign span, one barrier
 # span and one policy_decision span (the controller's per-tick
-# decision: the mode's mechanism calls, budget split, fallback gate and
-# abandonment) — proof the defrag pipeline's tracer stays wired for
-# both mechanisms and for the controller above them (see
-# docs/OBSERVABILITY.md for the event schema).
+# decision: the alpha budget and the mode's one mechanism call) —
+# proof the defrag pipeline's tracer stays wired for both mechanisms
+# and for the controller above them (see docs/OBSERVABILITY.md for the
+# event schema).
 if [ "$have_python" -eq 1 ]; then
     gate python3 ../scripts/check_trace.py bench_trace.json campaign \
         barrier policy_decision
@@ -245,7 +258,7 @@ else
 fi
 
 # Serving smoke, last because it asserts wall-clock numbers: open-loop
-# load over all three defrag modes plus the adaptive-vs-fixed pause
+# load over both defrag modes plus the adaptive-vs-fixed pause
 # head-to-head. The binary asserts its own invariants — zero lost
 # responses in every mode, adaptive p999 inside the noise envelope
 # over fixed — and exits nonzero on violation, after writing its trace

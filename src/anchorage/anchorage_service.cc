@@ -14,6 +14,24 @@ namespace alaska::anchorage
 namespace
 {
 
+/**
+ * Committed-but-unreclaimed source bytes a campaign collects on its
+ * open limbo batch before sealing it behind a grace ticket and moving
+ * on. Smaller batches retire sources sooner; larger ones amortize the
+ * epoch advance and thread scan each seal costs.
+ */
+constexpr size_t kGraceBatchBytes = 256 << 10;
+
+/**
+ * Committed-but-unreclaimed source bytes (open batch plus sealed
+ * batches) a campaign may have outstanding before it stalls on the
+ * oldest batch's grace: the bound on transient heap overshoot (limbo
+ * bytes count in extent until freed), sized so that on an
+ * oversubscribed host the mover's pipeline stays full while graces
+ * run out in the background.
+ */
+constexpr size_t kLimboCapBytes = 4 << 20;
+
 /** Live fraction of a sub-heap's extent; 1.0 when empty (never a source). */
 double
 occupancyOf(const SubHeap &heap)
@@ -421,11 +439,8 @@ AnchorageService::defragFully()
 // --- batched passes (paper §6 pause-time story) ----------------------------
 
 AnchorageService::BatchedPass::BatchedPass(AnchorageService &service,
-                                           size_t max_bytes,
-                                           size_t shard_cap)
-    : service_(&service), budget_(max_bytes > 0 ? max_bytes : 1),
-      shardCap_(shard_cap > 0 ? shard_cap : 1),
-      shardMoved_(service.shards_.size(), 0)
+                                           size_t max_bytes)
+    : service_(&service), budget_(max_bytes > 0 ? max_bytes : 1)
 {
 }
 
@@ -440,10 +455,9 @@ AnchorageService::BatchedPass::step(size_t batch_bytes)
 }
 
 AnchorageService::BatchedPass
-AnchorageService::beginBatchedDefrag(size_t max_bytes,
-                                     size_t shard_cap_bytes)
+AnchorageService::beginBatchedDefrag(size_t max_bytes)
 {
-    return BatchedPass(*this, max_bytes, shard_cap_bytes);
+    return BatchedPass(*this, max_bytes);
 }
 
 DefragStats
@@ -466,9 +480,9 @@ AnchorageService::batchBarrier(BatchedPass &pass, size_t batch_bytes)
             locks.push_back(lockShard(*sh));
         moveBatchLocked(pass, pinned, batch_bytes, stats);
         stats.measuredSec = watch.elapsedSec();
-        stats.modeledSec = config_.modelPauseFloor +
+        stats.modeledSec = kModelPauseFloor +
                            static_cast<double>(stats.movedBytes) /
-                               config_.modelBandwidth;
+                               kModelBandwidth;
         stats.barriers = 1;
         stats.maxBarrierBytes = stats.movedBytes;
         stats.maxBarrierSec = stats.measuredSec;
@@ -513,15 +527,6 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
     while (pass.rank_ < pass.order_.size() && pass.budget_ > 0 &&
            barrier_budget > 0) {
         const HeapRef ref = pass.order_[pass.rank_];
-        size_t &shard_moved = pass.shardMoved_[ref.shard];
-        if (shard_moved >= pass.shardCap_) {
-            // This shard's sources spent their share of the pass;
-            // skipping the rest keeps one hot shard from starving
-            // every other shard's reclamation.
-            pass.rank_++;
-            pass.cursor_ = -1;
-            continue;
-        }
         SubHeap &src = *ref.heap;
         auto &blocks = src.blocks();
         if (pass.cursor_ < 0) {
@@ -535,9 +540,7 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
             pass.cursor_ = static_cast<int>(blocks.size()) - 1;
         }
         int i = pass.cursor_;
-        for (; i >= 0 && barrier_budget > 0 &&
-               shard_moved < pass.shardCap_;
-             i--) {
+        for (; i >= 0 && barrier_budget > 0; i--) {
             if (blocks[i].isFree())
                 continue;
             const Block blk = blocks[i];
@@ -599,15 +602,14 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
             src.freeBlockAt(i);
             stats.movedObjects++;
             stats.movedBytes += blk.size;
-            shard_moved += blk.size;
             touched[ref.shard] = true;
             barrier_budget -=
                 std::min<size_t>(barrier_budget, blk.size);
             pass.budget_ -= std::min<size_t>(pass.budget_, blk.size);
         }
-        if (i < 0 || shard_moved >= pass.shardCap_) {
-            // Walked off this source (or capped its shard): reclaim
-            // its tail now so reclamation keeps pace with the walk.
+        if (i < 0) {
+            // Walked off this source: reclaim its tail now so
+            // reclamation keeps pace with the walk.
             const size_t trimmed = src.trimTop();
             stats.reclaimedBytes += trimmed;
             if (trimmed > 0)
@@ -760,12 +762,6 @@ AnchorageService::relocateCampaign(size_t max_bytes)
     size_t limbo_bytes = 0;
     std::deque<PendingReclaim> pending;
     size_t pending_bytes = 0;
-    const size_t grace_batch =
-        config_.graceBatchBytes > 0 ? config_.graceBatchBytes : SIZE_MAX;
-    const size_t limbo_cap =
-        config_.limboCapBytes > 0
-            ? std::max(config_.limboCapBytes, config_.graceBatchBytes)
-            : SIZE_MAX;
     for (size_t rank = 0; rank < order.size() && budget > 0; rank++) {
         const HeapRef src_ref = order[rank];
         // Snapshot this source's live blocks (top of the extent
@@ -798,9 +794,10 @@ AnchorageService::relocateCampaign(size_t max_bytes)
         for (const Candidate &cand : candidates) {
             if (budget == 0)
                 break;
-            // Keep Hybrid-mode barriers short: the mover reaches a
-            // safepoint between every two object moves, with no mark
-            // ever outstanding across a poll. Drain the reclaim
+            // Keep barriers raised by other threads (SwapService, a
+            // direct defrag()) short: the mover reaches a safepoint
+            // between every two object moves, with no mark ever
+            // outstanding across a poll. Drain the reclaim
             // pipeline before parking (parked threads hold no scopes,
             // so the grace waits cannot deadlock with the barrier):
             // the STW pass skips blocks whose HTE disagrees, but
@@ -824,14 +821,14 @@ AnchorageService::relocateCampaign(size_t max_bytes)
                 // Enough sources parked: seal the batch behind a grace
                 // ticket and keep moving — the grace runs out in the
                 // background while later candidates are copied.
-                if (limbo_bytes >= grace_batch)
+                if (limbo_bytes >= kGraceBatchBytes)
                     sealLimboBatch(pending, limbo, limbo_bytes,
                                    pending_bytes);
                 // Retire whatever already drained; stall only when the
                 // outstanding limbo bytes exceed the overshoot cap.
                 drainPending(pending, pending_bytes,
-                             limbo_cap > limbo_bytes
-                                 ? limbo_cap - limbo_bytes
+                             kLimboCapBytes > limbo_bytes
+                                 ? kLimboCapBytes - limbo_bytes
                                  : 0,
                              stats);
             } else if (stats.noSpace != no_space_before) {
@@ -881,7 +878,7 @@ AnchorageService::relocateCampaign(size_t max_bytes)
     stats.measuredSec = watch.elapsedSec();
     // No pause floor: nothing stops, only copy bandwidth is spent.
     stats.modeledSec =
-        static_cast<double>(stats.movedBytes) / config_.modelBandwidth;
+        static_cast<double>(stats.movedBytes) / kModelBandwidth;
     return stats;
 }
 

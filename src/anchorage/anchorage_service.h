@@ -69,37 +69,16 @@ struct AnchorageConfig
      * this setting. See docs/TUNING.md for sizing guidance.
      */
     size_t shards = 16;
-    /**
-     * Modeled copy bandwidth (bytes/sec) used to predict pause duration
-     * for virtual-clock experiments; real-clock users ignore it.
-     */
-    double modelBandwidth = 4.0e9;
-    /** Modeled fixed cost of one stop-the-world pause, seconds. */
-    double modelPauseFloor = 200e-6;
-    /**
-     * Concurrent campaigns: bytes of committed-but-unreclaimed source
-     * blocks that accumulate on the open limbo batch before the
-     * campaign seals it behind a fresh grace ticket
-     * (Runtime::beginGrace) and keeps moving. Sealed batches are freed
-     * opportunistically once their grace elapses in the background;
-     * the campaign itself only stalls at limboCapBytes. Smaller
-     * batches retire sources sooner; larger ones amortize the epoch
-     * advance and thread scan each seal costs. See docs/TUNING.md.
-     */
-    size_t graceBatchBytes = 256 << 10;
-    /**
-     * Concurrent campaigns: total committed-but-unreclaimed source
-     * bytes (open batch plus sealed batches) the campaign may have
-     * outstanding before it stalls on the oldest batch's grace. This
-     * is the backpressure knob trading transient heap overshoot —
-     * limbo bytes count in extent until freed — against mover stalls:
-     * on an oversubscribed box one grace costs up to a scheduling
-     * quantum per descheduled mid-scope mutator, so the cap is what
-     * keeps the mover's pipeline full while graces run out in the
-     * background. Clamped up to graceBatchBytes. See docs/TUNING.md.
-     */
-    size_t limboCapBytes = 4 << 20;
 };
+
+/**
+ * Modeled copy bandwidth (bytes/sec) used to predict pause duration
+ * for virtual-clock experiments (DefragStats::modeledSec); real-clock
+ * users ignore it.
+ */
+constexpr double kModelBandwidth = 4.0e9;
+/** Modeled fixed cost of one stop-the-world pause, seconds. */
+constexpr double kModelPauseFloor = 200e-6;
 
 /**
  * Outcome of one defragmentation action — a stop-the-world pass, a
@@ -328,7 +307,7 @@ class AnchorageService : public Service
     {
       public:
         /** True once the pass reached its end state (budget spent, or
-         *  every ranked source walked/capped) and ran its final sweep. */
+         *  every ranked source walked) and ran its final sweep. */
         bool done() const { return done_; }
 
         /**
@@ -345,24 +324,13 @@ class AnchorageService : public Service
         /** Remaining byte budget of the pass. */
         size_t remainingBudget() const { return budget_; }
 
-        /** Bytes moved out of each shard's sources so far — the
-         *  accounting behind the per-shard cap. Indexed by shard. */
-        const std::vector<size_t> &shardMovedBytes() const
-        {
-            return shardMoved_;
-        }
-
       private:
         friend class AnchorageService;
-        BatchedPass(AnchorageService &service, size_t max_bytes,
-                    size_t shard_cap);
+        BatchedPass(AnchorageService &service, size_t max_bytes);
 
         AnchorageService *service_;
         /** Remaining pass-wide move budget, bytes. */
         size_t budget_;
-        /** Max bytes any one shard's sources may contribute. */
-        size_t shardCap_;
-        std::vector<size_t> shardMoved_;
         /** Global emptiest-first source ranking; built in barrier #1. */
         std::vector<HeapRef> order_;
         bool ranked_ = false;
@@ -380,13 +348,10 @@ class AnchorageService : public Service
 
     /**
      * Begin a batched stop-the-world pass moving at most max_bytes in
-     * total, with each shard's sources capped at shard_cap_bytes so one
-     * hot shard cannot starve another's reclamation within the pass
-     * (SIZE_MAX disables the cap). Runs no barrier itself; drive the
-     * returned pass with step().
+     * total. Runs no barrier itself; drive the returned pass with
+     * step().
      */
-    BatchedPass beginBatchedDefrag(size_t max_bytes,
-                                   size_t shard_cap_bytes = SIZE_MAX);
+    BatchedPass beginBatchedDefrag(size_t max_bytes);
 
     /** Full defragmentation: repeat passes until no progress. */
     DefragStats defragFully();
@@ -400,12 +365,12 @@ class AnchorageService : public Service
      * is the microsecond-scale copy, not a grace period, so mutators
      * touching the object mid-move are the only abort source. The
      * committed *source* block is not freed inline — it parks on a
-     * per-campaign limbo list, and once graceBatchBytes of sources
-     * have parked (or the campaign finishes a source sub-heap) the
-     * batch is sealed behind a grace ticket (Runtime::beginGrace) and
-     * the walk continues; batches are freed once their grace has
-     * elapsed in the background, the campaign stalling only when
-     * limboCapBytes of sources are still outstanding. A batch's grace
+     * per-campaign limbo list, and once 256 KiB of sources have parked
+     * (or the campaign finishes a source sub-heap) the batch is sealed
+     * behind a grace ticket (Runtime::beginGrace) and the walk
+     * continues; batches are freed once their grace has elapsed in the
+     * background, the campaign stalling only when 4 MiB of sources are
+     * still outstanding (docs/TUNING.md). A batch's grace
      * proves every accessor scope that could hold a pre-commit
      * translation of a parked source has closed, so scoped readers
      * never observe freed memory. Writers are excluded by the pin
@@ -431,8 +396,9 @@ class AnchorageService : public Service
      * empty result immediately.
      *
      * Calls from a runtime-registered thread poll safepoints between
-     * objects, so Hybrid-mode barriers never wait on more than one
-     * in-flight object move.
+     * objects, so a barrier raised by another thread (SwapService, a
+     * direct defrag()) never waits on more than one in-flight object
+     * move.
      */
     DefragStats relocateCampaign(size_t max_bytes);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "anchorage/mechanism.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -16,7 +17,6 @@ namespace
 constexpr std::pair<DefragMode, const char *> kModeNames[] = {
     {DefragMode::StopTheWorld, "stw"},
     {DefragMode::Concurrent, "concurrent"},
-    {DefragMode::Hybrid, "hybrid"},
 };
 
 /** alpha × whole-heap extent, at least one byte. heapExtent() sweeps
@@ -30,42 +30,24 @@ passBudget(const AnchorageService &service, const ControlParams &params)
     return budget > 0 ? budget : size_t{1};
 }
 
-/** The per-shard cap on a pass of `total` bytes (SIZE_MAX when
- *  shardBudgetFraction >= 1). */
-size_t
-shardCap(size_t total, const ControlParams &params)
-{
-    if (params.shardBudgetFraction >= 1.0)
-        return SIZE_MAX;
-    const auto cap = static_cast<size_t>(
-        params.shardBudgetFraction * static_cast<double>(total));
-    return cap > 0 ? cap : size_t{1};
-}
-
-/** Append one mechanism's report, charged in the configured time
- *  base, and fold it into the action's totals. */
+/** Record the tick's one mechanism invocation, charged in the
+ *  configured time base. */
 void
 record(ControlAction &action, MechanismKind kind, const DefragStats &stats,
        bool useModeledTime)
 {
-    MechanismReport report;
-    report.kind = kind;
-    report.stats = stats;
-    report.costSec = useModeledTime ? stats.modeledSec : stats.measuredSec;
+    action.defragged = true;
+    action.stats = stats;
+    action.costSec = useModeledTime ? stats.modeledSec : stats.measuredSec;
     // Only barriers stop the world; a campaign's cost is all
     // concurrent work.
     if (kind == MechanismKind::Stw)
-        report.pauseSec = report.costSec;
+        action.pauseSec = action.costSec;
     if (stats.reclaimedBytes > 0)
         telemetry::count(kind == MechanismKind::Stw
                              ? telemetry::Counter::StwRecoveredBytes
                              : telemetry::Counter::CampaignRecoveredBytes,
                          stats.reclaimedBytes);
-
-    action.stats.accumulate(stats);
-    action.costSec += report.costSec;
-    action.pauseSec += report.pauseSec;
-    action.byMechanism.push_back(report);
 }
 
 } // anonymous namespace
@@ -91,14 +73,11 @@ parseDefragMode(std::string_view name)
 // --- BarrierBudgetAdapter ---------------------------------------------------
 
 BarrierBudgetAdapter::BarrierBudgetAdapter(double targetPauseSec,
-                                           size_t floorBytes,
                                            size_t capBytes)
     : enabled_(targetPauseSec > 0), target_(targetPauseSec),
-      floor_(floorBytes > 0 ? floorBytes : 1),
-      cap_(capBytes > 0 ? capBytes : SIZE_MAX)
+      cap_(capBytes > 0 ? capBytes : SIZE_MAX),
+      floor_(std::min(kBatchBytesFloor, cap_))
 {
-    if (floor_ > cap_)
-        floor_ = cap_;
     // Enabled: start at the floor and earn headroom (a conservative
     // first barrier can only undershoot the target). Disabled: the
     // static legacy bound (0 = unbatched).
@@ -136,8 +115,7 @@ DefragController::DefragController(AnchorageService &service,
                                    const Clock &clock,
                                    ControlParams params)
     : service_(service), clock_(clock), params_(params),
-      adapter_(params_.targetBarrierPauseSec, params_.batchBytesFloor,
-               params_.batchBytes)
+      adapter_(params_.targetBarrierPauseSec, params_.batchBytes)
 {
     nextWake_ = clock_.now();
 }
@@ -177,22 +155,11 @@ DefragController::runPass()
         telemetry::TraceSpan span("policy_decision");
         switch (params_.mode) {
         case DefragMode::StopTheWorld:
-            // Mid-pass abandonment: churn between barriers may already
-            // have pushed the metric below F_lb — the remainder would
-            // pause mutators to chase a goal already met.
-            if (pass_ && params_.midPassAbandonFraction > 0 &&
-                service_.fragmentation() <
-                    params_.fLb * params_.midPassAbandonFraction) {
-                pass_.reset();
-                action.abandoned = true;
-                break;
-            }
             if (!pass_) {
                 // A fresh pass pays the all-shard extent sweep; a
                 // mid-pass tick resumes the open pass's own budget.
-                const size_t budget = passBudget(service_, params_);
                 pass_.emplace(service_.beginBatchedDefrag(
-                    budget, shardCap(budget, params_)));
+                    passBudget(service_, params_)));
             }
             // One barrier per tick: the overhead sleep between ticks
             // is what turns one long pause into many short ones.
@@ -206,48 +173,19 @@ DefragController::runPass()
             }
             break;
         case DefragMode::Concurrent:
-        case DefragMode::Hybrid: {
-            // One alpha budget per tick: Hybrid's fallback spends only
-            // what the campaign left, so a tick never moves more than
-            // the alpha fraction in total.
-            const size_t budget = passBudget(service_, params_);
-            const DefragStats campaign = service_.relocateCampaign(budget);
-            record(action, MechanismKind::Campaign, campaign,
+            record(action, MechanismKind::Campaign,
+                   service_.relocateCampaign(
+                       passBudget(service_, params_)),
                    params_.useModeledTime);
-            const size_t remainder = budget > campaign.movedBytes
-                                         ? budget - campaign.movedBytes
-                                         : 0;
-            if (params_.mode == DefragMode::Hybrid && remainder > 0 &&
-                campaign.attempts >= params_.abortFallbackMinAttempts &&
-                campaign.abortRate() > params_.abortFallbackRate) {
-                // Accessors contend too hard for concurrent progress:
-                // finish the remainder now, every barrier back to back.
-                AnchorageService::BatchedPass fallback =
-                    service_.beginBatchedDefrag(
-                        remainder, shardCap(remainder, params_));
-                DefragStats stw;
-                while (!fallback.done())
-                    stw.accumulate(fallback.step(batch));
-                record(action, MechanismKind::Stw, stw,
-                       params_.useModeledTime);
-                action.fellBack = true;
-            }
             no_progress = action.stats.movedBytes == 0 &&
                           action.stats.reclaimedBytes == 0;
             break;
         }
-        }
     }
-    action.defragged = !action.byMechanism.empty();
 
     totalDefragSec_ += action.costSec;
     totalPauseSec_ += action.pauseSec;
-    if (action.defragged)
-        passes_++;
-    if (action.fellBack)
-        fallbacks_++;
-    if (action.abandoned)
-        abandonments_++;
+    passes_++;
     barriers_ += action.stats.barriers;
     if (action.stats.barriers > 0) {
         const double worst = params_.useModeledTime
@@ -266,11 +204,9 @@ DefragController::runPass()
     if (!pass_done) {
         // Mid-pass: the next tick runs the next barrier.
         nextWake_ = now + std::max(action.costSec / params_.oUb,
-                                   params_.minSleepSec);
+                                   kMinSleepSec);
     } else if (service_.fragmentation() < params_.fLb || no_progress) {
-        // Goal reached or out of opportunities (an abandoned
-        // remainder lands here by construction — abandonment requires
-        // the metric below fLb): observe efficiently.
+        // Goal reached or out of opportunities: observe efficiently.
         state_ = State::Waiting;
         nextWake_ = now + params_.pollInterval;
     } else if (action.costSec > 0) {
@@ -279,7 +215,7 @@ DefragController::runPass()
         // floored so a sub-microsecond measured pass cannot near-spin
         // the controller (sleeping longer only lowers the duty cycle).
         nextWake_ = now + std::max(action.costSec / params_.oUb,
-                                   params_.minSleepSec);
+                                   kMinSleepSec);
     } else {
         // A modeled campaign that moved nothing has zero charge; poll
         // rather than spinning on a zero-length sleep.

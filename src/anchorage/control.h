@@ -28,18 +28,16 @@
 #include <cstddef>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "anchorage/anchorage_service.h"
-#include "anchorage/mechanism.h"
 #include "sim/clock.h"
 
 namespace alaska::anchorage
 {
 
 /**
- * Which mechanisms a controller tick runs (paper §4.3 vs §7). Every
- * mode steals across allocation shards: a pass or campaign ranks every
+ * Which mechanism a controller tick runs (paper §4.3 vs §7). Both
+ * modes steal across allocation shards: a pass or campaign ranks every
  * shard's sub-heaps by occupancy and evacuates sparse ones into denser
  * ones anywhere (see AnchorageService).
  */
@@ -51,18 +49,29 @@ enum class DefragMode
     /** Concurrent relocation campaigns only; the world never stops and
      *  the mover holds at most one shard lock at a time. */
     Concurrent,
-    /**
-     * Concurrent campaigns first; if accessor aborts eat too much of a
-     * campaign, a short stop-the-world pass finishes the hot remainder.
-     */
-    Hybrid,
 };
 
-/** The mode's CLI and report name: "stw", "concurrent" or "hybrid". */
+/** The mode's CLI and report name: "stw" or "concurrent". */
 const char *defragModeName(DefragMode mode);
 
 /** The mode named by defragModeName's spelling; nullopt otherwise. */
 std::optional<DefragMode> parseDefragMode(std::string_view name);
+
+/**
+ * Floor on the controller's overhead-control sleep, seconds.
+ * T_defrag / O_ub near-spins under a real clock when a measured pass
+ * is sub-microsecond; the floor keeps the duty cycle at or below O_ub
+ * (sleeping longer only lowers it) without busy-polling the clock.
+ */
+constexpr double kMinSleepSec = 100e-6;
+
+/**
+ * Smallest per-barrier byte bound the pause-SLO adapter may choose.
+ * The floor keeps pathological pause measurements (page-cache
+ * hiccups, scheduler preemption) from collapsing barriers to
+ * single-object moves that can never finish a pass.
+ */
+constexpr size_t kBatchBytesFloor = 4 << 10;
 
 /**
  * Operator-tunable control parameters. Every knob is documented with
@@ -93,67 +102,26 @@ struct ControlParams
     /** Pass scheduling mode. */
     DefragMode mode = DefragMode::StopTheWorld;
     /**
-     * Hybrid only: abort-rate feedback. When a campaign's abortRate()
-     * exceeds this and it saw at least abortFallbackMinAttempts, the
-     * accessors are contending too hard for concurrent progress and the
-     * tick appends one stop-the-world pass over the remainder.
-     */
-    double abortFallbackRate = 0.5;
-    uint64_t abortFallbackMinAttempts = 32;
-    /**
      * Batched stop-the-world passes: max bytes moved inside any single
      * barrier. A logical pass (alpha × extent) is spread over
      * ceil(budget / batchBytes) short barriers — one per tick, with
      * the overhead-control sleep between them — so each mutator-
      * visible pause is bounded by roughly
-     * modelPauseFloor + batchBytes / copy-bandwidth instead of by the
+     * kModelPauseFloor + batchBytes / copy-bandwidth instead of by the
      * whole alpha fraction of the heap. 0 = monolithic (each pass one
-     * barrier, the pre-batching behavior). The Hybrid fallback runs
-     * its remainder through the same batch bound.
+     * barrier, the pre-batching behavior).
      */
     size_t batchBytes = 1 << 20;
-    /**
-     * Per-shard fairness: the fraction of a pass's byte budget that
-     * any one shard's sources may consume, so a single hot shard
-     * cannot starve every other shard's reclamation within the pass.
-     * >= 1.0 disables the cap (a lone fragmented shard may then use
-     * the full budget, which is the right default when fragmentation
-     * is not adversarially skewed).
-     */
-    double shardBudgetFraction = 1.0;
-    /**
-     * Floor on the overhead-control sleep. T_defrag / O_ub near-spins
-     * under a real clock when a measured pass is sub-microsecond; the
-     * floor keeps the duty cycle at or below O_ub (sleeping longer
-     * only lowers it) without busy-polling the clock.
-     */
-    double minSleepSec = 100e-6;
     /**
      * Pause-SLO-adaptive barriers: when > 0, the per-barrier byte
      * bound is no longer the static batchBytes but an online value
      * steered toward this per-barrier pause target (seconds) from the
      * measured pauses — multiplicative decrease on overshoot, slow
-     * additive recovery — clamped to [batchBytesFloor, batchBytes].
+     * additive recovery — clamped to [kBatchBytesFloor, batchBytes].
      * 0 (default) keeps the static legacy bound. See
      * BarrierBudgetAdapter below and docs/TUNING.md.
      */
     double targetBarrierPauseSec = 0;
-    /**
-     * Smallest adaptive per-barrier bound. A floor keeps pathological
-     * pause measurements (page-cache hiccups, scheduler preemption)
-     * from collapsing barriers to single-object moves that can never
-     * finish a pass.
-     */
-    size_t batchBytesFloor = 4 << 10;
-    /**
-     * Mid-pass abandonment: when > 0 and a batched StopTheWorld pass
-     * is mid-flight, a tick that observes fragmentation() below
-     * fLb × this fraction abandons the pass remainder instead of
-     * running another barrier — mutator churn already met the goal.
-     * 1.0 abandons as soon as the metric re-enters the band floor;
-     * 0 (default) never abandons (the legacy behavior).
-     */
-    double midPassAbandonFraction = 0;
 };
 
 /** What a controller tick did. Returned by value; no locking. */
@@ -162,37 +130,18 @@ struct ControlAction
     /** True if a defrag pass ran on this tick. */
     bool defragged = false;
     /**
-     * One report per mechanism the tick invoked, in execution order —
-     * the authoritative per-mechanism attribution (a Hybrid tick that
-     * fell back carries one campaign report and one stw report, each
-     * with its own stats and charges).
-     */
-    std::vector<MechanismReport> byMechanism;
-    /**
-     * The tick's stats folded across byMechanism, kept for callers
-     * that only need totals. In batched StopTheWorld mode this is one
-     * barrier of the in-progress pass; stats.barriers /
-     * stats.maxBarrier* carry the honest per-barrier numbers when a
-     * tick ran more than one.
+     * The stats of the tick's one mechanism invocation: in batched
+     * StopTheWorld mode one barrier of the in-progress pass, in
+     * Concurrent mode one campaign.
      */
     DefragStats stats;
     /**
-     * The mutator-visible stop-the-world time of this tick, summed
-     * over its barriers (model or measured). Zero for ticks whose
-     * mechanisms never stop the world; the per-barrier max is in
-     * stats, the per-mechanism split in byMechanism.
+     * The mutator-visible stop-the-world time of this tick (model or
+     * measured). Zero for campaign ticks, which never stop the world.
      */
     double pauseSec = 0;
-    /**
-     * Total defrag work time charged against the overhead budget:
-     * the sum of every mechanism report's costSec.
-     */
+    /** Defrag work time charged against the overhead budget. */
     double costSec = 0;
-    /** True if Hybrid's abort-rate fallback ran this tick. */
-    bool fellBack = false;
-    /** True if the tick abandoned a mid-pass remainder instead of
-     *  running a barrier (ControlParams::midPassAbandonFraction). */
-    bool abandoned = false;
 };
 
 /**
@@ -202,20 +151,18 @@ struct ControlAction
  * shrinks multiplicatively when a measured barrier overshoots the
  * target (proportional to the overshoot, with margin), and recovers
  * additively — slowly — while barriers run well under it, clamped to
- * [batchBytesFloor, batchBytes].
+ * [kBatchBytesFloor, batchBytes].
  */
 class BarrierBudgetAdapter
 {
   public:
     /**
      * @param targetPauseSec 0 disables adaptation
-     * @param floorBytes     smallest adaptive bound (>= 1 enforced)
      * @param capBytes       static batchBytes; the adaptive ceiling
      *                       and, disabled, the returned legacy bound
      *                       (0 = unbatched, SIZE_MAX)
      */
-    BarrierBudgetAdapter(double targetPauseSec, size_t floorBytes,
-                         size_t capBytes);
+    BarrierBudgetAdapter(double targetPauseSec, size_t capBytes);
 
     /** The per-barrier byte bound to use for the next barrier. */
     size_t current() const { return current_; }
@@ -229,8 +176,9 @@ class BarrierBudgetAdapter
   private:
     bool enabled_;
     double target_;
-    size_t floor_;
     size_t cap_;
+    /** kBatchBytesFloor, or the cap when that is smaller. */
+    size_t floor_;
     size_t current_;
 };
 
@@ -241,11 +189,9 @@ class BarrierBudgetAdapter
  * cost. A tick per mode:
  *
  *  - StopTheWorld: one barrier of a batched pass that stays open
- *    across ticks (abandoned mid-pass when churn already met the goal).
+ *    across ticks until it has spent its budget or walked every
+ *    source, even when churn meanwhile pushed the metric below F_lb.
  *  - Concurrent: one relocation campaign on the alpha budget.
- *  - Hybrid: Concurrent's campaign, then — when the abort-rate gate
- *    trips and budget remains — one stop-the-world pass over the
- *    remainder, drained to completion.
  *
  * The pause-SLO batch adaptation lives in the controller's
  * BarrierBudgetAdapter.
@@ -293,13 +239,13 @@ class DefragController
 
     /**
      * True if mutators must run the Scoped translation discipline
-     * while this controller may act: every mode but StopTheWorld runs
-     * concurrent campaigns, which move objects under running mutators.
+     * while this controller may act: Concurrent mode runs campaigns,
+     * which move objects under running mutators.
      */
     bool
     requiresScopedDiscipline() const
     {
-        return params_.mode != DefragMode::StopTheWorld;
+        return params_.mode == DefragMode::Concurrent;
     }
 
     /** Total time charged to defragmentation so far, seconds. */
@@ -309,17 +255,12 @@ class DefragController
     /** Number of ticks that did defrag work (in batched StopTheWorld
      *  mode each such tick runs one barrier of a logical pass). */
     size_t passes() const { return passes_; }
-    /** Number of ticks whose abort-rate fallback ran. */
-    size_t fallbacks() const { return fallbacks_; }
     /** Stop-the-world barriers run so far (each bounded by
      *  batchBytes when batching is on). */
     size_t barriers() const { return barriers_; }
     /** Longest single barrier charged so far, seconds (model or
      *  measured, per useModeledTime). */
     double maxBarrierPauseSec() const { return maxBarrierPauseSec_; }
-
-    /** Number of ticks that abandoned a mid-pass remainder. */
-    size_t abandonments() const { return abandonments_; }
 
     /**
      * The per-barrier byte bound the next barrier will run under: the
@@ -343,9 +284,7 @@ class DefragController
     double totalDefragSec_ = 0;
     double totalPauseSec_ = 0;
     size_t passes_ = 0;
-    size_t fallbacks_ = 0;
     size_t barriers_ = 0;
-    size_t abandonments_ = 0;
     double maxBarrierPauseSec_ = 0;
 };
 

@@ -159,27 +159,6 @@ SubHeap::claimBlock(int index, uint32_t id, size_t size)
     // The matching free-list entry becomes stale and is pruned lazily.
 }
 
-int
-SubHeap::lowestFreeBlockBelow(size_t size, uint64_t limit)
-{
-    const size_t need = alignUp(size);
-    const int cls = classOf(need);
-    int best = -1;
-    // Full scan of the class list: this runs inside the stop-the-world
-    // pause, where thoroughness is worth the time (the mutator-facing
-    // alloc path stays O(1)).
-    for (uint32_t idx : freeLists_[cls]) {
-        if (idx >= blocks_.size())
-            continue;
-        const Block &blk = blocks_[idx];
-        if (!blk.isFree() || blk.size < need || blk.addr >= limit)
-            continue;
-        if (best < 0 || blk.addr < blocks_[best].addr)
-            best = static_cast<int>(idx);
-    }
-    return best;
-}
-
 SubHeap::CompactionIndex
 SubHeap::buildCompactionIndex() const
 {
@@ -204,8 +183,9 @@ SubHeap::popLowestFreeBelow(CompactionIndex &index, size_t size,
     while (cursor < list.size()) {
         const uint32_t idx = list[cursor];
         if (idx >= blocks_.size()) {
-            // Snapshot index outlived a trim (a Hybrid-mode barrier ran
-            // between a concurrent campaign's moves): the block is gone.
+            // Snapshot index outlived a trim (moveBatchLocked trims its
+            // source when a batch ends mid-source, then resumes on the
+            // same index next barrier): the block is gone.
             cursor++;
             continue;
         }

@@ -157,23 +157,13 @@ class SubHeap
     const std::vector<Block> &blocks() const { return blocks_; }
 
     /**
-     * Mark the block at index as reallocated to handle id (defrag
-     * destination found via lowestFreeBlockBelow).
+     * Mark the free block at index as reallocated to handle id (a
+     * defrag destination found via popLowestFreeBelow).
      */
     void claimBlock(int index, uint32_t id, size_t size);
 
     /** Release a block by index (defrag source). */
     void freeBlockAt(int index);
-
-    /**
-     * Lowest-addressed free block of the exact size class that can hold
-     * size bytes and whose address is below limit. Used by defrag to
-     * move objects strictly downward. @return block index or -1.
-     *
-     * Unlike the O(1) mutator path, this scans the class list — the cost
-     * is part of the stop-the-world pause, not the allocation path.
-     */
-    int lowestFreeBlockBelow(size_t size, uint64_t limit);
 
     /**
      * Address-sorted snapshot of the free blocks, consumed cursor-wise

@@ -24,15 +24,18 @@ ConcurrentRelocDaemon::ConcurrentRelocDaemon(
     anchorage::ControlParams params)
     : runtime_(runtime), service_(service),
       controller_(service, clock_, params),
+      mechanism_(params.mode == anchorage::DefragMode::StopTheWorld
+                     ? anchorage::MechanismKind::Stw
+                     : anchorage::MechanismKind::Campaign),
       declaresConcurrentDefrag_(controller_.requiresScopedDiscipline())
 {
-    // Campaigns are possible for this daemon's whole lifetime (a
-    // Hybrid fallback tick may resume campaigns later), so the Scoped
-    // discipline must be visible to mutators before the first tick —
-    // declare here, not in start(), so constructing the daemon before
-    // spawning mutators is sufficient. StopTheWorld changes no handle
-    // entries under running mutators, so its mutators keep the Direct
-    // discipline and its two-instruction translate.
+    // A Concurrent daemon may run a campaign at any tick of its life,
+    // so the Scoped discipline must be visible to mutators before the
+    // first tick — declare here, not in start(), so constructing the
+    // daemon before spawning mutators is sufficient. StopTheWorld
+    // changes no handle entries under running mutators, so its
+    // mutators keep the Direct discipline and its two-instruction
+    // translate.
     if (declaresConcurrentDefrag_)
         Runtime::declareConcurrentDefrag();
 }
@@ -86,8 +89,10 @@ ConcurrentRelocDaemon::totals() const
 anchorage::DefragStats
 ConcurrentRelocDaemon::totalsFor(anchorage::MechanismKind kind) const
 {
+    if (kind != mechanism_)
+        return {};
     std::lock_guard<std::mutex> guard(mutex_);
-    return mechTotals_[static_cast<size_t>(kind)];
+    return totals_;
 }
 
 size_t
@@ -95,13 +100,6 @@ ConcurrentRelocDaemon::passes() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
     return passes_;
-}
-
-size_t
-ConcurrentRelocDaemon::fallbacks() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return fallbacks_;
 }
 
 double
@@ -142,9 +140,9 @@ ConcurrentRelocDaemon::barrierPauses() const
 void
 ConcurrentRelocDaemon::run()
 {
-    // Registered so Hybrid/STW barriers started here behave normally
-    // and so campaign loops reach safepoints for barriers started by
-    // anyone else.
+    // Registered so StopTheWorld barriers started here behave
+    // normally and so campaign loops reach safepoints for barriers
+    // started by anyone else.
     ThreadRegistration registration(runtime_);
 
     for (;;) {
@@ -157,12 +155,7 @@ ConcurrentRelocDaemon::run()
         if (action.defragged) {
             std::lock_guard<std::mutex> guard(mutex_);
             totals_.accumulate(action.stats);
-            for (const anchorage::MechanismReport &report :
-                 action.byMechanism)
-                mechTotals_[static_cast<size_t>(report.kind)]
-                    .accumulate(report.stats);
             passes_ = controller_.passes();
-            fallbacks_ = controller_.fallbacks();
             barriers_ = controller_.barriers();
             totalPauseSec_ = controller_.totalPauseSec();
             maxBarrierPauseSec_ = controller_.maxBarrierPauseSec();

@@ -12,14 +12,15 @@
  * window — mutators keep running, their scoped derefs pay no RMW and
  * never abort a move, and moved sources are reclaimed only after a
  * grace period (the limbo list) rather than readers being drained
- * up front or aborted via pins. Which mechanisms actually run is the
- * hosted controller's ControlParams::mode: the daemon itself is
- * mechanism-agnostic — it declares the Scoped translation discipline
- * iff the controller requires it (every mode but StopTheWorld), and
- * attributes every tick's stats per mechanism (totalsFor()).
+ * up front or aborted via pins. Which mechanism runs is the hosted
+ * controller's ControlParams::mode: StopTheWorld runs batched
+ * barriers, Concurrent runs campaigns. The daemon declares the Scoped
+ * translation discipline iff the controller requires it (Concurrent
+ * mode), and attributes every tick's stats to its mode's mechanism
+ * (totalsFor()).
  *
  * Between ticks the daemon parks in external mode, so barriers (its
- * own Hybrid fallbacks included) never wait on its sleep.
+ * own StopTheWorld barriers included) never wait on its sleep.
  */
 
 #ifndef ALASKA_SERVICES_CONCURRENT_RELOC_DAEMON_H
@@ -31,6 +32,7 @@
 
 #include "anchorage/anchorage_service.h"
 #include "anchorage/control.h"
+#include "anchorage/mechanism.h"
 #include "core/runtime.h"
 #include "telemetry/histogram.h"
 #include "sim/clock.h"
@@ -78,21 +80,21 @@ class ConcurrentRelocDaemon
     bool running() const;
 
     /** Stats of every action the daemon has run so far, folded over
-     *  all mechanisms and shards — use totalsFor() when the
-     *  per-mechanism attribution matters. Any thread. */
+     *  all shards. Any thread. */
     anchorage::DefragStats totals() const;
 
-    /** Stats attributed to one mechanism: exactly what that
-     *  mechanism's invocations did, never folded with the others
-     *  (a Hybrid tick's campaign and its stop-the-world fallback
-     *  land in separate buckets). Any thread. */
+    /** Stats attributed to one mechanism: totals() for the mode's
+     *  mechanism (barriers in StopTheWorld mode, campaigns in
+     *  Concurrent mode), empty stats for the other. Any thread. */
     anchorage::DefragStats totalsFor(anchorage::MechanismKind kind) const;
 
     /** Controller passes run so far. Any thread. */
     size_t passes() const;
 
-    /** Ticks whose abort-rate fallback ran. */
-    size_t fallbacks() const;
+    /** Always 0: no mode falls back to another mechanism. Kept only
+     *  because repobench/ still reports it as `policy.fallbacks`;
+     *  delete it when a benchmark change drops that row. */
+    size_t fallbacks() const { return 0; }
 
     /** Total mutator-visible pause time caused so far, seconds. */
     double totalPauseSec() const;
@@ -120,12 +122,11 @@ class ConcurrentRelocDaemon
      * the barrier callback, not the rendezvous and pin-set collection
      * before it; the `barrier_pause_ns` telemetry histogram records
      * each barrier's whole stopped window. In batched StopTheWorld
-     * mode a tick runs exactly one barrier; a Hybrid fallback tick
-     * contributes its worst barrier. A telemetry::Histogram, the one
-     * percentile structure: log2 buckets in constant memory, since the
-     * daemon is long-lived and must not keep one sample per tick
-     * forever; percentiles never exceed its max(). Snapshot copy; any
-     * thread.
+     * mode a tick runs exactly one barrier. A telemetry::Histogram,
+     * the one percentile structure: log2 buckets in constant memory,
+     * since the daemon is long-lived and must not keep one sample per
+     * tick forever; percentiles never exceed its max(). Snapshot copy;
+     * any thread.
      */
     telemetry::Histogram barrierPauses() const;
 
@@ -137,6 +138,8 @@ class ConcurrentRelocDaemon
     RealClock clock_;
     /** Touched only by the daemon thread once start()ed. */
     anchorage::DefragController controller_;
+    /** The mechanism the controller's mode runs. */
+    const anchorage::MechanismKind mechanism_;
 
     /**
      * True when the controller's mode runs concurrent campaigns,
@@ -154,10 +157,7 @@ class ConcurrentRelocDaemon
 
     /** Snapshot counters, published by the daemon thread per tick. */
     anchorage::DefragStats totals_;
-    /** Per-mechanism attribution, indexed by MechanismKind. */
-    anchorage::DefragStats mechTotals_[anchorage::kNumMechanisms];
     size_t passes_ = 0;
-    size_t fallbacks_ = 0;
     size_t barriers_ = 0;
     size_t batchBytesCurrent_ = 0;
     double totalPauseSec_ = 0;

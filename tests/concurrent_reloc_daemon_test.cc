@@ -461,88 +461,6 @@ TEST_F(ModeControlTest, ConcurrentModeReachesTargetWithZeroBarriers)
         runtime_.hfree(h);
 }
 
-TEST_F(ModeControlTest, HybridFallbackDeductsCampaignSpendFromBudget)
-{
-    // Regression: the fallback used to re-spend the full alpha budget
-    // after the campaign had already moved bytes, so one Hybrid tick
-    // could move up to 2x alpha of the heap and double the intended
-    // pause bound. The fallback must get only the remainder.
-    auto survivors = fragmentHeap(4000);
-    ControlParams params{.useModeledTime = true,
-                         .mode = DefragMode::Hybrid};
-    params.alpha = 0.25;
-    // Force the fallback on every tick regardless of contention: the
-    // subject here is the budget arithmetic, not the abort feedback.
-    params.abortFallbackRate = -1.0;
-    params.abortFallbackMinAttempts = 0;
-    DefragController controller(service_, clock_, params);
-    ASSERT_GT(service_.fragmentation(), params.fUb);
-
-    const size_t extent_before = service_.heapExtent();
-    const ControlAction action = controller.tick();
-    ASSERT_TRUE(action.defragged);
-    EXPECT_GT(action.stats.movedBytes, 0u);
-    // Campaign + fallback together stay within alpha x extent (plus
-    // at most one object's overshoot per phase).
-    EXPECT_LE(action.stats.movedBytes,
-              static_cast<size_t>(0.25 *
-                                  static_cast<double>(extent_before)) +
-                  2 * 256);
-    for (void *h : survivors)
-        runtime_.hfree(h);
-}
-
-TEST_F(ModeControlTest, HybridFallsBackToBarrierUnderAborts)
-{
-    auto survivors = fragmentHeap(2000);
-    // Pin everything through the atomic counts: every concurrent
-    // attempt aborts, which is exactly the "too much accessor
-    // interference" signal Hybrid reacts to.
-    for (void *h : survivors) {
-        runtime_.table()
-            .entry(handleId(reinterpret_cast<uint64_t>(h)))
-            .state.fetch_add(HandleTableEntry::pinCountOne);
-    }
-
-    ControlParams params{.useModeledTime = true,
-                         .mode = DefragMode::Hybrid};
-    params.alpha = 1.0;
-    params.abortFallbackRate = 0.25;
-    params.abortFallbackMinAttempts = 8;
-    DefragController controller(service_, clock_, params);
-    ASSERT_GT(service_.fragmentation(), params.fUb);
-
-    const ControlAction action = controller.tick();
-    ASSERT_TRUE(action.defragged);
-    EXPECT_TRUE(action.fellBack);
-    EXPECT_EQ(controller.fallbacks(), 1u);
-    EXPECT_EQ(runtime_.stats().barriers, 1u);
-    // The barrier honors the pins too: nothing may have moved.
-    EXPECT_EQ(action.stats.movedObjects, 0u);
-    EXPECT_GT(action.stats.pinnedSkips, 0u);
-
-    for (void *h : survivors) {
-        runtime_.table()
-            .entry(handleId(reinterpret_cast<uint64_t>(h)))
-            .state.fetch_sub(HandleTableEntry::pinCountOne);
-    }
-    // Unpinned, Hybrid finishes concurrently without another barrier.
-    for (int i = 0; i < 100; i++) {
-        clock_.advance(0.5);
-        const ControlAction a = controller.tick();
-        if (a.defragged && a.fellBack)
-            FAIL() << "fallback despite no contention";
-        if (controller.state() == DefragController::State::Waiting &&
-            service_.fragmentation() < params.fLb) {
-            break;
-        }
-    }
-    EXPECT_LT(service_.fragmentation(), params.fLb);
-    EXPECT_EQ(runtime_.stats().barriers, 1u);
-    for (void *h : survivors)
-        runtime_.hfree(h);
-}
-
 // --- daemon lifecycle -------------------------------------------------------
 
 TEST(ConcurrentRelocDaemonTest, DefragsInTheBackgroundWithZeroBarriers)
@@ -625,26 +543,23 @@ TEST(ConcurrentRelocDaemonTest, TranslationDisciplineFollowsTheMode)
     EXPECT_EQ(Runtime::translationDiscipline(),
               TranslationDiscipline::Direct);
 
-    // Campaign modes declare Scoped from construction (before any
+    // Concurrent mode declares Scoped from construction (before any
     // mutator could start) until destruction, running or not.
-    for (const DefragMode mode :
-         {DefragMode::Concurrent, DefragMode::Hybrid}) {
-        SCOPED_TRACE(defragModeName(mode));
-        {
-            ConcurrentRelocDaemon daemon(runtime, service,
-                                         ControlParams{.mode = mode});
-            EXPECT_EQ(Runtime::translationDiscipline(),
-                      TranslationDiscipline::Scoped);
-            daemon.start();
-            EXPECT_EQ(Runtime::translationDiscipline(),
-                      TranslationDiscipline::Scoped);
-            daemon.stop();
-            EXPECT_EQ(Runtime::translationDiscipline(),
-                      TranslationDiscipline::Scoped);
-        }
+    {
+        ConcurrentRelocDaemon daemon(
+            runtime, service,
+            ControlParams{.mode = DefragMode::Concurrent});
         EXPECT_EQ(Runtime::translationDiscipline(),
-                  TranslationDiscipline::Direct);
+                  TranslationDiscipline::Scoped);
+        daemon.start();
+        EXPECT_EQ(Runtime::translationDiscipline(),
+                  TranslationDiscipline::Scoped);
+        daemon.stop();
+        EXPECT_EQ(Runtime::translationDiscipline(),
+                  TranslationDiscipline::Scoped);
     }
+    EXPECT_EQ(Runtime::translationDiscipline(),
+              TranslationDiscipline::Direct);
 }
 
 } // namespace

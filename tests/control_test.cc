@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "anchorage/control.h"
@@ -179,15 +180,17 @@ TEST_F(ControlTest, OverheadSleepClampedToFloor)
     for (size_t i = 0; i < handles.size(); i += 2)
         runtime_.hfree(handles[i]);
     ControlParams params; // measured time: useModeledTime = false
-    params.fLb = 1.01;    // partial pass leaves frag above this
+    // Below any reachable fragmentation (the pass compacts this heap
+    // to 1.0), so the controller stays Defragmenting and schedules its
+    // wake from the pass's cost rather than the poll interval.
+    params.fLb = 0.5;
     params.oUb = 1.0;
-    params.minSleepSec = 0.005;
     DefragController controller(service_, clock_, params);
     const ControlAction action = controller.tick();
     ASSERT_TRUE(action.defragged);
-    // Whatever branch scheduled the wake-up, it must respect the floor.
-    EXPECT_GE(controller.nextWake() - clock_.now(),
-              params.minSleepSec);
+    ASSERT_EQ(controller.state(), DefragController::State::Defragmenting);
+    // The wake-up must respect the 100 us floor.
+    EXPECT_GE(controller.nextWake() - clock_.now(), kMinSleepSec);
     for (size_t i = 1; i < handles.size(); i += 2)
         runtime_.hfree(handles[i]);
 }
@@ -200,7 +203,6 @@ TEST_F(ControlTest, BatchedPassBoundsEveryBarrier)
     params.batchBytes = 64 << 10;
     DefragController controller(service_, clock_, params);
 
-    const AnchorageConfig config; // fixture runs service defaults
     size_t work_ticks = 0;
     for (int i = 0; i < 2000; i++) {
         const ControlAction action = controller.tick();
@@ -226,12 +228,24 @@ TEST_F(ControlTest, BatchedPassBoundsEveryBarrier)
     // The modeled per-barrier pause never exceeded the batch-derived
     // bound: floor + batch / bandwidth.
     EXPECT_LE(controller.maxBarrierPauseSec(),
-              config.modelPauseFloor +
+              kModelPauseFloor +
                   static_cast<double>(params.batchBytes + 512) /
-                      config.modelBandwidth +
+                      kModelBandwidth +
                   1e-12);
     for (void *h : survivors)
         runtime_.hfree(h);
+}
+
+TEST(DefragModeName, ParsesEveryModesNameAndNothingElse)
+{
+    for (const DefragMode mode :
+         {DefragMode::StopTheWorld, DefragMode::Concurrent}) {
+        SCOPED_TRACE(defragModeName(mode));
+        EXPECT_EQ(parseDefragMode(defragModeName(mode)), mode);
+    }
+    EXPECT_EQ(parseDefragMode("hybrid"), std::nullopt);
+    EXPECT_EQ(parseDefragMode(""), std::nullopt);
+    EXPECT_EQ(parseDefragMode("STW"), std::nullopt);
 }
 
 TEST_F(ControlTest, NoOpportunitiesReturnsToWaiting)

@@ -3,9 +3,8 @@
  * The reference DefragController is checked against. An inline oracle
  * controller switches on DefragMode and calls the public
  * AnchorageService API directly: the lazy alpha budget, the resumable
- * batched StopTheWorld pass, the Hybrid abort-rate fallback spending
- * only the campaign's remainder, and the paper's overhead-sleep
- * scheduling. Both controllers replay the same seeded
+ * batched StopTheWorld pass, the Concurrent campaign, and the paper's
+ * overhead-sleep scheduling. Both controllers replay the same seeded
  * alloc/free/mutate trace on identical heaps under a virtual clock
  * with modeled time. At every quiesce tick the deterministic outcome
  * must match exactly: modeled charges, pause split, per-barrier
@@ -45,9 +44,9 @@ constexpr int kQuiesceEvery = 400;
 
 /**
  * The oracle: one mode switch with the lazy alpha budget, the
- * resumable batched StopTheWorld pass, the Hybrid abort-rate fallback
- * spending only the remainder, and the paper's overhead-sleep
- * scheduling. DefragController must match it tick for tick.
+ * resumable batched StopTheWorld pass, the Concurrent campaign, and
+ * the paper's overhead-sleep scheduling. DefragController must match
+ * it tick for tick.
  */
 class ReferenceController
 {
@@ -79,7 +78,6 @@ class ReferenceController
     double nextWake() const { return nextWake_; }
     DefragController::State state() const { return state_; }
     size_t passes() const { return passes_; }
-    size_t fallbacks() const { return fallbacks_; }
     size_t barriers() const { return barriers_; }
     double totalPauseSec() const { return totalPauseSec_; }
     double maxBarrierPauseSec() const { return maxBarrierPauseSec_; }
@@ -101,14 +99,6 @@ class ReferenceController
         };
         const size_t batch =
             params_.batchBytes > 0 ? params_.batchBytes : SIZE_MAX;
-        auto shardCapFor = [&](size_t total) {
-            if (params_.shardBudgetFraction >= 1.0)
-                return SIZE_MAX;
-            const auto cap = static_cast<size_t>(
-                params_.shardBudgetFraction *
-                static_cast<double>(total));
-            return cap > 0 ? cap : size_t{1};
-        };
         auto chargeOf = [&](const DefragStats &s) {
             return params_.useModeledTime ? s.modeledSec
                                           : s.measuredSec;
@@ -122,11 +112,9 @@ class ReferenceController
         bool no_progress = false;
 
         if (params_.mode == DefragMode::StopTheWorld) {
-            if (!stwPass_ || stwPass_->done()) {
-                const size_t pass_budget = passBudgetNow();
-                stwPass_.emplace(service_.beginBatchedDefrag(
-                    pass_budget, shardCapFor(pass_budget)));
-            }
+            if (!stwPass_ || stwPass_->done())
+                stwPass_.emplace(
+                    service_.beginBatchedDefrag(passBudgetNow()));
             action.stats = stwPass_->step(batch);
             action.pauseSec = chargeOf(action.stats);
             action.costSec = action.pauseSec;
@@ -137,30 +125,8 @@ class ReferenceController
                 stwPass_.reset();
             }
         } else {
-            const size_t pass_budget = passBudgetNow();
-            action.stats = service_.relocateCampaign(pass_budget);
+            action.stats = service_.relocateCampaign(passBudgetNow());
             action.costSec = chargeOf(action.stats);
-            if (params_.mode == DefragMode::Hybrid &&
-                action.stats.attempts >=
-                    params_.abortFallbackMinAttempts &&
-                action.stats.abortRate() > params_.abortFallbackRate) {
-                const size_t moved = action.stats.movedBytes;
-                const size_t remainder =
-                    pass_budget > moved ? pass_budget - moved : 0;
-                if (remainder > 0) {
-                    AnchorageService::BatchedPass fallback =
-                        service_.beginBatchedDefrag(
-                            remainder, shardCapFor(remainder));
-                    DefragStats stw;
-                    while (!fallback.done())
-                        stw.accumulate(fallback.step(batch));
-                    action.pauseSec = chargeOf(stw);
-                    action.costSec += action.pauseSec;
-                    action.stats.accumulate(stw);
-                    action.fellBack = true;
-                    fallbacks_++;
-                }
-            }
             no_progress = action.stats.movedBytes == 0 &&
                           action.stats.reclaimedBytes == 0;
         }
@@ -175,14 +141,14 @@ class ReferenceController
         const double now = clock_.now();
         if (!pass_done) {
             nextWake_ = now + std::max(action.costSec / params_.oUb,
-                                       params_.minSleepSec);
+                                       kMinSleepSec);
         } else if (service_.fragmentation() < params_.fLb ||
                    no_progress) {
             state_ = DefragController::State::Waiting;
             nextWake_ = now + params_.pollInterval;
         } else if (action.costSec > 0) {
             nextWake_ = now + std::max(action.costSec / params_.oUb,
-                                       params_.minSleepSec);
+                                       kMinSleepSec);
         } else {
             nextWake_ = now + params_.pollInterval;
         }
@@ -196,7 +162,6 @@ class ReferenceController
         DefragController::State::Waiting;
     double nextWake_ = 0;
     size_t passes_ = 0;
-    size_t fallbacks_ = 0;
     size_t barriers_ = 0;
     double totalPauseSec_ = 0;
     double maxBarrierPauseSec_ = 0;
@@ -207,7 +172,6 @@ class ReferenceController
 struct TickRecord
 {
     bool defragged = false;
-    bool fellBack = false;
     size_t movedObjects = 0;
     size_t movedBytes = 0;
     size_t reclaimedBytes = 0;
@@ -228,7 +192,6 @@ struct RunResult
 {
     std::vector<TickRecord> ticks;
     size_t passes = 0;
-    size_t fallbacks = 0;
     size_t barriers = 0;
     double totalPauseSec = 0;
     double maxBarrierPauseSec = 0;
@@ -244,13 +207,8 @@ paramsFor(DefragMode mode)
     params.mode = mode;
     params.useModeledTime = true;
     // 4 KiB batches keep StopTheWorld passes mid-flight across ticks
-    // (the resumable-pass path). A single-threaded trace aborts no
-    // campaign move, so no non-negative threshold trips Hybrid's
-    // gate: force it, and every Hybrid tick falls back over the
-    // campaign's remainder. The test asserts both paths ran.
+    // (the resumable-pass path). The test asserts that path ran.
     params.batchBytes = 4 << 10;
-    params.abortFallbackMinAttempts = 0;
-    params.abortFallbackRate = -1;
     params.pollInterval = 0.05;
     return params;
 }
@@ -308,7 +266,6 @@ runTrace(DefragMode mode)
 
         TickRecord record;
         record.defragged = act.defragged;
-        record.fellBack = act.fellBack;
         record.movedObjects = act.stats.movedObjects;
         record.movedBytes = act.stats.movedBytes;
         record.reclaimedBytes = act.stats.reclaimedBytes;
@@ -331,7 +288,6 @@ runTrace(DefragMode mode)
             runtime.hfree(slot.h);
     }
     result.passes = controller.passes();
-    result.fallbacks = controller.fallbacks();
     result.barriers = controller.barriers();
     result.totalPauseSec = controller.totalPauseSec();
     result.maxBarrierPauseSec = controller.maxBarrierPauseSec();
@@ -349,7 +305,6 @@ expectSameRun(const RunResult &reference, const RunResult &controller,
         SCOPED_TRACE(std::string(mode) + " tick " +
                      std::to_string(i));
         EXPECT_EQ(a.defragged, b.defragged);
-        EXPECT_EQ(a.fellBack, b.fellBack);
         EXPECT_EQ(a.movedObjects, b.movedObjects);
         EXPECT_EQ(a.movedBytes, b.movedBytes);
         EXPECT_EQ(a.reclaimedBytes, b.reclaimedBytes);
@@ -367,7 +322,6 @@ expectSameRun(const RunResult &reference, const RunResult &controller,
         EXPECT_EQ(a.state, b.state);
     }
     EXPECT_EQ(reference.passes, controller.passes) << mode;
-    EXPECT_EQ(reference.fallbacks, controller.fallbacks) << mode;
     EXPECT_EQ(reference.barriers, controller.barriers) << mode;
     EXPECT_DOUBLE_EQ(reference.totalPauseSec, controller.totalPauseSec)
         << mode;
@@ -398,14 +352,11 @@ TEST_P(ControllerReference, ControllerMatchesTheReferenceTickForTick)
     if (mode == DefragMode::StopTheWorld) {
         EXPECT_GT(reference.resumedTicks, 0u) << name;
     }
-    if (mode == DefragMode::Hybrid) {
-        EXPECT_GT(reference.fallbacks, 0u) << name;
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, ControllerReference,
     ::testing::Values(DefragMode::StopTheWorld,
-                      DefragMode::Concurrent, DefragMode::Hybrid));
+                      DefragMode::Concurrent));
 
 } // namespace

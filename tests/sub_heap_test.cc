@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for Anchorage sub-heaps: bump allocation, power-of-two free-list
- * reuse, tail trimming (§4.3), and the fit hints movers read without
- * the shard lock.
+ * reuse, tail trimming (§4.3), the compaction index defrag walks, and
+ * the fit hints movers read without the shard lock.
  */
 
 #include <gtest/gtest.h>
@@ -166,7 +166,7 @@ TEST_F(SubHeapTest, ClassListYieldsOnlyBlocksOfItsClass)
     EXPECT_EQ(heap.freeBytes(), 816u);
 }
 
-TEST_F(SubHeapTest, LowestFreeBlockBelowFindsCompactionTargets)
+TEST_F(SubHeapTest, CompactionIndexFindsCompactionTargets)
 {
     SubHeap heap(space_, 1 << 20);
     auto a = heap.alloc(1, 64);
@@ -174,12 +174,40 @@ TEST_F(SubHeapTest, LowestFreeBlockBelowFindsCompactionTargets)
     auto c = heap.alloc(3, 64);
     heap.free(a.addr);
     heap.free(b.addr);
-    // The defrag walk wants the lowest hole below c.
-    const int idx = heap.lowestFreeBlockBelow(64, c.addr);
+    SubHeap::CompactionIndex index = heap.buildCompactionIndex();
+    // Nothing below a.
+    EXPECT_EQ(heap.popLowestFreeBelow(index, 64, a.addr), -1);
+    // The defrag walk wants the lowest hole below c, then the next.
+    const int first = heap.popLowestFreeBelow(index, 64, c.addr);
+    ASSERT_GE(first, 0);
+    EXPECT_EQ(heap.blocks()[first].addr, a.addr);
+    const int second = heap.popLowestFreeBelow(index, 64, c.addr);
+    ASSERT_GE(second, 0);
+    EXPECT_EQ(heap.blocks()[second].addr, b.addr);
+    EXPECT_EQ(heap.popLowestFreeBelow(index, 64, c.addr), -1);
+}
+
+TEST_F(SubHeapTest, CompactionIndexSkipsBlocksTrimmedAfterItWasBuilt)
+{
+    // A batched pass trims its source when a batch ends mid-source and
+    // resumes on the same index next barrier: an entry whose block the
+    // trim popped must be skipped, not handed out.
+    SubHeap heap(space_, 1 << 20);
+    auto a = heap.alloc(1, 64);
+    heap.alloc(2, 64);
+    auto c = heap.alloc(3, 64);
+    heap.free(a.addr);
+    heap.free(c.addr);
+    SubHeap::CompactionIndex index = heap.buildCompactionIndex();
+    ASSERT_EQ(index.sorted[SubHeap::classOf(64)].size(), 2u);
+    heap.trimTop(); // pops c's block; its index entry goes stale
+    ASSERT_EQ(heap.blocks().size(), 2u);
+
+    const uint64_t top = heap.base() + heap.capacity();
+    const int idx = heap.popLowestFreeBelow(index, 64, top);
     ASSERT_GE(idx, 0);
     EXPECT_EQ(heap.blocks()[idx].addr, a.addr);
-    // And nothing below a.
-    EXPECT_EQ(heap.lowestFreeBlockBelow(64, a.addr), -1);
+    EXPECT_EQ(heap.popLowestFreeBelow(index, 64, top), -1);
 }
 
 /**
