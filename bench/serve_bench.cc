@@ -9,35 +9,37 @@
  * *intended* arrival times — so every defrag pause shows up, amplified
  * by queueing, in the completion latencies (no coordinated omission;
  * see src/serve/load_gen.h). An SloTracker judges fixed windows of the
- * completion stream against --slo-us and attributes each violated
- * window to the defrag mechanisms that did work during it (via the
- * daemon's per-mechanism totals), separating "the pause did it" from
- * "the server was just overloaded" (violated_idle).
+ * completion stream against --slo-us and marks each violated window
+ * busy or idle by whether the defrag daemon did work during it (a
+ * delta of the daemon's totals), separating "the mode's defrag did it"
+ * from "the server was just overloaded" (violated_idle).
  *
  * Default run: both defrag modes (stw, concurrent) under the same
- * offered load, reporting per-op
- * p50/p99/p999, violated windows (and their mechanism attribution),
- * queue depth, steals, backpressure, and the mode's recovery/pause
- * economics. --mode=NAME runs one mode only.
+ * offered load, reporting per-op p50/p99/p999, violated windows (and
+ * how many had defrag idle), queue depth, steals, backpressure, and
+ * the mode's recovery/pause economics. --mode=NAME runs one mode only.
  *
  * The --target-pause-us section (always part of --smoke) runs the
  * StopTheWorld load twice with an oversized per-barrier byte cap: once
  * with the pause-SLO-adaptive barrier budget targeting that pause,
  * once with the static bound. Open-loop p999 is the money metric: the
  * fixed run's long barriers turn into queueing spikes the adaptive run
- * avoids. On a single-core CI host the head-to-head is asserted only
- * as "adaptive no worse than fixed plus a generous noise envelope" —
- * see BENCH_serve.json and docs/SERVING.md for the real comparison.
+ * avoids. One wall-clock run cannot tell those apart on a contended
+ * host, so the smoke asserts no latency relation between them (only
+ * zero lost responses); the adapter's pause bound is gated
+ * deterministically by policy_test on a virtual clock. See
+ * BENCH_serve.json and docs/SERVING.md for the comparison.
  *
  * Flags: --smoke (small counts + assertions for CI), --mode=NAME,
  * --rate=N (req/s), --threads=N (workers), --records=N, --ops=N,
  * --slo-us=N, --window-ms=N, --target-pause-us=N,
  * --workload=a|b|c|f, --queue-cap=N, --value-size=N, --fixed-rate
  * (constant inter-arrival instead of Poisson), --trace=FILE,
- * --out=FILE. A rate, window or SLO that is not a positive number, a
- * zero record, op or queue count, or fewer than one worker is a usage
- * error (exit 2): the server, load generator and SLO tracker would
- * otherwise clamp it, hang on it, or abort on it.
+ * --out=FILE. A rate, window, SLO or pause target that is not a
+ * positive number, a zero record, op, queue or value size, or fewer
+ * than one worker is a usage error (exit 2): the server, load
+ * generator and SLO tracker would otherwise clamp it, hang on it,
+ * abort on it, or skip the section it configures.
  */
 
 #include <algorithm>
@@ -54,7 +56,6 @@
 
 #include "anchorage/anchorage_service.h"
 #include "anchorage/control.h"
-#include "anchorage/mechanism.h"
 #include "base/timer.h"
 #include "bench/bench_util.h"
 #include "core/runtime.h"
@@ -170,16 +171,11 @@ runServe(anchorage::DefragMode mode, const ServeOptions &opt,
     server.start();
 
     // Sampler: tracks peak queue depth at fine grain and closes one
-    // SLO window per --window-ms, attributing it to the mechanisms
-    // whose per-mechanism totals advanced during the window.
+    // SLO window per --window-ms, marking it busy when the daemon's
+    // totals advanced during the window.
     std::atomic<bool> samplerDone{false};
     std::thread sampler([&] {
-        uint64_t lastWork[anchorage::kNumMechanisms] = {};
-        const auto workOf = [&](size_t k) {
-            const anchorage::DefragStats s = daemon.totalsFor(
-                static_cast<anchorage::MechanismKind>(k));
-            return s.movedObjects + s.barriers + s.committed;
-        };
+        uint64_t lastWork = 0;
         const int64_t windowUs =
             static_cast<int64_t>(opt.windowMs * 1000);
         while (!samplerDone.load(std::memory_order_acquire)) {
@@ -193,13 +189,10 @@ runServe(anchorage::DefragMode mode, const ServeOptions &opt,
                 if (depth > result.maxQueueDepth)
                     result.maxQueueDepth = depth;
             }
-            uint64_t delta[anchorage::kNumMechanisms];
-            for (size_t k = 0; k < anchorage::kNumMechanisms; k++) {
-                const uint64_t w = workOf(k);
-                delta[k] = w - lastWork[k];
-                lastWork[k] = w;
-            }
-            slo.closeWindow(delta);
+            const anchorage::DefragStats s = daemon.totals();
+            const uint64_t work = s.movedObjects + s.barriers + s.committed;
+            slo.closeWindow(work != lastWork);
+            lastWork = work;
         }
     });
 
@@ -285,17 +278,10 @@ printRun(const char *name, const RunResult &r, double sloUs)
                 "violated windows",
                 static_cast<size_t>(r.slo.violated),
                 static_cast<size_t>(r.slo.windows), sloUs);
-    for (size_t k = 0; k < anchorage::kNumMechanisms; k++) {
-        if (r.slo.violatedBy[k] == 0)
-            continue;
-        std::printf("%-30s %14zu windows\n",
-                    (std::string("  during ") +
-                     anchorage::mechanismName(
-                         static_cast<anchorage::MechanismKind>(k)) +
-                     " work")
-                        .c_str(),
-                    static_cast<size_t>(r.slo.violatedBy[k]));
-    }
+    const uint64_t busy = r.slo.violated - r.slo.violatedIdle;
+    if (busy > 0)
+        std::printf("%-30s %14zu windows\n", "  during defrag work",
+                    static_cast<size_t>(busy));
     if (r.slo.violatedIdle > 0)
         std::printf("%-30s %14zu windows\n", "  with defrag idle",
                     static_cast<size_t>(r.slo.violatedIdle));
@@ -334,11 +320,6 @@ reportRun(bench::JsonReport &report, const std::string &prefix,
                static_cast<double>(r.slo.violated));
     report.add(prefix + ".violated_idle",
                static_cast<double>(r.slo.violatedIdle));
-    for (size_t k = 0; k < anchorage::kNumMechanisms; k++)
-        report.add(prefix + ".violated_" +
-                       anchorage::mechanismName(
-                           static_cast<anchorage::MechanismKind>(k)),
-                   static_cast<double>(r.slo.violatedBy[k]));
     report.add(prefix + ".worst_window_p999_us",
                r.slo.worstWindowP999Us, "us");
     report.add(prefix + ".max_queue_depth",
@@ -438,12 +419,18 @@ main(int argc, char **argv)
                 return usage(argv[0]);
         } else if (const char *v = value("--target-pause-us=")) {
             target_pause_us = std::atof(v);
+            if (!(target_pause_us > 0))
+                return usage(argv[0]);
         } else if (const char *v = value("--queue-cap=")) {
             opt.queueCap = std::strtoull(v, nullptr, 10);
             if (opt.queueCap < 1)
                 return usage(argv[0]);
         } else if (const char *v = value("--value-size=")) {
-            opt.valueSize = std::strtoull(v, nullptr, 10);
+            // Signed parse: strtoull would wrap "-5" to a huge size.
+            const long long size = std::atoll(v);
+            if (size < 1)
+                return usage(argv[0]);
+            opt.valueSize = static_cast<size_t>(size);
         } else if (arg == "--fixed-rate") {
             opt.poisson = false;
         } else if (const char *v = value("--workload=")) {
@@ -523,24 +510,12 @@ main(int argc, char **argv)
             reportRun(*rp, "pause.fixed", fixed);
             rp->add("pause.target_us", target_pause_us, "us");
         }
-        if (smoke) {
-            if (adaptive.lost != 0 || fixed.lost != 0)
-                failures.push_back("pause section lost responses");
-            // One core serializes generator, workers and daemon, so
-            // the full "adaptive p999 < fixed p999" claim cannot be
-            // asserted here — hold the adaptive run to a generous
-            // noise envelope instead and leave the real comparison to
-            // the committed BENCH_serve.json numbers.
-            const double bound = std::max(fixed.all_p999 * 1.5,
-                                          fixed.all_p999 + 2000.0);
-            if (adaptive.all_p999 > bound)
-                failures.push_back(
-                    "adaptive p999 " +
-                    std::to_string(adaptive.all_p999) +
-                    "us exceeds envelope " + std::to_string(bound) +
-                    "us over fixed " +
-                    std::to_string(fixed.all_p999) + "us");
-        }
+        // The p999 head-to-head is advisory: one wall-clock run on a
+        // contended host cannot separate a working adapter from a
+        // broken one (policy_test gates the adapter on a virtual
+        // clock), so the smoke holds these runs to lost responses only.
+        if (smoke && (adaptive.lost != 0 || fixed.lost != 0))
+            failures.push_back("pause section lost responses");
     }
 
     if (trace_file != nullptr) {
@@ -558,7 +533,7 @@ main(int argc, char **argv)
     if (smoke) {
         if (failures.empty()) {
             std::printf("SMOKE PASS: zero lost responses in every "
-                        "mode; adaptive within envelope\n");
+                        "run\n");
         } else {
             for (const std::string &f : failures)
                 std::printf("SMOKE FAIL: %s\n", f.c_str());

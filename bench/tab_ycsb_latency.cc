@@ -211,9 +211,6 @@ struct ModeResult
     double max_barrier_ms = 0;
     double p99_barrier_ms = 0;
     anchorage::DefragStats totals;
-    /** The same work attributed per mechanism (daemon totalsFor()):
-     *  the mode's mechanism carries `totals`, the other is empty. */
-    anchorage::DefragStats by_mech[anchorage::kNumMechanisms];
 };
 
 /** Per-barrier move bound the harness runs with (ControlParams::batchBytes). */
@@ -364,9 +361,6 @@ runMode(anchorage::DefragMode mode, int threads, size_t shards,
     result.max_barrier_ms = daemon.maxBarrierPauseSec() * 1e3;
     result.p99_barrier_ms = daemon.barrierPauses().percentile(99) / 1e6;
     result.totals = daemon.totals();
-    for (size_t i = 0; i < anchorage::kNumMechanisms; i++)
-        result.by_mech[i] = daemon.totalsFor(
-            static_cast<anchorage::MechanismKind>(i));
 
     telemetry::Histogram all_reads, all_updates;
     for (int t = 0; t < threads; t++) {
@@ -502,25 +496,6 @@ runMultiThreadSection(int threads, size_t shards,
                 static_cast<double>(stw.totals.reclaimedBytes) / 1e6,
                 static_cast<double>(conc.totals.reclaimedBytes) / 1e6,
                 static_cast<double>(conc1.totals.reclaimedBytes) / 1e6);
-    // Recovery attributed at the mechanism (daemon totalsFor()), not
-    // folded per mode: each column should put all its recovery in the
-    // one mechanism its mode runs — the attribution proves no hidden
-    // fallback did the work.
-    const auto mech_mb = [](const ModeResult &r,
-                            anchorage::MechanismKind kind) {
-        const anchorage::DefragStats &m =
-            r.by_mech[static_cast<size_t>(kind)];
-        return static_cast<double>(m.reclaimedBytes) / 1e6;
-    };
-    for (const auto kind : {anchorage::MechanismKind::Stw,
-                            anchorage::MechanismKind::Campaign}) {
-        char label[40];
-        std::snprintf(label, sizeof label, "  recovered via %s",
-                      anchorage::mechanismName(kind));
-        std::printf("%-30s %11.1fMB  %11.1fMB  %11.1fMB\n", label,
-                    mech_mb(stw, kind), mech_mb(conc, kind),
-                    mech_mb(conc1, kind));
-    }
     std::printf("%-30s %8zu/%-5zu %8zu/%-5zu %8zu/%-5zu\n",
                 "campaign commits/aborts",
                 static_cast<size_t>(stw.totals.committed),

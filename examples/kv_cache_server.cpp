@@ -6,8 +6,9 @@
  * ConcurrentRelocDaemon relocates the heap under them — no
  * activedefrag, no application cooperation — and an SloTracker judges
  * every 100 ms window of completion latencies against a p999
- * objective, attributing each violated window to the defrag mechanism
- * that was active (or to the server itself when defrag was idle).
+ * objective, charging each violated window to the defrag daemon when
+ * it did work during the window (or to the server itself when defrag
+ * was idle).
  *
  * The request path is the typed layer end to end: every worker
  * brackets each request in an alaska::access_scope, which under this
@@ -28,7 +29,6 @@
 
 #include "anchorage/anchorage_service.h"
 #include "anchorage/control.h"
-#include "anchorage/mechanism.h"
 #include "core/runtime.h"
 #include "serve/load_gen.h"
 #include "serve/server.h"
@@ -81,24 +81,18 @@ main()
     daemon.start();
     server.start();
 
-    // SLO sampler: closes one window per 100 ms, charging it to the
-    // mechanisms whose totals advanced (serve_bench does the same).
+    // SLO sampler: closes one window per 100 ms, marking it busy when
+    // the daemon's totals advanced (serve_bench does the same).
     std::atomic<bool> samplerDone{false};
     std::thread sampler([&] {
-        uint64_t last[anchorage::kNumMechanisms] = {};
+        uint64_t last = 0;
         while (!samplerDone.load(std::memory_order_acquire)) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(100));
-            uint64_t delta[anchorage::kNumMechanisms];
-            for (size_t k = 0; k < anchorage::kNumMechanisms; k++) {
-                const anchorage::DefragStats s = daemon.totalsFor(
-                    static_cast<anchorage::MechanismKind>(k));
-                const uint64_t w =
-                    s.movedObjects + s.barriers + s.committed;
-                delta[k] = w - last[k];
-                last[k] = w;
-            }
-            slo.closeWindow(delta);
+            const anchorage::DefragStats s = daemon.totals();
+            const uint64_t work = s.movedObjects + s.barriers + s.committed;
+            slo.closeWindow(work != last);
+            last = work;
         }
     });
 
@@ -140,12 +134,11 @@ main()
                 slo.sloUs(), static_cast<unsigned long long>(t.violated),
                 static_cast<unsigned long long>(t.windows),
                 t.worstWindowP999Us);
-    for (size_t k = 0; k < anchorage::kNumMechanisms; k++)
-        if (t.violatedBy[k] > 0)
-            std::printf("  %llu during %s work\n",
-                        static_cast<unsigned long long>(t.violatedBy[k]),
-                        anchorage::mechanismName(
-                            static_cast<anchorage::MechanismKind>(k)));
+    if (t.violated > t.violatedIdle)
+        std::printf("  %llu during %s work\n",
+                    static_cast<unsigned long long>(t.violated -
+                                                    t.violatedIdle),
+                    anchorage::defragModeName(params.mode));
     if (t.violatedIdle > 0)
         std::printf("  %llu with defrag idle (the server's own "
                     "queueing, not a pause)\n",

@@ -6,10 +6,10 @@
  * Small allocations live in fixed-size-class slabs (16 KiB runs); a
  * fully-empty slab is returned to the kernel. The model exposes
  * shouldMove(): true when a token sits in a sparse slab and denser
- * slabs of the same class could absorb it — the application (our
- * minikv's activedefrag port) then reallocates the object, which this
- * model serves densest-slab-first so the sparse slab drains and its
- * pages are released. This is the mechanism behind the paper's
+ * slabs of the same class could absorb it — the application (the
+ * activedefrag port in kv::CacheWorkload) then reallocates the object,
+ * which this model serves densest-slab-first so the sparse slab drains
+ * and its pages are released. This is the mechanism behind the paper's
  * "activedefrag" curve in Figures 9 and 11.
  */
 

@@ -140,8 +140,7 @@ SubHeap *
 AnchorageService::addSubHeapLocked(Shard &sh, uint32_t shard_idx,
                                    size_t bytes)
 {
-    sh.heaps.push_back(
-        std::make_unique<SubHeap>(space_, bytes, shard_idx));
+    sh.heaps.push_back(std::make_unique<SubHeap>(space_, bytes));
     sh.orderDirty = true;
     SubHeap *heap = sh.heaps.back().get();
 

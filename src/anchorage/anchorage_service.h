@@ -321,9 +321,6 @@ class AnchorageService : public Service
         /** Stats accumulated over every barrier run so far. */
         const DefragStats &totals() const { return totals_; }
 
-        /** Remaining byte budget of the pass. */
-        size_t remainingBudget() const { return budget_; }
-
       private:
         friend class AnchorageService;
         BatchedPass(AnchorageService &service, size_t max_bytes);

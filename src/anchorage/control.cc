@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "anchorage/mechanism.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -33,19 +32,20 @@ passBudget(const AnchorageService &service, const ControlParams &params)
 /** Record the tick's one mechanism invocation, charged in the
  *  configured time base. */
 void
-record(ControlAction &action, MechanismKind kind, const DefragStats &stats,
-       bool useModeledTime)
+record(ControlAction &action, const ControlParams &params,
+       const DefragStats &stats)
 {
     action.defragged = true;
     action.stats = stats;
-    action.costSec = useModeledTime ? stats.modeledSec : stats.measuredSec;
+    action.costSec =
+        params.useModeledTime ? stats.modeledSec : stats.measuredSec;
     // Only barriers stop the world; a campaign's cost is all
     // concurrent work.
-    if (kind == MechanismKind::Stw)
+    const bool stw = params.mode == DefragMode::StopTheWorld;
+    if (stw)
         action.pauseSec = action.costSec;
     if (stats.reclaimedBytes > 0)
-        telemetry::count(kind == MechanismKind::Stw
-                             ? telemetry::Counter::StwRecoveredBytes
+        telemetry::count(stw ? telemetry::Counter::StwRecoveredBytes
                              : telemetry::Counter::CampaignRecoveredBytes,
                          stats.reclaimedBytes);
 }
@@ -163,8 +163,7 @@ DefragController::runPass()
             }
             // One barrier per tick: the overhead sleep between ticks
             // is what turns one long pause into many short ones.
-            record(action, MechanismKind::Stw, pass_->step(batch),
-                   params_.useModeledTime);
+            record(action, params_, pass_->step(batch));
             pass_done = pass_->done();
             if (pass_done) {
                 no_progress = pass_->totals().movedBytes == 0 &&
@@ -173,10 +172,9 @@ DefragController::runPass()
             }
             break;
         case DefragMode::Concurrent:
-            record(action, MechanismKind::Campaign,
+            record(action, params_,
                    service_.relocateCampaign(
-                       passBudget(service_, params_)),
-                   params_.useModeledTime);
+                       passBudget(service_, params_)));
             no_progress = action.stats.movedBytes == 0 &&
                           action.stats.reclaimedBytes == 0;
             break;

@@ -1,20 +1,20 @@
 /**
  * @file
- * The two defrag mechanisms, named once for attribution.
+ * The two defrag mechanisms, named for repobench/ only.
  *
  * Anchorage turns fragmentation into free memory two ways: batched
  * stop-the-world compaction, or concurrent relocation campaigns over
  * the epoch/grace pipeline. Each controller mode (control.h) runs
- * exactly one of them; the daemon's totalsFor(), SloTracker's
- * violated-window attribution and the benches' report columns are
- * keyed by MechanismKind, so recovered bytes, CPU time and mutator
- * pauses are attributed to the mechanism that earned them.
+ * exactly one of them, so DefragMode is the one name the library's
+ * code and reports use. This enum is kept only because repobench/
+ * still calls ConcurrentRelocDaemon::totalsFor() with it; delete both
+ * when a benchmark change reads ConcurrentRelocDaemon::totals()
+ * instead.
  */
 
 #ifndef ALASKA_ANCHORAGE_MECHANISM_H
 #define ALASKA_ANCHORAGE_MECHANISM_H
 
-#include <cstddef>
 #include <cstdint>
 
 namespace alaska::anchorage
@@ -27,14 +27,7 @@ enum class MechanismKind : uint32_t
     Stw,
     /** Concurrent mark/copy/commit relocation campaigns. */
     Campaign,
-    kCount,
 };
-
-constexpr size_t kNumMechanisms =
-    static_cast<size_t>(MechanismKind::kCount);
-
-/** Stable snake_case name for a mechanism kind (never nullptr). */
-const char *mechanismName(MechanismKind kind);
 
 } // namespace alaska::anchorage
 

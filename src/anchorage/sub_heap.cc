@@ -10,9 +10,8 @@ namespace alaska::anchorage
 static_assert(SubHeap::numClasses <= 32,
               "freeClassMask() holds one bit per class");
 
-SubHeap::SubHeap(AddressSpace &space, size_t capacity,
-                 uint32_t owner_shard)
-    : space_(space), capacity_(capacity), ownerShard_(owner_shard)
+SubHeap::SubHeap(AddressSpace &space, size_t capacity)
+    : space_(space), capacity_(capacity)
 {
     base_ = space_.map(capacity);
     blocks_.reserve(1024);

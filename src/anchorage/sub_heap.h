@@ -71,11 +71,8 @@ class SubHeap
     /**
      * @param space backing address space (thread-safe; see sim/)
      * @param capacity region size in bytes
-     * @param owner_shard the Anchorage shard this sub-heap belongs to
-     *        (an inert tag for stats/asserts; 0 for unsharded users)
      */
-    SubHeap(AddressSpace &space, size_t capacity,
-            uint32_t owner_shard = 0);
+    SubHeap(AddressSpace &space, size_t capacity);
     ~SubHeap();
 
     SubHeap(const SubHeap &) = delete;
@@ -128,9 +125,6 @@ class SubHeap
      * @return number of holes merged away.
      */
     size_t coalesceHoles();
-
-    /** Anchorage shard that owns this sub-heap (tag; see constructor). */
-    uint32_t ownerShard() const { return ownerShard_; }
 
     /** Base address of the region. */
     uint64_t base() const { return base_; }
@@ -253,7 +247,6 @@ class SubHeap
     AddressSpace &space_;
     uint64_t base_ = 0;
     size_t capacity_ = 0;
-    uint32_t ownerShard_ = 0;
     /** Bump offset; a published fit hint (see freeClassMask()). */
     std::atomic<size_t> bump_{0};
     size_t liveBytes_ = 0;

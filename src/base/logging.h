@@ -6,8 +6,6 @@
  *            aborts so a core dump / debugger can be used.
  * fatal()  — the caller misused the library or the environment cannot
  *            support the request; exits with an error code.
- * warn()   — something works, but not as well as it should.
- * inform() — plain status output.
  */
 
 #ifndef ALASKA_BASE_LOGGING_H
@@ -25,12 +23,6 @@ namespace alaska
 /** Print a formatted message and exit(1). Never returns. */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Print a formatted warning to stderr. */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a formatted status message to stderr. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace alaska
 

@@ -464,13 +464,6 @@ Runtime::quiesceConcurrentAccessors()
     waitForGrace(advanceCampaignEpoch());
 }
 
-size_t
-Runtime::threadCount() const
-{
-    std::lock_guard<std::mutex> guard(threadMutex_);
-    return threads_.size();
-}
-
 // --- barrier ----------------------------------------------------------------
 
 void

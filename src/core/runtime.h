@@ -292,13 +292,6 @@ class Runtime
         return gCampaignEpoch.fetch_add(1, std::memory_order_seq_cst) + 1;
     }
 
-    /** The current global campaign epoch. */
-    static uint64_t
-    campaignEpoch()
-    {
-        return gCampaignEpoch.load(std::memory_order_seq_cst);
-    }
-
     /**
      * One grace period in flight, split into a snapshot (beginGrace)
      * and a non-blocking poll (graceElapsed) so a campaign can park a
@@ -400,9 +393,6 @@ class Runtime
      * @return false on I/O error.
      */
     bool dumpTrace(const char *path) const;
-
-    /** Number of registered threads. */
-    size_t threadCount() const;
 
     // Fast-path globals (see translate.h). Treat as private.
     static HandleTableEntry *gTableBase;

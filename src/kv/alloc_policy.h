@@ -16,13 +16,9 @@
  *    stop-the-world *and* background-campaign defrag. Works with any
  *    attached service, including Anchorage — which defragments these
  *    structures with *zero* cooperation from the KV code.
- *  - ModelAlloc<M>: an AllocModel (jemalloc/glibc model over a real
- *    address space) with the defrag-hint API; this is what the
- *    activedefrag port (minikv::defragCycle) needs, mirroring
- *    Redis+jemalloc.
  *
- * The handle-based policies are part of the raw API's internals: they
- * hand raw maybe-handles to C-style structures (sds/dict) that manage
+ * The handle-based policy is part of the raw API's internals: it
+ * hands raw maybe-handles to C-style structures (sds/dict) that manage
  * lifetime explicitly, so allocation stays on the halloc/hfree escape
  * hatch — but every dereference goes through the typed access layer,
  * which is what makes the stores defrag-mode-agnostic.
@@ -31,10 +27,9 @@
 #ifndef ALASKA_KV_ALLOC_POLICY_H
 #define ALASKA_KV_ALLOC_POLICY_H
 
-#include <cstdint>
+#include <cstddef>
 #include <cstdlib>
 
-#include "alloc_sim/alloc_model.h"
 #include "api/access.h"
 #include "core/runtime.h"
 
@@ -114,8 +109,6 @@ class HandleWriteRef
 class LibcAlloc
 {
   public:
-    static constexpr bool handleBased = false;
-
     void *alloc(size_t size) { return std::malloc(size); }
     void free(void *ptr) { std::free(ptr); }
 
@@ -134,9 +127,6 @@ class LibcAlloc
     {
         return kv_detail::RawWriteRef<T>{ptr};
     }
-
-    /** Defrag hints: a non-moving allocator has none. */
-    bool shouldMove(const void *) const { return false; }
 };
 
 /**
@@ -167,8 +157,6 @@ class LibcAlloc
 class AlaskaAlloc
 {
   public:
-    static constexpr bool handleBased = true;
-
     explicit AlaskaAlloc(Runtime &runtime) : runtime_(runtime) {}
 
     void *alloc(size_t size) { return runtime_.halloc(size); }
@@ -198,63 +186,10 @@ class AlaskaAlloc
         return kv_detail::HandleWriteRef<T>(ptr);
     }
 
-    /** Anchorage needs no application cooperation to defragment. */
-    bool shouldMove(const void *) const { return false; }
-
     Runtime &runtime() { return runtime_; }
 
   private:
     Runtime &runtime_;
-};
-
-/** An AllocModel (jemalloc-like) behind the policy interface. */
-template <typename M>
-class ModelAlloc
-{
-  public:
-    static constexpr bool handleBased = false;
-
-    explicit ModelAlloc(M &model) : model_(model) {}
-
-    void *
-    alloc(size_t size)
-    {
-        return reinterpret_cast<void *>(model_.alloc(size));
-    }
-
-    void
-    free(void *ptr)
-    {
-        model_.free(reinterpret_cast<uint64_t>(ptr));
-    }
-
-    /** Tokens are real addresses when M sits on a RealAddressSpace. */
-    template <typename T>
-    static T *
-    deref(T *ptr)
-    {
-        return ptr;
-    }
-
-    /** Store access: model tokens are directly writable. */
-    template <typename T>
-    static kv_detail::RawWriteRef<T>
-    write(T *ptr)
-    {
-        return kv_detail::RawWriteRef<T>{ptr};
-    }
-
-    /** jemalloc's defrag hint — what Redis activedefrag polls. */
-    bool
-    shouldMove(const void *ptr) const
-    {
-        return model_.shouldMove(reinterpret_cast<uint64_t>(ptr));
-    }
-
-    M &model() { return model_; }
-
-  private:
-    M &model_;
 };
 
 } // namespace alaska::kv

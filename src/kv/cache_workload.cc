@@ -54,7 +54,6 @@ CacheWorkload::insertOne()
     live_.push_back(record);
     usedMemory_ += entryBytes + config_.keyLen + sdsOverhead +
                    value_size + sdsOverhead;
-    insertions_++;
     growBucketsIfNeeded();
     evictIfNeeded();
 }

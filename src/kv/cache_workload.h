@@ -82,7 +82,6 @@ class CacheWorkload
     /** Redis-style used_memory (what maxmemory compares against). */
     size_t usedMemory() const { return usedMemory_; }
     size_t liveRecords() const { return live_.size(); }
-    size_t insertions() const { return insertions_; }
     size_t evictions() const { return evictions_; }
 
     /** Release everything (for leak-checking tests). */
@@ -112,7 +111,6 @@ class CacheWorkload
     size_t bucketSlots_ = 0;
     size_t usedMemory_ = 0;
     uint64_t nextSeq_ = 0;
-    size_t insertions_ = 0;
     size_t evictions_ = 0;
     /** Rotating defrag scan cursor. */
     size_t defragCursor_ = 0;

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "base/logging.h"
 #include "kv/sds.h"
 
 namespace alaska::kv
@@ -150,26 +149,6 @@ class Dict
         return nullptr;
     }
 
-    /** Visit every entry: fn(DictEntry* maybe-handle). */
-    template <typename F>
-    void
-    forEach(F fn)
-    {
-        for (int t = 0; t < 2; t++) {
-            if (!ht_[t])
-                continue;
-            for (size_t i = 0; i < size_[t]; i++) {
-                DictEntry *e = derefBuckets(t)[i];
-                while (e) {
-                    DictEntry *next =
-                        A::template deref<DictEntry>(e)->next;
-                    fn(e);
-                    e = next;
-                }
-            }
-        }
-    }
-
     size_t used() const { return used_; }
     bool rehashing() const { return ht_[1] != nullptr; }
     /** Total bucket slots across both tables. */
@@ -180,65 +159,6 @@ class Dict
     entryOverhead(std::string_view key)
     {
         return sizeof(DictEntry) + sdsAllocSize(key.size());
-    }
-
-    // --- activedefrag support (the bespoke pointer surgery) -----------
-    /**
-     * Replace the bucket-array allocations if the allocator wants them
-     * moved. @return reallocations performed.
-     */
-    size_t
-    defragTables()
-    {
-        size_t moved = 0;
-        for (int t = 0; t < 2; t++) {
-            if (!ht_[t] || !alloc_.shouldMove(ht_[t]))
-                continue;
-            void *fresh = alloc_.alloc(size_[t] * sizeof(DictEntry *));
-            std::memcpy(A::template write<DictEntry *>(
-                            static_cast<DictEntry **>(fresh))
-                            .get(),
-                        derefBuckets(t), size_[t] * sizeof(DictEntry *));
-            alloc_.free(ht_[t]);
-            ht_[t] = fresh;
-            moved++;
-        }
-        return moved;
-    }
-
-    /**
-     * Move one entry allocation: replaces old_entry (already copied
-     * into new_entry by the caller) in its chain. This is exactly the
-     * fix-every-pointer surgery activedefrag needs and Anchorage
-     * doesn't (§5.5).
-     */
-    void
-    replaceEntry(DictEntry *old_entry, DictEntry *new_entry)
-    {
-        const uint64_t h =
-            sdsHash<A>(A::template deref<DictEntry>(old_entry)->key);
-        for (int t = 0; t < 2; t++) {
-            if (!ht_[t])
-                continue;
-            DictEntry **buckets = derefBuckets(t);
-            const size_t idx = h & (size_[t] - 1);
-            DictEntry *e = buckets[idx];
-            DictEntry *prev = nullptr;
-            while (e) {
-                if (e == old_entry) {
-                    if (prev) {
-                        A::template write<DictEntry>(prev)->next =
-                            new_entry;
-                    } else {
-                        writeBuckets(t)[idx] = new_entry;
-                    }
-                    return;
-                }
-                prev = e;
-                e = A::template deref<DictEntry>(e)->next;
-            }
-        }
-        panic("replaceEntry: entry not found in any chain");
     }
 
   private:

@@ -2,23 +2,21 @@
  * @file
  * MiniKv: an in-memory key-value cache with the allocation behaviour
  * of Redis — sds keys/values, a chained dict with incremental rehash,
- * exact LRU eviction under a maxmemory limit, and a port of
- * activedefrag (the bespoke, allocator-hint-driven defragmentation
- * that the paper contrasts with Anchorage in §5.5).
+ * and exact LRU eviction under a maxmemory limit.
  *
- * Under AlaskaAlloc every stored pointer is a handle; under
- * ModelAlloc<JemallocModel> the activedefrag cycle can rewire the
- * structures by hand, exactly like Redis does.
+ * Under AlaskaAlloc every stored pointer is a handle, and Anchorage
+ * defragments the store with no cooperation from this code. The
+ * activedefrag comparison (the bespoke, allocator-hint-driven pointer
+ * surgery the paper contrasts with Anchorage in §5.5) lives in
+ * kv::CacheWorkload.
  */
 
 #ifndef ALASKA_KV_MINIKV_H
 #define ALASKA_KV_MINIKV_H
 
-#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "kv/dict.h"
 #include "kv/sds.h"
@@ -32,7 +30,6 @@ struct KvStats
     size_t keys = 0;
     size_t usedMemory = 0;
     size_t evictions = 0;
-    size_t defragMoves = 0;
 };
 
 /** The cache. */
@@ -120,58 +117,10 @@ class MiniKv
         s.keys = dict_.used();
         s.usedMemory = usedMemory_;
         s.evictions = evictions_;
-        s.defragMoves = defragMoves_;
         return s;
     }
 
     size_t usedMemory() const { return usedMemory_; }
-    Dict<A> &dict() { return dict_; }
-
-    /**
-     * One activedefrag cycle: walk the keyspace, ask the allocator
-     * which allocations sit badly (jemalloc's defrag hint), and
-     * reallocate them — patching the dict chain, LRU list and value
-     * pointers by hand. This is the per-application surgery the paper
-     * says "cannot be transferred to other applications" (§1, §5.5).
-     * @return allocations moved.
-     */
-    size_t
-    defragCycle()
-    {
-        size_t moved = dict_.defragTables();
-
-        std::vector<DictEntry *> entries;
-        entries.reserve(dict_.used());
-        dict_.forEach([&](DictEntry *e) { entries.push_back(e); });
-
-        for (DictEntry *e : entries) {
-            auto raw = A::template write<DictEntry>(e);
-            // Move the value sds?
-            if (alloc_.shouldMove(raw->value)) {
-                raw->value = moveSds(raw->value);
-                moved++;
-            }
-            // Move the key sds?
-            if (alloc_.shouldMove(raw->key)) {
-                raw->key = moveSds(raw->key);
-                moved++;
-            }
-            // Move the entry struct itself? Requires chain + LRU
-            // surgery.
-            if (alloc_.shouldMove(e)) {
-                auto *fresh = static_cast<DictEntry *>(
-                    alloc_.alloc(sizeof(DictEntry)));
-                std::memcpy(A::template write<DictEntry>(fresh).get(),
-                            raw.get(), sizeof(DictEntry));
-                dict_.replaceEntry(e, fresh);
-                lruReplace(e, fresh);
-                alloc_.free(e);
-                moved++;
-            }
-        }
-        defragMoves_ += moved;
-        return moved;
-    }
 
   private:
     std::string_view
@@ -192,21 +141,6 @@ class MiniKv
         sdsFree(alloc_, raw->key);
         sdsFree(alloc_, raw->value);
         alloc_.free(e);
-    }
-
-    Sds
-    moveSds(Sds old_sds)
-    {
-        const uint32_t len = sdsLen<A>(old_sds);
-        Sds fresh = alloc_.alloc(sdsAllocSize(len));
-        std::memcpy(A::template write<SdsHeader>(
-                        static_cast<SdsHeader *>(fresh))
-                        .get(),
-                    A::template deref<SdsHeader>(
-                        static_cast<SdsHeader *>(old_sds)),
-                    sdsAllocSize(len));
-        alloc_.free(old_sds);
-        return fresh;
     }
 
     // --- exact LRU (intrusive list over entries) -----------------------
@@ -252,25 +186,6 @@ class MiniKv
     }
 
     void
-    lruReplace(DictEntry *old_entry, DictEntry *new_entry)
-    {
-        DictEntry *raw = A::template deref<DictEntry>(new_entry);
-        if (raw->lruPrev) {
-            A::template write<DictEntry>(raw->lruPrev)->lruNext =
-                new_entry;
-        } else {
-            lruHead_ = new_entry;
-        }
-        if (raw->lruNext) {
-            A::template write<DictEntry>(raw->lruNext)->lruPrev =
-                new_entry;
-        } else {
-            lruTail_ = new_entry;
-        }
-        (void)old_entry;
-    }
-
-    void
     evictIfNeeded()
     {
         if (maxMemory_ == 0)
@@ -290,7 +205,6 @@ class MiniKv
     size_t maxMemory_;
     size_t usedMemory_ = 0;
     size_t evictions_ = 0;
-    size_t defragMoves_ = 0;
     DictEntry *lruHead_ = nullptr;
     DictEntry *lruTail_ = nullptr;
 };

@@ -206,7 +206,6 @@ Server::storeStats() const
         total.keys += s.keys;
         total.usedMemory += s.usedMemory;
         total.evictions += s.evictions;
-        total.defragMoves += s.defragMoves;
     }
     return total;
 }

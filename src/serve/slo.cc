@@ -8,34 +8,26 @@ SloTracker::record(const Response &response)
 {
     perOpNs_[static_cast<size_t>(response.op)].record(
         response.latencyNs);
-    windowedNs_.record(response.latencyNs);
+    windowNs_.record(response.latencyNs);
 }
 
-telemetry::WindowSummary
-SloTracker::closeWindow(
-    const uint64_t (&mechWork)[anchorage::kNumMechanisms])
+void
+SloTracker::closeWindow(bool defragWorked)
 {
-    const telemetry::WindowSummary s = windowedNs_.rotate();
+    const telemetry::Histogram window = windowNs_;
+    windowNs_.clear();
     std::lock_guard<std::mutex> lock(mutex_);
     totals_.windows++;
-    if (s.count == 0)
-        return s; // an empty window cannot violate anything
-    const double p999Us = s.p999 / 1000.0;
+    if (window.count() == 0)
+        return; // an empty window cannot violate anything
+    const double p999Us = window.percentile(99.9) / 1000.0;
     if (p999Us > totals_.worstWindowP999Us)
         totals_.worstWindowP999Us = p999Us;
     if (p999Us <= config_.sloUs)
-        return s;
+        return;
     totals_.violated++;
-    bool anyWork = false;
-    for (size_t k = 0; k < anchorage::kNumMechanisms; k++) {
-        if (mechWork[k] > 0) {
-            totals_.violatedBy[k]++;
-            anyWork = true;
-        }
-    }
-    if (!anyWork)
+    if (!defragWorked)
         totals_.violatedIdle++;
-    return s;
 }
 
 SloTracker::Totals

@@ -3,17 +3,16 @@
  * Tail-latency SLO tracking for the serving front end.
  *
  * Two views of the same completion stream: cumulative per-op-type
- * histograms (whole-run p50/p99/p999 per get/set/rmw) and a windowed
- * combined histogram whose per-window p999 is compared against the SLO
- * each time the sampler closes a window. A violated window is
- * attributed to whichever defrag mechanisms did work during it — the
- * sampler passes per-mechanism work deltas (from
- * ConcurrentRelocDaemon::totalsFor) into closeWindow() — so a run's
- * report can say "7 of 9 violated windows coincided with
- * stop-the-world work" instead of just "p999 was bad". Windows
- * violated with no defrag work at all are counted separately
- * (violatedIdle): those are the server's own fault (overload,
- * scheduling), not the defrag pipeline's.
+ * histograms (whole-run p50/p99/p999 per get/set/rmw) and the current
+ * window's combined histogram, whose p999 is compared against the SLO
+ * each time the sampler closes a window. The sampler also says whether
+ * the defrag daemon did any work during the window (a delta of
+ * ConcurrentRelocDaemon::totals()), so a run's report can say "7 of 9
+ * violated windows coincided with defrag work" instead of just "p999
+ * was bad". Windows violated with no defrag work at all are counted
+ * separately (violatedIdle): those are the server's own fault
+ * (overload, scheduling), not the defrag pipeline's. The daemon runs
+ * exactly one mechanism per mode, so the busy windows are the mode's.
  */
 
 #ifndef ALASKA_SERVE_SLO_H
@@ -22,10 +21,8 @@
 #include <cstdint>
 #include <mutex>
 
-#include "anchorage/mechanism.h"
 #include "serve/server.h"
 #include "telemetry/histogram.h"
-#include "telemetry/windowed.h"
 
 namespace alaska::serve
 {
@@ -42,9 +39,13 @@ struct SloConfig
  *
  * record() is called from the server's completion handler (worker
  * threads, concurrently). closeWindow() must be called by a single
- * sampler thread on its window cadence; it rotates the windowed
- * histogram and updates the violation totals under a mutex, so the
- * totals are consistent whenever the sampler is quiesced.
+ * sampler thread on its window cadence; it copies and clears the
+ * current window and updates the violation totals under a mutex, so
+ * the totals are consistent whenever the sampler is quiesced. A sample
+ * racing the copy lands in whichever window the race resolves to (or,
+ * rarely, in neither: the clear is not atomic with the copy), which a
+ * percentile window tolerates; the cumulative per-op histograms count
+ * every sample exactly.
  */
 class SloTracker
 {
@@ -56,11 +57,9 @@ class SloTracker
         uint64_t windows = 0;
         /** Windows with traffic whose p999 exceeded the SLO. */
         uint64_t violated = 0;
-        /** Violated windows during which no mechanism did work. */
+        /** Violated windows during which the defrag daemon did no
+         *  work; the other violated - violatedIdle coincided with it. */
         uint64_t violatedIdle = 0;
-        /** Violated windows during which mechanism k did work (a
-         *  window with two active mechanisms counts toward both). */
-        uint64_t violatedBy[anchorage::kNumMechanisms] = {};
         /** Worst per-window p999 seen, microseconds. */
         double worstWindowP999Us = 0;
     };
@@ -71,15 +70,13 @@ class SloTracker
     void record(const Response &response);
 
     /**
-     * Close the current window: judge its p999 against the SLO and
-     * attribute a violation to every mechanism with nonzero work this
-     * window. @param mechWork per-mechanism work delta (any monotone
-     * progress measure — moved objects + barriers)
-     * indexed by anchorage::MechanismKind. Single sampler thread.
-     * @return the closed window's summary.
+     * Close the current window: judge its p999 against the SLO and, if
+     * violated, count it as idle unless defrag worked. @param
+     * defragWorked whether the defrag daemon made any progress this
+     * window (any monotone measure: moved objects + barriers +
+     * commits). Single sampler thread.
      */
-    telemetry::WindowSummary
-    closeWindow(const uint64_t (&mechWork)[anchorage::kNumMechanisms]);
+    void closeWindow(bool defragWorked);
 
     /** Violation totals so far. Call with the sampler quiesced. */
     Totals totals() const;
@@ -98,7 +95,7 @@ class SloTracker
 
     SloConfig config_;
     telemetry::Histogram perOpNs_[kNumOps];
-    telemetry::WindowedHistogram windowedNs_;
+    telemetry::Histogram windowNs_; ///< the current window, all ops
     mutable std::mutex mutex_; ///< guards totals_ (sampler vs readers)
     Totals totals_;
 };

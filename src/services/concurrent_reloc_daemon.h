@@ -16,8 +16,7 @@
  * controller's ControlParams::mode: StopTheWorld runs batched
  * barriers, Concurrent runs campaigns. The daemon declares the Scoped
  * translation discipline iff the controller requires it (Concurrent
- * mode), and attributes every tick's stats to its mode's mechanism
- * (totalsFor()).
+ * mode), and folds every tick's stats into totals().
  *
  * Between ticks the daemon parks in external mode, so barriers (its
  * own StopTheWorld barriers included) never wait on its sleep.
@@ -83,9 +82,11 @@ class ConcurrentRelocDaemon
      *  all shards. Any thread. */
     anchorage::DefragStats totals() const;
 
-    /** Stats attributed to one mechanism: totals() for the mode's
-     *  mechanism (barriers in StopTheWorld mode, campaigns in
-     *  Concurrent mode), empty stats for the other. Any thread. */
+    /** totals() for the mode's mechanism (barriers in StopTheWorld
+     *  mode, campaigns in Concurrent mode), empty stats for the other.
+     *  Kept only because repobench/ still reads it; delete it, and
+     *  anchorage/mechanism.h, when a benchmark change reads totals()
+     *  instead. Any thread. */
     anchorage::DefragStats totalsFor(anchorage::MechanismKind kind) const;
 
     /** Controller passes run so far. Any thread. */
@@ -138,7 +139,7 @@ class ConcurrentRelocDaemon
     RealClock clock_;
     /** Touched only by the daemon thread once start()ed. */
     anchorage::DefragController controller_;
-    /** The mechanism the controller's mode runs. */
+    /** The mechanism the controller's mode runs (totalsFor()). */
     const anchorage::MechanismKind mechanism_;
 
     /**

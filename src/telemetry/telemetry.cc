@@ -240,43 +240,4 @@ writeText(const Snapshot &snap, FILE *out)
     }
 }
 
-bool
-writeJson(const Snapshot &snap, const char *path)
-{
-    FILE *out = fopen(path, "w");
-    if (out == nullptr)
-        return false;
-    fprintf(out, "{\n  \"level\": %d,\n  \"counters\": {",
-            ALASKA_TELEMETRY_LEVEL);
-    bool first = true;
-    for (size_t i = 0; i < kNumCounters; i++) {
-        fprintf(out, "%s\n    \"%s\": %" PRIu64, first ? "" : ",",
-                counterName(static_cast<Counter>(i)), snap.counters[i]);
-        first = false;
-    }
-    fprintf(out, "\n  },\n  \"gauges\": {");
-    first = true;
-    for (size_t i = 0; i < kNumGauges; i++) {
-        fprintf(out, "%s\n    \"%s\": %" PRIu64, first ? "" : ",",
-                gaugeName(static_cast<Gauge>(i)), snap.gauges[i]);
-        first = false;
-    }
-    fprintf(out, "\n  },\n  \"histograms\": {");
-    first = true;
-    for (size_t i = 0; i < kNumHists; i++) {
-        const Histogram &h = snap.hists[i];
-        fprintf(out,
-                "%s\n    \"%s\": {\"count\": %" PRIu64
-                ", \"sum\": %" PRIu64 ", \"max\": %" PRIu64
-                ", \"mean\": %.3f, \"p50\": %.1f, \"p99\": %.1f}",
-                first ? "" : ",", histName(static_cast<Hist>(i)),
-                h.count(), h.sum(), h.max(), h.mean(), h.percentile(50),
-                h.percentile(99));
-        first = false;
-    }
-    fprintf(out, "\n  }\n}\n");
-    bool ok = (fclose(out) == 0);
-    return ok;
-}
-
 } // namespace alaska::telemetry

@@ -272,11 +272,6 @@ void reset();
  *  gauge, then count/mean/p50/p99/max per nonzero histogram. */
 void writeText(const Snapshot &snap, FILE *out);
 
-/** Machine-readable dump of the same data as a single JSON object
- *  ({"counters": {...}, "gauges": {...}, "histograms": {...}}).
- *  Returns false on I/O error. */
-bool writeJson(const Snapshot &snap, const char *path);
-
 } // namespace alaska::telemetry
 
 #endif // ALASKA_TELEMETRY_TELEMETRY_H

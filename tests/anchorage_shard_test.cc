@@ -799,9 +799,13 @@ TEST(AnchorageInboxStressTest, RemoteFreesRaceStopTheWorldDaemon)
     // shard (unless a barrier moved it), so most frees cross shards.
     // Growing and shrinking phases leave the heap fragmented enough
     // that the daemon keeps running barriers, which must apply the
-    // inboxes before they rank.
+    // inboxes before they rank. A worker that runs ahead of its
+    // successor yields instead of pushing while the successor's queue
+    // holds kMaxBacklog items, so the live set stays far below the
+    // handle table's capacity however the threads are scheduled.
     constexpr int kThreads = 4;
     constexpr int kPhase = 1500;
+    constexpr size_t kMaxBacklog = 4 * kPhase;
     std::mutex queue_mutex;
     std::deque<stress::Item> queue[kThreads]; // indexed by recipient
     std::atomic<bool> stop{false};
@@ -820,6 +824,15 @@ TEST(AnchorageInboxStressTest, RemoteFreesRaceStopTheWorldDaemon)
             for (int i = 0; i < kPhase; i++) {
                 const int pushes = growing ? 2 : 1;
                 for (int p = 0; p < pushes; p++) {
+                    bool full;
+                    {
+                        std::lock_guard<std::mutex> guard(queue_mutex);
+                        full = queue[next].size() >= kMaxBacklog;
+                    }
+                    if (full) {
+                        std::this_thread::yield();
+                        break;
+                    }
                     rng = rng * 1664525u + 1013904223u;
                     const uint32_t size = 16u << ((rng >> 24) % 7);
                     stress::Item item{runtime.halloc(size), size, seed++,

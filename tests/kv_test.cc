@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for sds, the incremental-rehash dict, and MiniKv across all
- * three allocator policies — including Redis-transparency under
+ * Tests for sds, the incremental-rehash dict, and MiniKv across both
+ * allocator policies — including Redis-transparency under
  * Alaska: the exact same data-structure code runs on handles and
  * survives full defragmentation with zero cooperation.
  */
@@ -11,7 +11,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "alloc_sim/jemalloc_model.h"
 #include "anchorage/anchorage_service.h"
 #include "base/rng.h"
 #include "core/runtime.h"
@@ -215,42 +214,6 @@ TEST(MiniKv, SurvivesFullDefragWithZeroCooperation)
         }
     }
     EXPECT_EQ(runtime.table().liveCount(), 0u);
-}
-
-TEST(MiniKv, ActivedefragPortReclaimsMemoryOnJemalloc)
-{
-    // Redis+jemalloc+activedefrag, in miniature: the bespoke pointer
-    // surgery (dict chains, LRU links, sds) must reclaim RSS.
-    RealAddressSpace space;
-    JemallocModel model(&space);
-    ModelAlloc<JemallocModel> alloc(model);
-    {
-        MiniKv<ModelAlloc<JemallocModel>> kv(alloc);
-        for (int i = 0; i < 8000; i++)
-            kv.set("key:" + std::to_string(i), std::string(120, 'v'));
-        // Delete 85% at random: sparse slabs everywhere.
-        Rng rng(5);
-        for (int i = 0; i < 8000; i++) {
-            if (rng.chance(0.85))
-                kv.del("key:" + std::to_string(i));
-        }
-        const size_t rss_before = model.rss();
-        size_t moves = 0;
-        for (int cycle = 0; cycle < 64; cycle++) {
-            const size_t m = kv.defragCycle();
-            moves += m;
-            if (m == 0)
-                break;
-        }
-        EXPECT_GT(moves, 0u);
-        EXPECT_LT(model.rss(), rss_before / 2)
-            << "activedefrag failed to reclaim";
-        // And the store still works.
-        size_t found = 0;
-        for (int i = 0; i < 8000; i++)
-            found += kv.get("key:" + std::to_string(i)).has_value();
-        EXPECT_EQ(found, kv.stats().keys);
-    }
 }
 
 } // namespace

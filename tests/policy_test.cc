@@ -4,12 +4,14 @@
  * a real (phantom-space) heap under a virtual clock: an open batched
  * StopTheWorld pass resumes with one barrier even after churn pushed
  * fragmentation below F_lb. Also the BarrierBudgetAdapter's
- * convergence/floor/cap dynamics. The tick-for-tick reference for
- * both modes is controller_reference_test.cc.
+ * convergence/floor/cap dynamics, alone and wired into the
+ * controller's barriers. The tick-for-tick reference for both modes is
+ * controller_reference_test.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -28,18 +30,18 @@ constexpr size_t kObjectBytes = 256;
 
 /**
  * ControlTest's shape: a phantom-space heap with 1 MiB sub-heaps and
- * a virtual clock, fragmented to ~2x by allocating `objects` blocks
- * and freeing every other one. Frees what it still holds on
- * destruction; only one Runtime may exist at a time.
+ * a virtual clock, fragmented to ~2x by allocating `objects` blocks of
+ * `bytes` each and freeing every other one. Frees what it still holds
+ * on destruction; only one Runtime may exist at a time.
  */
 struct FragmentedHeap
 {
-    explicit FragmentedHeap(int objects = 4000)
+    explicit FragmentedHeap(int objects = 4000, size_t bytes = kObjectBytes)
     {
         runtime.attachService(&service);
         std::vector<void *> handles;
         for (int i = 0; i < objects; i++)
-            handles.push_back(runtime.halloc(kObjectBytes));
+            handles.push_back(runtime.halloc(bytes));
         for (size_t i = 0; i < handles.size(); i++) {
             if (i % 2 != 0)
                 runtime.hfree(handles[i]);
@@ -144,6 +146,58 @@ TEST(BarrierBudgetAdapter, DisabledKeepsTheStaticLegacyBound)
     // batchBytes == 0 means unbatched, exactly as before the split.
     BarrierBudgetAdapter unbatched(0, 0);
     EXPECT_EQ(unbatched.current(), SIZE_MAX);
+}
+
+/**
+ * Run a StopTheWorld controller with an oversized 8 MiB per-barrier
+ * cap over 40 000 objects of 1 KiB, every other one freed, until it is
+ * back in Waiting. @return each barrier's modeled pause, seconds.
+ */
+std::vector<double>
+barrierPausesUntilWaiting(double targetBarrierPauseSec)
+{
+    FragmentedHeap heap(40000, 1 << 10);
+    const ControlParams params{.alpha = 1.0,
+                               .useModeledTime = true,
+                               .batchBytes = 8 << 20,
+                               .targetBarrierPauseSec =
+                                   targetBarrierPauseSec};
+    DefragController controller(heap.service, heap.clock, params);
+    EXPECT_GT(heap.service.fragmentation(), params.fUb);
+    std::vector<double> pauses;
+    for (int tick = 0; tick < 100000; tick++) {
+        const ControlAction action = controller.tick();
+        if (action.stats.barriers > 0)
+            pauses.push_back(action.stats.maxBarrierModeledSec);
+        if (controller.state() == DefragController::State::Waiting)
+            break;
+        heap.clock.set(controller.nextWake());
+    }
+    EXPECT_EQ(controller.state(), DefragController::State::Waiting);
+    return pauses;
+}
+
+TEST(BarrierBudgetAdapter, SteersControllerBarriersToThePauseTarget)
+{
+    // The adapter wired into runPass: the batch handed to each barrier
+    // is the adapter's, and each barrier's pause feeds it back. With a
+    // 1 ms target every barrier stays under it, and the batch grows
+    // until some barrier comes within 2x of it; the same heap under the
+    // static 8 MiB bound overshoots, so the target is what held.
+    constexpr double kTarget = 1e-3;
+    const std::vector<double> adaptive = barrierPausesUntilWaiting(kTarget);
+    const std::vector<double> fixed = barrierPausesUntilWaiting(0);
+    ASSERT_FALSE(adaptive.empty());
+    ASSERT_FALSE(fixed.empty());
+    const double adaptiveMax =
+        *std::max_element(adaptive.begin(), adaptive.end());
+    EXPECT_LE(adaptiveMax, kTarget)
+        << "a barrier overshot the pause target";
+    EXPECT_GE(adaptiveMax, kTarget / 2)
+        << "the batch never grew toward the target (" << adaptive.size()
+        << " barriers)";
+    EXPECT_GT(*std::max_element(fixed.begin(), fixed.end()), kTarget)
+        << "the static bound never overshot: this heap tests nothing";
 }
 
 TEST(BarrierBudgetAdapter, TinyOvershootStillShrinks)

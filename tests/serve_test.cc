@@ -4,7 +4,7 @@
  * duplicates a response, graceful shutdown drains everything in
  * flight, worker registration keeps scoped translation correct under
  * a live Concurrent campaign, and the SLO tracker's window judgment
- * and per-mechanism attribution are exact. Runs in the TSAN lane
+ * and busy/idle attribution are exact. Runs in the TSAN lane
  * (scripts/check.sh --tsan): the submit/steal/drain protocol is all
  * mutex+cv, so anything TSAN flags here is a real bug.
  */
@@ -25,7 +25,6 @@
 #include "serve/slo.h"
 #include "services/concurrent_reloc_daemon.h"
 #include "sim/address_space.h"
-#include "telemetry/windowed.h"
 #include "ycsb/ycsb.h"
 
 namespace
@@ -220,56 +219,30 @@ TEST(ServeSlo, WindowJudgmentAndMechanismAttribution)
         }
     };
 
-    const uint64_t none[anchorage::kNumMechanisms] = {};
-    uint64_t stwWork[anchorage::kNumMechanisms] = {};
-    stwWork[static_cast<size_t>(anchorage::MechanismKind::Stw)] = 3;
-
     // Window 1: all fast -> no violation.
     recordBatch(100 * 1000, 100);
-    EXPECT_LE(slo.closeWindow(none).p999 / 1000.0, 1000.0);
-    // Window 2: tail above the SLO while STW worked -> attributed.
+    slo.closeWindow(false);
+    EXPECT_EQ(slo.totals().violated, 0u);
+    EXPECT_LE(slo.totals().worstWindowP999Us, 1000.0);
+    // Window 2: tail above the SLO while defrag worked -> busy.
     recordBatch(100 * 1000, 100);
     recordBatch(5 * 1000 * 1000, 10);
-    slo.closeWindow(stwWork);
+    slo.closeWindow(true);
     // Window 3: same tail with no defrag work -> idle violation.
     recordBatch(100 * 1000, 100);
     recordBatch(5 * 1000 * 1000, 10);
-    slo.closeWindow(none);
+    slo.closeWindow(false);
     // Window 4: empty -> counted as a window, never a violation.
-    slo.closeWindow(stwWork);
+    slo.closeWindow(true);
 
     const serve::SloTracker::Totals t = slo.totals();
     EXPECT_EQ(t.windows, 4u);
     EXPECT_EQ(t.violated, 2u);
     EXPECT_EQ(t.violatedIdle, 1u);
-    EXPECT_EQ(t.violatedBy[static_cast<size_t>(
-                  anchorage::MechanismKind::Stw)],
-              1u);
-    EXPECT_EQ(t.violatedBy[static_cast<size_t>(
-                  anchorage::MechanismKind::Campaign)],
-              0u);
     EXPECT_GE(t.worstWindowP999Us, 1000.0);
 
     // Whole-run per-op histogram saw every sample across windows.
     EXPECT_EQ(slo.opHistogram(serve::OpKind::Get).count(), 320u);
-}
-
-TEST(ServeSlo, WindowedHistogramRotation)
-{
-    telemetry::WindowedHistogram wh(2);
-    wh.record(1000);
-    wh.record(1000);
-    const telemetry::WindowSummary first = wh.rotate();
-    EXPECT_EQ(first.count, 2u);
-    EXPECT_GT(first.p50, 0.0);
-    // The rotation cleared the live window.
-    const telemetry::WindowSummary second = wh.rotate();
-    EXPECT_EQ(second.count, 0u);
-    wh.record(8);
-    wh.rotate();
-    EXPECT_EQ(wh.windows(), 3u);
-    EXPECT_EQ(wh.recent().size(), 2u); // bounded ring kept the last 2
-    EXPECT_EQ(wh.recent().back().count, 1u);
 }
 
 } // namespace
