@@ -15,7 +15,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -185,6 +187,24 @@ outFileArg(const char *arg)
     return std::strncmp(arg, prefix, sizeof prefix - 1) == 0
                ? arg + sizeof prefix - 1
                : nullptr;
+}
+
+/**
+ * Parse a count flag's value into out. The parse is signed, so "-1"
+ * fails the minimum instead of wrapping to 2^64 - 1 as strtoull would;
+ * a non-number parses as 0. @return false (out untouched) when the
+ * value lies outside [min, max].
+ */
+template <typename T>
+inline bool
+countArg(const char *value, long long min, T &out,
+         unsigned long long max = std::numeric_limits<T>::max())
+{
+    const long long n = std::strtoll(value, nullptr, 10);
+    if (n < min || static_cast<unsigned long long>(n) > max)
+        return false;
+    out = static_cast<T>(n);
+    return true;
 }
 
 } // namespace alaska::bench

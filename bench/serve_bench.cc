@@ -36,10 +36,12 @@
  * --workload=a|b|c|f, --queue-cap=N, --value-size=N, --fixed-rate
  * (constant inter-arrival instead of Poisson), --trace=FILE,
  * --out=FILE. A rate, window, SLO or pause target that is not a
- * positive number, a zero record, op, queue or value size, or fewer
- * than one worker is a usage error (exit 2): the server, load
- * generator and SLO tracker would otherwise clamp it, hang on it,
- * abort on it, or skip the section it configures.
+ * positive number, a record, op, queue or value size below one (counts
+ * parse signed, so -1 does not wrap to 2^64 - 1), more records than a
+ * handle table of records x 4 entries can hold, or fewer than one
+ * worker is a usage error (exit 2): the server, load generator and SLO
+ * tracker would otherwise clamp it, hang on it, abort on it, or skip
+ * the section it configures.
  */
 
 #include <algorithm>
@@ -402,12 +404,11 @@ main(int argc, char **argv)
             if (opt.workers < 1)
                 return usage(argv[0]);
         } else if (const char *v = value("--records=")) {
-            opt.records = std::strtoull(v, nullptr, 10);
-            if (opt.records < 1)
+            // runServe sizes the handle table at records x 4 entries.
+            if (!bench::countArg(v, 1, opt.records, maxHandleId / 4))
                 return usage(argv[0]);
         } else if (const char *v = value("--ops=")) {
-            opt.ops = std::strtoull(v, nullptr, 10);
-            if (opt.ops < 1)
+            if (!bench::countArg(v, 1, opt.ops))
                 return usage(argv[0]);
         } else if (const char *v = value("--slo-us=")) {
             opt.sloUs = std::atof(v);
@@ -422,15 +423,11 @@ main(int argc, char **argv)
             if (!(target_pause_us > 0))
                 return usage(argv[0]);
         } else if (const char *v = value("--queue-cap=")) {
-            opt.queueCap = std::strtoull(v, nullptr, 10);
-            if (opt.queueCap < 1)
+            if (!bench::countArg(v, 1, opt.queueCap))
                 return usage(argv[0]);
         } else if (const char *v = value("--value-size=")) {
-            // Signed parse: strtoull would wrap "-5" to a huge size.
-            const long long size = std::atoll(v);
-            if (size < 1)
+            if (!bench::countArg(v, 1, opt.valueSize))
                 return usage(argv[0]);
-            opt.valueSize = static_cast<size_t>(size);
         } else if (arg == "--fixed-rate") {
             opt.poisson = false;
         } else if (const char *v = value("--workload=")) {

@@ -37,11 +37,11 @@
  *
  * Flags: --smoke (tiny counts for CI), --threads=N (at least 1),
  * --shards=N (Anchorage shard count for the multi-thread section,
- * default 8; a Concurrent run at shards=1 is always included as the
- * pre-shard baseline column), --records=N, --ops=N (single-thread
- * section, each at least 1), --mrecords=N --mops=N (per-thread,
- * multi-thread section; --mrecords at least 2, since the mutators
- * drive its surviving half, --mops at least 1),
+ * at least 1, default 8; a Concurrent run at shards=1 is always
+ * included as the pre-shard baseline column), --records=N, --ops=N
+ * (single-thread section, each at least 1), --mrecords=N --mops=N
+ * (per-thread, multi-thread section; --mrecords at least 2, since the
+ * mutators drive its surviving half, --mops at least 1),
  * --single-only, --multi-only, --telemetry (print the runtime
  * telemetry snapshot after the run), --trace=FILE (record the defrag
  * pipeline's trace events and export Chrome trace-event JSON, viewable
@@ -608,22 +608,19 @@ main(int argc, char **argv)
             if (threads < 1)
                 return usage(argv[0]);
         } else if (const char *v = value("--shards=")) {
-            shards = std::strtoull(v, nullptr, 10);
+            if (!alaska::bench::countArg(v, 1, shards))
+                return usage(argv[0]);
         } else if (const char *v = value("--records=")) {
-            records = std::strtoull(v, nullptr, 10);
-            if (records < 1)
+            if (!alaska::bench::countArg(v, 1, records))
                 return usage(argv[0]);
         } else if (const char *v = value("--ops=")) {
-            ops = std::strtoull(v, nullptr, 10);
-            if (ops < 1)
+            if (!alaska::bench::countArg(v, 1, ops))
                 return usage(argv[0]);
         } else if (const char *v = value("--mrecords=")) {
-            mrecords = std::strtoull(v, nullptr, 10);
-            if (mrecords < 2)
+            if (!alaska::bench::countArg(v, 2, mrecords))
                 return usage(argv[0]);
         } else if (const char *v = value("--mops=")) {
-            mops = std::strtoull(v, nullptr, 10);
-            if (mops < 1)
+            if (!alaska::bench::countArg(v, 1, mops))
                 return usage(argv[0]);
         } else if (arg == "--single-only") {
             single_only = true;

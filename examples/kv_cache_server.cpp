@@ -114,11 +114,15 @@ main()
     daemon.stop();
 
     // --- the exit SLO summary -------------------------------------
+    // stop() drained the queues, so every offered request completed
+    // unless the server lost it.
     const serve::SloTracker::Totals t = slo.totals();
-    std::printf("\nserved %llu requests (%llu offered, 0 lost), "
+    const uint64_t lost = gen.offered() - server.completed();
+    std::printf("\nserved %llu requests (%llu offered, %llu lost), "
                 "%llu stolen cross-queue\n",
                 static_cast<unsigned long long>(server.completed()),
                 static_cast<unsigned long long>(gen.offered()),
+                static_cast<unsigned long long>(lost),
                 static_cast<unsigned long long>(server.steals()));
     for (const auto op : {serve::OpKind::Get, serve::OpKind::Set,
                           serve::OpKind::Rmw}) {
@@ -165,5 +169,5 @@ main()
     // histograms the defrag pipeline recorded (docs/OBSERVABILITY.md).
     std::printf("\n");
     telemetry::writeText(telemetry::snapshot(), stdout);
-    return 0;
+    return lost == 0 ? 0 : 1;
 }

@@ -81,7 +81,7 @@ if [ "${1:-}" = "--asan" ]; then
 fi
 
 # Telemetry level-0 lane (`scripts/check.sh --telemetry0`): build the
-# whole tree with every count()/setGauge()/record() site compiled out
+# whole tree with every count()/record() site compiled out
 # and run the test suite — proof that level 0 really is zero-cost and
 # that no code path grew a functional dependency on a telemetry side
 # effect (the counter-delta tests GTEST_SKIP themselves).
@@ -99,8 +99,8 @@ fi
 # see docs/ARCHITECTURE.md and docs/API.md).
 gate sh scripts/check_header_docs.sh
 
-# Telemetry catalogue gate: every counter, gauge, histogram and trace
-# event the source emits has a row in docs/OBSERVABILITY.md, and every
+# Telemetry catalogue gate: every counter, histogram and trace event
+# the source emits has a row in docs/OBSERVABILITY.md, and every
 # row names something the source still emits.
 if command -v python3 > /dev/null 2>&1; then
     gate python3 scripts/check_observability_docs.py
@@ -135,29 +135,43 @@ usage_error() {
     fi
 }
 
-# Usage checks: a zero thread count, an empty keyspace, a zero op
-# count, an unknown --mode= and an unknown flag must each be rejected,
-# not crash or run and pass. serve_bench also rejects a rate, window,
-# SLO or pause target that is not a positive number and a zero queue
-# capacity or value size, which the load generator, SLO tracker and
-# server would otherwise hang on, abort on, silently clamp, or skip
-# (a bad pause target skipped the adaptive-vs-fixed section; an empty
-# value made workload F write past its end).
+# Usage checks: a zero thread or shard count, an empty keyspace, a
+# zero op count, an unknown --mode= and an unknown flag must each be
+# rejected, not crash or run and pass. Counts parse signed: a -1 that
+# wrapped to 2^64 - 1 ran forever (serve_bench --records, its table
+# sizing loop), ran unbounded (--queue-cap) or was silently clamped
+# (--shards=0). serve_bench also rejects more records than its handle
+# table can index (records x 4 entries; 10^9 aborted on a table size
+# truncated to 0), a rate, window, SLO or pause target that is not a
+# positive number and a zero queue capacity or value size, which the
+# load generator, SLO tracker and server would otherwise hang on,
+# abort on, silently clamp, or skip (a bad pause target skipped the
+# adaptive-vs-fixed section; an empty value made workload F write
+# past its end).
 usage_error ./tab_ycsb_latency --smoke --threads=0
 usage_error ./tab_ycsb_latency --smoke --single-only --records=0
+usage_error ./tab_ycsb_latency --smoke --single-only --records=-1
 usage_error ./tab_ycsb_latency --smoke --single-only --ops=0
+usage_error ./tab_ycsb_latency --smoke --single-only --ops=-1
 usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=0
 usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=1
+usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=-1
 usage_error ./tab_ycsb_latency --smoke --multi-only --mops=0
+usage_error ./tab_ycsb_latency --smoke --multi-only --mops=-1
+usage_error ./tab_ycsb_latency --smoke --multi-only --shards=0
 usage_error ./serve_bench --smoke --mode=bogus
 usage_error ./serve_bench --smoke --mode=hybrid
 usage_error ./serve_bench --smoke --rate=0
 usage_error ./serve_bench --smoke --rate=abc
 usage_error ./serve_bench --smoke --records=0
+usage_error ./serve_bench --smoke --records=-1
+usage_error ./serve_bench --smoke --records=1000000000
 usage_error ./serve_bench --smoke --ops=0
+usage_error ./serve_bench --smoke --ops=-1
 usage_error ./serve_bench --smoke --threads=0
 usage_error ./serve_bench --smoke --threads=-1
 usage_error ./serve_bench --smoke --queue-cap=0
+usage_error ./serve_bench --smoke --queue-cap=-1
 usage_error ./serve_bench --smoke --window-ms=0
 usage_error ./serve_bench --smoke --slo-us=-5
 usage_error ./serve_bench --smoke --target-pause-us=abc
@@ -242,7 +256,8 @@ diff_bench ../BENCH_translate.json bench_translate.json \
 
 # Example smoke: every example binary must run to completion — the
 # examples are the typed-API documentation that compiles, so they may
-# not bit-rot either.
+# not bit-rot either. example_kv_cache_server also exits 1 when the
+# server lost an offered request, the count its summary prints.
 smoke ./example_quickstart
 smoke ./example_far_memory
 smoke ./example_kv_cache_server

@@ -2,14 +2,14 @@
 """Check that docs/OBSERVABILITY.md catalogues exactly what the source emits.
 
 Source side, per kind:
-  * counters, gauges, histograms: the names counterName(), gaugeName()
-    and histName() return in src/telemetry/telemetry.cc;
+  * counters, histograms: the names counterName() and histName()
+    return in src/telemetry/telemetry.cc;
   * trace events: the string literals passed to TraceSpan,
     traceInstant() or traceComplete() anywhere under src/.
 
 Docs side: the backticked names in the first column of the table under
-the matching OBSERVABILITY.md section ("Counters", "Gauges",
-"Histograms", "Trace events"). A row may name several metrics, e.g.
+the matching OBSERVABILITY.md section ("Counters", "Histograms",
+"Trace events"). A row may name several metrics, e.g.
 `limbo_seal` / `limbo_retire`.
 
 Fails when a source name has no row, and when a row names something the
@@ -26,12 +26,11 @@ import sys
 # Source kind -> OBSERVABILITY.md section heading.
 SECTIONS = {
     "counter": "Counters",
-    "gauge": "Gauges",
     "histogram": "Histograms",
     "trace event": "Trace events",
 }
 
-ENUM_OF = {"counter": "Counter", "gauge": "Gauge", "histogram": "Hist"}
+ENUM_OF = {"counter": "Counter", "histogram": "Hist"}
 
 TRACE_CALL = re.compile(
     r'\b(?:TraceSpan(?:\s+\w+)?|traceInstant|traceComplete)\s*\(\s*"(\w+)"')

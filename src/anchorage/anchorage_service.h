@@ -239,14 +239,16 @@ class AnchorageService : public Service
      * of a shard whose owner went idle stays bounded.
      */
     void free(uint32_t id, void *ptr) override;
+    const char *name() const override { return "anchorage"; }
+
+    // --- heap metadata -----------------------------------------------------
     /** Block size backing ptr; 0 if unknown. Locks the owning shard. */
-    size_t usableSize(const void *ptr) const override;
+    size_t usableSize(const void *ptr) const;
     /** Total used extent, summed shard by shard (transiently skewed
      *  under concurrent mutation; exact at quiescence). */
-    size_t heapExtent() const override;
+    size_t heapExtent() const;
     /** Total live bytes, summed shard by shard (same caveat). */
-    size_t activeBytes() const override;
-    const char *name() const override { return "anchorage"; }
+    size_t activeBytes() const;
 
     // --- defragmentation ---------------------------------------------------
     /**

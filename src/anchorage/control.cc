@@ -195,8 +195,6 @@ DefragController::runPass()
         // time base (no-op unless targetBarrierPauseSec is set).
         adapter_.observe(worst);
     }
-    telemetry::setGauge(telemetry::Gauge::BatchBytesCurrent,
-                        adapter_.current());
 
     const double now = clock_.now();
     if (!pass_done) {

@@ -160,7 +160,6 @@ HandleTable::activate(uint32_t id)
     // counted in the state word (see deactivate).
     e.state.fetch_or(HandleTableEntry::Allocated,
                      std::memory_order_relaxed);
-    homeShard().liveDelta.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -177,7 +176,6 @@ HandleTable::deactivate(uint32_t id)
     e.state.fetch_and(~(HandleTableEntry::Allocated |
                         HandleTableEntry::Invalid),
                       std::memory_order_relaxed);
-    homeShard().liveDelta.fetch_sub(1, std::memory_order_relaxed);
 }
 
 HandleTableEntry &
@@ -203,10 +201,11 @@ HandleTable::watermark() const
 uint32_t
 HandleTable::liveCount() const
 {
-    int64_t total = 0;
-    for (const Shard &shard : shards_)
-        total += shard.liveDelta.load(std::memory_order_relaxed);
-    return total < 0 ? 0 : static_cast<uint32_t>(total);
+    const uint32_t end = watermark();
+    uint32_t live = 0;
+    for (uint32_t id = 0; id < end; id++)
+        live += table_[id].allocated();
+    return live;
 }
 
 } // namespace alaska

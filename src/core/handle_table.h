@@ -12,9 +12,8 @@
  * unchanged. On top of the shards, reserveBatch()/unreserveBatch() let
  * per-thread magazines (see ThreadState) move IDs in and out in bulk,
  * so the steady-state allocate/release path touches no shared state.
- * Live-entry accounting is likewise sharded: each thread bumps a
- * per-shard delta and liveCount() sums them, keeping the hot path off
- * any single contended cache line.
+ * The table keeps no live-entry count: an entry is live while its
+ * Allocated bit is set, and liveCount() scans for those bits.
  */
 
 #ifndef ALASKA_CORE_HANDLE_TABLE_H
@@ -213,9 +212,10 @@ class HandleTable
     uint32_t watermark() const;
 
     /**
-     * Number of currently live (allocated) entries. Summed over the
-     * per-shard deltas, so concurrent callers may observe a transiently
-     * stale value; quiescent reads are exact.
+     * Number of currently live (allocated) entries: an O(watermark())
+     * scan for the Allocated bit, meant for tests and quiescent leak
+     * checks. Concurrent callers may see a transiently skewed count;
+     * quiescent reads are exact.
      */
     uint32_t liveCount() const;
 
@@ -228,14 +228,6 @@ class HandleTable
     {
         std::mutex mutex;
         std::vector<uint32_t> freeList;
-        /**
-         * This shard's contribution to liveCount(). Each thread bumps
-         * its home shard's delta, so the magazine fast path never RMWs
-         * a shared counter; individual deltas may go negative (a handle
-         * can be activated on one shard and deactivated on another) but
-         * the sum is exact.
-         */
-        std::atomic<int64_t> liveDelta{0};
     };
 
     /** The calling thread's home shard (round-robin assigned). */

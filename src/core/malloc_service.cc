@@ -1,10 +1,6 @@
 #include "core/malloc_service.h"
 
-#include <malloc.h>
-
 #include <cstdlib>
-
-#include "core/runtime.h"
 
 namespace alaska
 {
@@ -24,47 +20,14 @@ void *
 MallocService::alloc(uint32_t id, size_t size)
 {
     (void)id;
-    void *p = std::malloc(size ? size : 1);
-    if (p) {
-        const size_t usable = ::malloc_usable_size(p);
-        const size_t now =
-            active_.fetch_add(usable, std::memory_order_relaxed) + usable;
-        size_t peak = peak_.load(std::memory_order_relaxed);
-        while (now > peak &&
-               !peak_.compare_exchange_weak(peak, now,
-                                            std::memory_order_relaxed)) {
-        }
-    }
-    return p;
+    return std::malloc(size ? size : 1);
 }
 
 void
 MallocService::free(uint32_t id, void *ptr)
 {
     (void)id;
-    if (!ptr)
-        return;
-    active_.fetch_sub(::malloc_usable_size(ptr), std::memory_order_relaxed);
     std::free(ptr);
-}
-
-size_t
-MallocService::usableSize(const void *ptr) const
-{
-    return ::malloc_usable_size(const_cast<void *>(ptr));
-}
-
-size_t
-MallocService::heapExtent() const
-{
-    // malloc cannot return interior pages; its extent is its peak.
-    return peak_.load(std::memory_order_relaxed);
-}
-
-size_t
-MallocService::activeBytes() const
-{
-    return active_.load(std::memory_order_relaxed);
 }
 
 } // namespace alaska

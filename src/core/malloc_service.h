@@ -9,8 +9,6 @@
 #ifndef ALASKA_CORE_MALLOC_SERVICE_H
 #define ALASKA_CORE_MALLOC_SERVICE_H
 
-#include <atomic>
-
 #include "core/service.h"
 
 namespace alaska
@@ -26,14 +24,7 @@ class MallocService : public Service
     void *alloc(uint32_t id, size_t size) override;
     void free(uint32_t id, void *ptr) override;
 
-    size_t usableSize(const void *ptr) const override;
-    size_t heapExtent() const override;
-    size_t activeBytes() const override;
     const char *name() const override { return "malloc"; }
-
-  private:
-    std::atomic<size_t> active_{0};
-    std::atomic<size_t> peak_{0};
 };
 
 } // namespace alaska

@@ -472,7 +472,6 @@ Runtime::park()
     ThreadState &state = currentThreadState();
     std::unique_lock<std::mutex> lock(threadMutex_);
     state.mode.store(ThreadMode::Parked, std::memory_order_release);
-    state.parks++;
     threadCv_.notify_all();
     threadCv_.wait(lock, [] { return !barrierPending(); });
     state.mode.store(ThreadMode::Managed, std::memory_order_release);

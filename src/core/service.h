@@ -6,8 +6,12 @@
  * to a pluggable service through this interface. The paper describes the
  * interface as "eight callback functions: two lifetime management
  * functions (init/deinit), two backing memory management functions
- * (alloc/free), and four metadata functions"; they are reproduced here
- * one-for-one, plus the optional handle-fault hook discussed in §7.
+ * (alloc/free), and four metadata functions". The runtime calls six
+ * through this class: the four lifetime and memory callbacks, name(),
+ * and the optional handle-fault hook discussed in §7. Object sizes live
+ * in the handle table (Runtime::usableSize reads the entry), and heap
+ * metadata such as extent and live bytes lives on the concrete service
+ * that keeps it (AnchorageService), for the callers that hold one.
  */
 
 #ifndef ALASKA_CORE_SERVICE_H
@@ -44,12 +48,6 @@ class Service
     virtual void free(uint32_t id, void *ptr) = 0;
 
     // --- metadata --------------------------------------------------------
-    /** Usable size of an allocation made by this service. */
-    virtual size_t usableSize(const void *ptr) const = 0;
-    /** Total virtual extent of the service's heap, in bytes. */
-    virtual size_t heapExtent() const = 0;
-    /** Total bytes of live objects. */
-    virtual size_t activeBytes() const = 0;
     /** Human-readable service name. */
     virtual const char *name() const = 0;
 

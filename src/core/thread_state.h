@@ -103,8 +103,6 @@ struct ThreadState
      * RMW per access.
      */
     std::atomic<uint64_t> accessEpoch{0};
-    /** Statistics: how many times this thread parked in a barrier. */
-    uint64_t parks = 0;
     /** This thread's allocation counts (see Runtime::stats). */
     AllocCounts allocs;
 

@@ -149,9 +149,7 @@ Server::submit(const Request &request)
         if (!stopping_.load(std::memory_order_relaxed)) {
             q.queue.push_back(request);
             accepted = true;
-            const size_t depth =
-                totalQueued_.fetch_add(1, std::memory_order_relaxed) + 1;
-            telemetry::setGauge(telemetry::Gauge::ServeQueueDepth, depth);
+            totalQueued_.fetch_add(1, std::memory_order_relaxed);
         }
     }
     if (accepted) {
@@ -295,9 +293,7 @@ Server::popFrom(size_t index, Request &out, bool stolen)
         return false;
     out = q.queue.front();
     q.queue.pop_front();
-    const size_t depth =
-        totalQueued_.fetch_sub(1, std::memory_order_relaxed) - 1;
-    telemetry::setGauge(telemetry::Gauge::ServeQueueDepth, depth);
+    totalQueued_.fetch_sub(1, std::memory_order_relaxed);
     lock.unlock();
     q.notFull.notify_one();
     if (stolen) {

@@ -48,27 +48,6 @@ SwapService::free(uint32_t id, void *ptr)
 }
 
 size_t
-SwapService::usableSize(const void *ptr) const
-{
-    (void)ptr;
-    return 0; // sizes are tracked by the handle table
-}
-
-size_t
-SwapService::heapExtent() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return hotBytes_ + coldBytes_;
-}
-
-size_t
-SwapService::activeBytes() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return hotBytes_ + coldBytes_;
-}
-
-size_t
 SwapService::hotBytes() const
 {
     std::lock_guard<std::mutex> guard(mutex_);

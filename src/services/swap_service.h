@@ -38,9 +38,6 @@ class SwapService : public Service
     void deinit() override;
     void *alloc(uint32_t id, size_t size) override;
     void free(uint32_t id, void *ptr) override;
-    size_t usableSize(const void *ptr) const override;
-    size_t heapExtent() const override;
-    size_t activeBytes() const override;
     const char *name() const override { return "swap"; }
 
     /**

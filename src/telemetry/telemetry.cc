@@ -41,17 +41,6 @@ counterName(Counter c)
 }
 
 const char *
-gaugeName(Gauge g)
-{
-    switch (g) {
-    case Gauge::BatchBytesCurrent: return "batch_bytes_current";
-    case Gauge::ServeQueueDepth: return "serve_queue_depth";
-    case Gauge::kCount: break;
-    }
-    return "unknown";
-}
-
-const char *
 histName(Hist h)
 {
     switch (h) {
@@ -153,8 +142,6 @@ countersSlow()
     return *b;
 }
 
-std::atomic<uint64_t> gGauges[kNumGauges] = {};
-
 } // namespace detail
 
 namespace
@@ -184,9 +171,6 @@ snapshot()
     for (size_t i = 0; i < kNumCounters; i++)
         snap.counters[i] +=
             r.lateBlock.cells[i].load(std::memory_order_relaxed);
-    for (size_t i = 0; i < kNumGauges; i++)
-        snap.gauges[i] =
-            detail::gGauges[i].load(std::memory_order_relaxed);
     for (size_t i = 0; i < kNumHists; i++)
         snap.hists[i] = gHists[i];
     return snap;
@@ -203,8 +187,6 @@ reset()
             b->cells[i].store(0, std::memory_order_relaxed);
     for (size_t i = 0; i < kNumCounters; i++)
         r.lateBlock.cells[i].store(0, std::memory_order_relaxed);
-    for (size_t i = 0; i < kNumGauges; i++)
-        detail::gGauges[i].store(0, std::memory_order_relaxed);
     for (size_t i = 0; i < kNumHists; i++)
         gHists[i].clear();
 }
@@ -219,13 +201,6 @@ writeText(const Snapshot &snap, FILE *out)
             continue;
         fprintf(out, "%-20s %12" PRIu64 "\n",
                 counterName(static_cast<Counter>(i)), snap.counters[i]);
-    }
-    fprintf(out, "# telemetry gauges (instantaneous)\n");
-    for (size_t i = 0; i < kNumGauges; i++) {
-        if (snap.gauges[i] == 0)
-            continue;
-        fprintf(out, "%-20s %12" PRIu64 "\n",
-                gaugeName(static_cast<Gauge>(i)), snap.gauges[i]);
     }
     fprintf(out, "# telemetry histograms\n");
     for (size_t i = 0; i < kNumHists; i++) {

@@ -97,23 +97,6 @@ constexpr size_t kNumHists = static_cast<size_t>(Hist::kCount);
 /** Stable snake_case name for a histogram (never nullptr). */
 const char *histName(Hist h);
 
-/**
- * Well-known gauges: last-write-wins instantaneous values (unlike the
- * cumulative counters). One relaxed store per set; a single global
- * cell per gauge, so keep writers off the per-deref fast path. Keep
- * in sync with gaugeName() in telemetry.cc and docs/OBSERVABILITY.md.
- */
-enum class Gauge : uint32_t {
-    BatchBytesCurrent, ///< controller's current per-barrier byte bound
-    ServeQueueDepth,   ///< requests queued across all serve workers
-    kCount
-};
-
-constexpr size_t kNumGauges = static_cast<size_t>(Gauge::kCount);
-
-/** Stable snake_case name for a gauge (never nullptr). */
-const char *gaugeName(Gauge g);
-
 namespace detail
 {
 
@@ -190,28 +173,6 @@ countHot(Counter c, uint64_t n = 1)
 /** The process-global histogram for h. Record with hist(h).record(v). */
 Histogram &hist(Hist h);
 
-namespace detail
-{
-/** The global gauge cells (one relaxed store/load each). */
-extern std::atomic<uint64_t> gGauges[kNumGauges];
-} // namespace detail
-
-/**
- * Publish an instantaneous value for gauge g (last write wins). One
- * relaxed store; compiled out below level 1.
- */
-inline void
-setGauge(Gauge g, uint64_t v)
-{
-#if ALASKA_TELEMETRY_LEVEL >= 1
-    detail::gGauges[static_cast<size_t>(g)].store(
-        v, std::memory_order_relaxed);
-#else
-    (void)g;
-    (void)v;
-#endif
-}
-
 /**
  * Record v into histogram h. Compiled out below level 1; three
  * relaxed RMWs on shared (not per-thread) cache lines otherwise, so
@@ -236,19 +197,12 @@ record(Hist h, uint64_t v)
  */
 struct Snapshot {
     uint64_t counters[kNumCounters] = {};
-    uint64_t gauges[kNumGauges] = {};
     Histogram hists[kNumHists];
 
     uint64_t
     counter(Counter c) const
     {
         return counters[static_cast<size_t>(c)];
-    }
-
-    uint64_t
-    gauge(Gauge g) const
-    {
-        return gauges[static_cast<size_t>(g)];
     }
 
     const Histogram &
@@ -268,8 +222,8 @@ Snapshot snapshot();
  */
 void reset();
 
-/** Human-readable dump: one `name value` line per nonzero counter and
- *  gauge, then count/mean/p50/p99/max per nonzero histogram. */
+/** Human-readable dump: one `name value` line per nonzero counter,
+ *  then count/mean/p50/p99/max per nonzero histogram. */
 void writeText(const Snapshot &snap, FILE *out);
 
 } // namespace alaska::telemetry

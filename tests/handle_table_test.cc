@@ -93,6 +93,43 @@ TEST(HandleTable, ConcurrentAllocateYieldsUniqueIds)
     EXPECT_EQ(all.size(), static_cast<size_t>(n_threads * per_thread));
 }
 
+/**
+ * liveCount() counts entries with the Allocated bit set, not entries
+ * with a nonzero state word: a reserved ID is not live, and an entry
+ * freed while a concurrent accessor still pins it keeps pin-count bits
+ * with Allocated clear until the accessor unpins.
+ */
+TEST(HandleTable, LiveCountCountsOnlyAllocatedEntries)
+{
+    HandleTable table(1024);
+    uint32_t ids[2];
+    ASSERT_EQ(table.reserveBatch(ids, 2), 2u);
+    // Reserved but never activated: below the watermark, not live.
+    EXPECT_EQ(table.liveCount(), 0u);
+
+    const uint32_t id = ids[0];
+    auto &e = table.entry(id);
+    table.activate(id);
+    // An atomic pin, as ConcurrentPin::pinFor takes it, outlives the
+    // free: the state word keeps the pin count, Allocated clears.
+    e.state.fetch_add(HandleTableEntry::pinCountOne,
+                      std::memory_order_seq_cst);
+    table.deactivate(id);
+    ASSERT_EQ(e.state.load(), HandleTableEntry::pinCountOne);
+    EXPECT_EQ(table.liveCount(), 0u);
+
+    // Re-activating the still-pinned entry counts it exactly once.
+    table.activate(id);
+    EXPECT_EQ(e.atomicPinCount(), 1u);
+    EXPECT_EQ(table.liveCount(), 1u);
+
+    e.state.fetch_sub(HandleTableEntry::pinCountOne,
+                      std::memory_order_seq_cst);
+    table.deactivate(id);
+    table.unreserveBatch(ids, 2);
+    EXPECT_EQ(table.liveCount(), 0u);
+}
+
 /** Property: random alloc/release interleavings keep accounting exact. */
 class HandleTableChurn : public ::testing::TestWithParam<uint64_t>
 {

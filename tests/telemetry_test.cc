@@ -212,28 +212,6 @@ TEST(Counters, NamesAreStableAndUnique)
     }
     for (size_t i = 0; i < tel::kNumHists; i++)
         EXPECT_STRNE(tel::histName(static_cast<tel::Hist>(i)), "unknown");
-    for (size_t i = 0; i < tel::kNumGauges; i++)
-        EXPECT_STRNE(tel::gaugeName(static_cast<tel::Gauge>(i)),
-                     "unknown");
-}
-
-// --- gauges ----------------------------------------------------------------
-
-TEST(Gauges, LastWriteWinsThroughSnapshot)
-{
-#if ALASKA_TELEMETRY_LEVEL < 1
-    GTEST_SKIP() << "gauges compiled out at this telemetry level";
-#endif
-    // Gauges are instantaneous, not cumulative: a second set replaces
-    // the first, and the snapshot carries the last written value.
-    tel::setGauge(tel::Gauge::BatchBytesCurrent, 123456);
-    EXPECT_EQ(tel::snapshot().gauge(tel::Gauge::BatchBytesCurrent),
-              123456u);
-    tel::setGauge(tel::Gauge::BatchBytesCurrent, 42);
-    EXPECT_EQ(tel::snapshot().gauge(tel::Gauge::BatchBytesCurrent),
-              42u);
-    tel::reset();
-    EXPECT_EQ(tel::snapshot().gauge(tel::Gauge::BatchBytesCurrent), 0u);
 }
 
 // --- tracer ----------------------------------------------------------------
