@@ -213,25 +213,10 @@ hallocPass()
 /** The translation discipline a row runs under. */
 enum class Mode
 {
-    Direct,   ///< no concurrent defrag declared
-    Scoped,   ///< concurrent defrag declared, no campaign in flight
-    Campaign, ///< Scoped, with a relocation campaign flagged in flight
+    Direct, ///< no concurrent defrag declared
+    Scoped, ///< concurrent defrag declared
 };
 using enum Mode;
-
-/** Move the runtime's discipline from one Mode to another. */
-void
-switchMode(Mode from, Mode to)
-{
-    if (from == Campaign)
-        Runtime::gConcurrentRelocCampaigns.fetch_sub(1);
-    if (from != Direct)
-        Runtime::retireConcurrentDefrag();
-    if (to != Direct)
-        Runtime::declareConcurrentDefrag();
-    if (to == Campaign)
-        Runtime::gConcurrentRelocCampaigns.fetch_add(1);
-}
 
 /** A timed row; a base row's cost divides the rows after it. */
 struct Row
@@ -256,9 +241,6 @@ const Row kRows[] = {
     {"scoped.api_deref", Scoped, false, derefPass},
     {"scoped.access_guard", Scoped, false, chase<guardStep>},
     {"scoped.scope_deref", Scoped, false, scopeDerefPass},
-    {"campaign.api_deref", Campaign, false, derefPass},
-    {"campaign.access_guard", Campaign, false, chase<guardStep>},
-    {"campaign.scope_deref", Campaign, false, scopeDerefPass},
     {"alloc.malloc_free", Direct, true, mallocPass},
     {"alloc.halloc_hfree", Direct, false, hallocPass},
 };
@@ -271,9 +253,11 @@ runRound(double *best)
     std::fill(best, best + kRowCount, 1e30);
     for (int pass = 0; pass < kPasses; pass++) {
         for (size_t r = 0; r < kRowCount; r++) {
-            switchMode(Direct, kRows[r].mode);
+            if (kRows[r].mode == Scoped)
+                Runtime::declareConcurrentDefrag();
             best[r] = std::min(best[r], kRows[r].pass());
-            switchMode(kRows[r].mode, Direct);
+            if (kRows[r].mode == Scoped)
+                Runtime::retireConcurrentDefrag();
         }
     }
 }

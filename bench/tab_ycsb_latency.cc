@@ -36,9 +36,10 @@
  *     in serve_bench, under open-loop load.
  *
  * Flags: --smoke (tiny counts for CI), --threads=N (at least 1),
- * --shards=N (Anchorage shard count for the multi-thread section,
- * at least 1, default 8; a Concurrent run at shards=1 is always
- * included as the pre-shard baseline column), --records=N, --ops=N
+ * --shards=N (Anchorage shard count for the multi-thread section, a
+ * power of two in [1, 256] — the counts AnchorageService runs as
+ * given — default 8; a Concurrent run at shards=1 is always included
+ * as the pre-shard baseline column), --records=N, --ops=N
  * (single-thread section, each at least 1), --mrecords=N --mops=N
  * (per-thread, multi-thread section; --mrecords at least 2, since the
  * mutators drive its surviving half, --mops at least 1),
@@ -608,7 +609,10 @@ main(int argc, char **argv)
             if (threads < 1)
                 return usage(argv[0]);
         } else if (const char *v = value("--shards=")) {
-            if (!alaska::bench::countArg(v, 1, shards))
+            // AnchorageService rounds any other count up to a power of
+            // two (or clamps it), which would mislabel the run.
+            if (!alaska::bench::countArg(v, 1, shards, 256) ||
+                (shards & (shards - 1)) != 0)
                 return usage(argv[0]);
         } else if (const char *v = value("--records=")) {
             if (!alaska::bench::countArg(v, 1, records))

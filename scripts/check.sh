@@ -45,8 +45,10 @@ finish() {
 # lock-free page-residency bitmap, the per-thread allocation
 # counters, the shards' remote-free inboxes and the campaign's
 # unlocked reads of sub-heap fit hints while a mutator grows the
-# destination shard's chain (anchorage_shard_test) end to end (the
-# full suite under TSAN is slow and mostly single-threaded).
+# destination shard's chain (anchorage_shard_test), and a campaign
+# thread racing a live access<T> guard and a pinned<T> (api_test's
+# ApiCampaignTest) end to end (the full suite under TSAN is slow and
+# mostly single-threaded).
 # The intentional mark-window copy race is whitelisted in
 # base/speculative_copy.h; anything else TSAN reports is a real
 # protocol bug.
@@ -55,7 +57,7 @@ if [ "${1:-}" = "--tsan" ]; then
             epoch_grace_test telemetry_test defrag_equivalence_test
             policy_test serve_test barrier_test
             pin_test batched_defrag_test anchorage_test page_model_test
-            runtime_test anchorage_shard_test"
+            runtime_test anchorage_shard_test api_test"
     targets=""
     for t in $suites; do
         targets="$targets --target $t"
@@ -135,11 +137,13 @@ usage_error() {
     fi
 }
 
-# Usage checks: a zero thread or shard count, an empty keyspace, a
-# zero op count, an unknown --mode= and an unknown flag must each be
-# rejected, not crash or run and pass. Counts parse signed: a -1 that
-# wrapped to 2^64 - 1 ran forever (serve_bench --records, its table
-# sizing loop), ran unbounded (--queue-cap) or was silently clamped
+# Usage checks: a zero thread or shard count, a shard count the
+# service would round or clamp (its label would name a heap the run
+# does not have), an empty keyspace, a zero op count, an unknown
+# --mode= and an unknown flag must each be rejected, not crash or run
+# and pass. Counts parse signed: a -1 that wrapped to 2^64 - 1 ran
+# forever (serve_bench --records, its table sizing loop), ran
+# unbounded (--queue-cap) or was silently clamped
 # (--shards=0). serve_bench also rejects more records than its handle
 # table can index (records x 4 entries; 10^9 aborted on a table size
 # truncated to 0), a rate, window, SLO or pause target that is not a
@@ -159,6 +163,8 @@ usage_error ./tab_ycsb_latency --smoke --multi-only --mrecords=-1
 usage_error ./tab_ycsb_latency --smoke --multi-only --mops=0
 usage_error ./tab_ycsb_latency --smoke --multi-only --mops=-1
 usage_error ./tab_ycsb_latency --smoke --multi-only --shards=0
+usage_error ./tab_ycsb_latency --smoke --multi-only --shards=3
+usage_error ./tab_ycsb_latency --smoke --multi-only --shards=512
 usage_error ./serve_bench --smoke --mode=bogus
 usage_error ./serve_bench --smoke --mode=hybrid
 usage_error ./serve_bench --smoke --rate=0

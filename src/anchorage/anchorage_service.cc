@@ -698,15 +698,12 @@ AnchorageService::relocateCampaign(size_t max_bytes)
         return stats;
     telemetry::TraceSpan campaign_span("campaign");
 
-    // Raise the global flag (and the scoped-discipline demand it
-    // implies, for accessors that pick their idiom dynamically), then
-    // wait one grace period for accessor scopes that opened before the
-    // flag was visible — they translate mark-unaware and must finish
-    // before the first mark (see ConcurrentAccessScope).
-    Runtime::gConcurrentRelocCampaigns.fetch_add(1,
-                                                 std::memory_order_seq_cst);
+    // Demand the scoped discipline for the campaign's duration, for
+    // accessors that pick their idiom dynamically. Nothing waits here:
+    // scoped reads strip the mark whether or not a campaign runs, so a
+    // scope already open cannot misread a move, and the grace tickets
+    // below hold back only the reclaim of what it may still read.
     Runtime::declareConcurrentDefrag();
-    campaignGraceWait(stats);
 
     // Rank every shard's sub-heaps emptiest-first once per campaign
     // (one shard lock at a time); sparse heaps anywhere are evacuated
@@ -855,8 +852,8 @@ AnchorageService::relocateCampaign(size_t max_bytes)
             finishSource(src_ref, stats);
     }
     // A budget cut mid-source can leave parked sources behind; retire
-    // every batch (and its deferred source trims) before dropping the
-    // campaign flag.
+    // every batch (and its deferred source trims) before returning: no
+    // source outlives the campaign that parked it.
     sealLimboBatch(pending, limbo, limbo_bytes, pending_bytes);
     drainPending(pending, pending_bytes, 0, stats);
 
@@ -870,8 +867,6 @@ AnchorageService::relocateCampaign(size_t max_bytes)
     }
 
     Runtime::retireConcurrentDefrag();
-    Runtime::gConcurrentRelocCampaigns.fetch_sub(1,
-                                                 std::memory_order_seq_cst);
     campaignActive_.store(false, std::memory_order_release);
 
     stats.measuredSec = watch.elapsedSec();
@@ -879,15 +874,6 @@ AnchorageService::relocateCampaign(size_t max_bytes)
     stats.modeledSec =
         static_cast<double>(stats.movedBytes) / kModelBandwidth;
     return stats;
-}
-
-void
-AnchorageService::campaignGraceWait(DefragStats &stats)
-{
-    Stopwatch watch;
-    runtime_->waitForGrace(Runtime::advanceCampaignEpoch());
-    stats.graceWaits++;
-    stats.graceWaitSec += watch.elapsedSec();
 }
 
 void
@@ -1106,7 +1092,7 @@ AnchorageService::sealLimboBatch(std::deque<PendingReclaim> &pending,
     if (limbo.empty())
         return;
     PendingReclaim batch;
-    batch.ticket = runtime_->beginGrace(Runtime::advanceCampaignEpoch());
+    batch.ticket = runtime_->beginGrace();
     batch.blocks = std::move(limbo);
     batch.bytes = limbo_bytes;
     batch.sealNs = telemetry::traceNowNs();
@@ -1133,11 +1119,9 @@ AnchorageService::drainPending(std::deque<PendingReclaim> &pending,
             // steady-state wait, paid on the *oldest* ticket — the one
             // closest to done — never per move.
             telemetry::count(telemetry::Counter::LimboStall);
-            telemetry::count(telemetry::Counter::GraceWait);
             telemetry::TraceSpan stall_span("limbo_stall");
             Stopwatch watch;
-            while (!runtime_->graceElapsed(front.ticket))
-                std::this_thread::sleep_for(std::chrono::microseconds(20));
+            runtime_->waitForGrace(front.ticket);
             stats.graceWaits++;
             stats.graceWaitSec += watch.elapsedSec();
         }

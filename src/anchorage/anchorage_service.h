@@ -112,10 +112,12 @@ struct DefragStats
     uint64_t noSpace = 0;
 
     // --- grace accounting (epoch-based campaigns) ----------------------
-    /** Grace periods waited for (initial drain, limbo reclamation —
-     *  never between a mark and its commit). */
+    /** Limbo stalls: blocking waits for the oldest sealed batch's
+     *  grace, taken only under the limbo byte cap or at a drain point
+     *  — never between a mark and its commit, and never at campaign
+     *  start. */
     uint64_t graceWaits = 0;
-    /** Total wall time spent waiting for grace, seconds. The
+    /** Total wall time spent in those stalls, seconds. The
      *  controller budgets this as campaign time, not pause time —
      *  mutators never stop during a grace wait. */
     double graceWaitSec = 0;
@@ -646,10 +648,6 @@ class AnchorageService : public Service
     /** Coalesce a fully-walked source's holes, trim its tail, and
      *  invalidate the shard's placement cache. */
     void finishSource(const HeapRef &src, DefragStats &stats);
-
-    /** Advance the campaign epoch and wait for grace, accounting the
-     *  wait into stats. */
-    void campaignGraceWait(DefragStats &stats);
 
     AddressSpace &space_;
     AnchorageConfig config_;

@@ -65,22 +65,21 @@ namespace api
 
 /**
  * Mode-aware per-access translation: the typed layer's equivalent of
- * the compiler-inserted translate. Compiles to translateScoped(),
- * whose fast path is the ordinary one-load translate() behind a single
- * thread-local test — the test only fires when the enclosing
- * access_scope opened during an in-flight campaign, in which case the
- * deref is the same one-load translate with a mover's mark stripped.
- * No shared-memory RMW in any case. Validity comes from the scope, not
- * from the deref: campaigns commit moves immediately but grace-wait on
- * the scope's published epoch before *freeing* an evacuated source, so
- * whichever copy this deref resolved to stays readable until the scope
- * closes. Contract: under the Scoped discipline
- * (Runtime::translationDiscipline()) the caller must be inside an
- * access_scope bracketing the operation, and the result is a read-only
- * view — route stores through pinned<T> (or the KV policies' write()),
- * whose pin handshake is what aborts an in-flight copy a store would
- * otherwise vanish into. Under Direct no scope is needed and the raw
- * pointer is valid, for reads and writes, until the next safepoint.
+ * the compiler-inserted translate. Compiles to translateScoped(): the
+ * ordinary one-load translate() with a mover's mark stripped (one
+ * AND), in either discipline and whether or not a campaign runs. No
+ * branch on thread-local state and no shared-memory RMW. Validity
+ * comes from the scope, not from the deref: campaigns commit moves
+ * immediately but grace-wait on the scope's published epoch before
+ * *freeing* an evacuated source, so whichever copy this deref resolved
+ * to stays readable until the scope closes. Contract: under the Scoped
+ * discipline (Runtime::translationDiscipline()) the caller must be
+ * inside an access_scope bracketing the operation, and the result is a
+ * read-only view — route stores through pinned<T> (or the KV policies'
+ * write()), whose pin handshake is what aborts an in-flight copy a
+ * store would otherwise vanish into. Under Direct no scope is needed
+ * and the raw pointer is valid, for reads and writes, until the next
+ * safepoint.
  */
 template <typename T>
 inline T *

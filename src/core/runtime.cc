@@ -17,9 +17,7 @@ namespace alaska
 HandleTableEntry *Runtime::gTableBase = nullptr;
 std::atomic<bool> Runtime::gBarrierPending{false};
 Runtime *Runtime::gRuntime = nullptr;
-std::atomic<uint32_t> Runtime::gConcurrentRelocCampaigns{0};
 std::atomic<uint32_t> Runtime::gConcurrentDefragDeclared{0};
-std::atomic<uint64_t> Runtime::gCampaignEpoch{0};
 
 namespace
 {
@@ -358,41 +356,15 @@ Runtime::currentThreadStateOrNull()
     return tlsState;
 }
 
-void
-Runtime::publishGraceHorizon(uint64_t horizon)
-{
-    // Monotonic max under CAS: two concurrent waiters must not regress
-    // each other's high-water.
-    uint64_t prev = lastGraceEpoch_.load(std::memory_order_relaxed);
-    while (prev < horizon &&
-           !lastGraceEpoch_.compare_exchange_weak(
-               prev, horizon, std::memory_order_acq_rel)) {
-    }
-}
-
 Runtime::GraceTicket
-Runtime::beginGrace(uint64_t epoch)
+Runtime::beginGrace()
 {
-    GraceTicket ticket;
-    ticket.epoch = epoch;
-    // High-water fast path: a grace period that completed for a later
-    // epoch also covers this one, so back-to-back batch waits in a
-    // campaign pay one scan, not one per call site.
-    if (lastGraceEpoch_.load(std::memory_order_acquire) >= epoch) {
-        ticket.done = true;
-        return ticket;
-    }
-
-    // The horizon this ticket will certify once the scan drains.
-    // Sampled before the snapshot: scopes opened after this point are
-    // not our problem (their translations postdate the caller's marks).
-    ticket.horizon = gCampaignEpoch.load(std::memory_order_seq_cst);
-
-    // Snapshot every thread caught mid-scope (odd accessEpoch). A
-    // scope that begins after the snapshot saw the campaign flag (its
-    // ctor reads the flag after advancing the epoch, both seq_cst) and
-    // translates mark-aware, so only the snapshotted epochs need
+    // Snapshot every thread caught mid-scope (odd accessEpoch). The
+    // caller committed its moves before this call, and a scope that
+    // opens after the snapshot translates after those commits, so it
+    // can only reach the new copies: only the snapshotted epochs need
     // draining.
+    GraceTicket ticket;
     const ThreadState *self = tlsState;
     std::lock_guard<std::mutex> guard(threadMutex_);
     for (const auto &thread : threads_) {
@@ -403,65 +375,41 @@ Runtime::beginGrace(uint64_t epoch)
         if (seq & 1)
             ticket.busy.emplace_back(thread.get(), seq);
     }
-    if (ticket.busy.empty()) {
-        publishGraceHorizon(ticket.horizon);
-        ticket.done = true;
-    }
     return ticket;
 }
 
 bool
 Runtime::graceElapsed(GraceTicket &ticket)
 {
-    if (ticket.done)
+    if (ticket.busy.empty())
         return true;
-    if (lastGraceEpoch_.load(std::memory_order_acquire) >= ticket.epoch) {
-        ticket.done = true;
-        return true;
-    }
-    {
-        std::lock_guard<std::mutex> guard(threadMutex_);
-        for (size_t i = ticket.busy.size(); i-- > 0;) {
-            // Re-find the thread by identity: one that unregistered
-            // mid-grace has drained by definition (scopes cannot
-            // outlive registration), so an exited thread never hangs
-            // the poll.
-            bool still_busy = false;
-            for (const auto &thread : threads_) {
-                if (thread.get() == ticket.busy[i].first) {
-                    still_busy =
-                        thread->accessEpoch.load(
-                            std::memory_order_seq_cst) ==
-                        ticket.busy[i].second;
-                    break;
-                }
+    std::lock_guard<std::mutex> guard(threadMutex_);
+    for (size_t i = ticket.busy.size(); i-- > 0;) {
+        // Re-find the thread by identity: one that unregistered
+        // mid-grace has drained by definition (scopes cannot outlive
+        // registration), so an exited thread never hangs the poll.
+        bool still_busy = false;
+        for (const auto &thread : threads_) {
+            if (thread.get() == ticket.busy[i].first) {
+                still_busy =
+                    thread->accessEpoch.load(std::memory_order_seq_cst) ==
+                    ticket.busy[i].second;
+                break;
             }
-            if (!still_busy)
-                ticket.busy.erase(ticket.busy.begin() +
-                                  static_cast<long>(i));
         }
+        if (!still_busy)
+            ticket.busy.erase(ticket.busy.begin() + static_cast<long>(i));
     }
-    if (!ticket.busy.empty())
-        return false;
-    publishGraceHorizon(ticket.horizon);
-    ticket.done = true;
-    return true;
+    return ticket.busy.empty();
 }
 
 void
-Runtime::waitForGrace(uint64_t epoch)
+Runtime::waitForGrace(GraceTicket &ticket)
 {
     telemetry::count(telemetry::Counter::GraceWait);
     telemetry::TraceSpan span("grace_wait");
-    GraceTicket ticket = beginGrace(epoch);
     while (!graceElapsed(ticket))
         std::this_thread::sleep_for(std::chrono::microseconds(20));
-}
-
-void
-Runtime::quiesceConcurrentAccessors()
-{
-    waitForGrace(advanceCampaignEpoch());
 }
 
 // --- barrier ----------------------------------------------------------------

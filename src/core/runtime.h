@@ -50,11 +50,13 @@ enum class TranslationDiscipline
      */
     Direct,
     /**
-     * Concurrent relocation campaigns are possible: accessors must
-     * bracket operations in a ConcurrentAccessScope (or hold an atomic
-     * pin via pinned<T>) so the campaign's grace periods cover their
-     * cached translations and in-flight moves are aborted rather than
-     * raced.
+     * Concurrent relocation campaigns are possible: readers bracket
+     * each operation in a ConcurrentAccessScope and translate through
+     * translateScoped(), which strips a mover's mark and reads
+     * whichever copy the entry names — the scope's epoch holds back
+     * the reclaim of the old copy until the scope closes. Writers
+     * hold an atomic pin (pinned<T>), whose handshake aborts an
+     * in-flight move rather than racing it.
      */
     Scoped,
 };
@@ -223,31 +225,16 @@ class Runtime
 
     // --- concurrent relocation (§7) ---------------------------------------
     /**
-     * True while any concurrent-relocation campaign is in flight.
-     * Mutator translation must go through the mark-aware path (see
-     * services/concurrent_reloc.h) while this holds; checking the flag
-     * is a single uncontended atomic load when no campaign runs. The
-     * seq_cst order pairs with the accessEpoch advance in
-     * ConcurrentAccessScope (see ThreadState::accessEpoch).
-     */
-    static bool
-    concurrentRelocActive()
-    {
-        return gConcurrentRelocCampaigns.load(std::memory_order_seq_cst) !=
-               0;
-    }
-
-    /**
      * Announce that concurrent (non-stop-the-world) relocation may run
      * until the matching retireConcurrentDefrag(). The
      * ConcurrentRelocDaemon declares for its lifetime whenever its
      * controller mode allows campaigns, and every relocation campaign
      * declares for its own duration; code driving
      * AnchorageService::relocateCampaign by hand should declare too,
-     * *before* mutators start issuing operations — accessors that
-     * sample translationDiscipline() mid-operation are protected by the
-     * campaign's quiescence wait only if the discipline was already
-     * Scoped when their operation began. Declarations nest.
+     * *before* mutators start issuing operations: an operation that
+     * began under Direct opens no scope and so publishes no epoch, and
+     * no grace period waits for it — a campaign may free the old copy
+     * its plain translate() still points at. Declarations nest.
      */
     static void
     declareConcurrentDefrag()
@@ -280,49 +267,32 @@ class Runtime
     }
 
     /**
-     * Advance the global campaign epoch and return the new value. A
-     * relocation campaign advances the epoch at each batch boundary and
-     * then calls waitForGrace() on the returned value; mutators never
-     * touch this counter (their published state is the per-thread
-     * ThreadState::accessEpoch).
-     */
-    static uint64_t
-    advanceCampaignEpoch()
-    {
-        return gCampaignEpoch.fetch_add(1, std::memory_order_seq_cst) + 1;
-    }
-
-    /**
      * One grace period in flight, split into a snapshot (beginGrace)
      * and a non-blocking poll (graceElapsed) so a campaign can park a
      * reclaim batch and keep moving objects while the grace runs out in
-     * the background — the pipelined form of waitForGrace(). Opaque:
-     * create via beginGrace(), poll via graceElapsed().
+     * the background. Opaque: create via beginGrace(), poll via
+     * graceElapsed() or block in waitForGrace().
      */
     struct GraceTicket
     {
-        uint64_t epoch = 0;
-        /** gCampaignEpoch sampled before the snapshot; certified into
-         *  lastGraceEpoch_ once the snapshot drains. */
-        uint64_t horizon = 0;
         /** Threads caught mid-scope (odd accessEpoch) at the snapshot,
          *  with the epoch each published then. Compared by identity
          *  only — a pointer here is never dereferenced after the
          *  thread unregisters. */
         std::vector<std::pair<const ThreadState *, uint64_t>> busy;
-        bool done = false;
     };
 
     /**
-     * Snapshot the start of a grace period for @p epoch (a value
-     * returned by advanceCampaignEpoch()): records every registered
+     * Snapshot the start of a grace period: records every registered
      * thread caught inside a ConcurrentAccessScope, excluding the
      * calling thread (a mover waiting on its own scope would deadlock,
      * and its own translations are not at risk from its own moves).
-     * Never blocks. A ticket already satisfied by the lastGraceEpoch_
-     * high-water mark (or an empty snapshot) comes back done.
+     * Never blocks. A scope opened after the snapshot does not hold
+     * the ticket: it translates after the caller's commits, so it can
+     * only reach the new copies. A ticket with an empty snapshot is
+     * elapsed at once.
      */
-    GraceTicket beginGrace(uint64_t epoch);
+    GraceTicket beginGrace();
 
     /**
      * Poll a ticket: true once every snapshotted thread has left the
@@ -336,34 +306,20 @@ class Runtime
     bool graceElapsed(GraceTicket &ticket);
 
     /**
-     * Wait (without stopping anything) for one grace period: until
-     * every registered thread has left the ConcurrentAccessScope it was
-     * inside when the wait began, if any. On return, every translation
-     * obtained under a scope that was open at the call is dead — which
-     * is what lets a campaign free a *committed* relocation source: a
-     * reader whose scope predates the commit CAS may still hold the
-     * stale source translation, so the source parks on a limbo list
-     * and is only freed after one grace, while the scope's cached
+     * Block (without stopping anything) until @p ticket's grace period
+     * has elapsed: a graceElapsed() sleep-poll loop, counted as one
+     * grace_wait. This is what lets a campaign free a *committed*
+     * relocation source: a reader whose scope predates the commit CAS
+     * may still hold the stale source translation, so the source parks
+     * on a limbo list behind a ticket sealed after the commit, and is
+     * freed only once the ticket elapses — while the scope's cached
      * translations stay valid for the scope's whole lifetime with zero
-     * shared-memory RMWs on the deref path. Equivalent to beginGrace()
-     * plus a graceElapsed() sleep-poll loop.
-     *
-     * @param epoch a value returned by advanceCampaignEpoch(); waits
-     * already satisfied for a later epoch return immediately (the
-     * per-runtime lastGraceEpoch_ high-water mark).
+     * shared-memory RMWs on the deref path.
      *
      * Scopes are one application operation long and never span a
      * safepoint poll, so the wait is short and mutators never block.
      */
-    void waitForGrace(uint64_t epoch);
-
-    /**
-     * Advance the campaign epoch and wait one full grace period.
-     * A campaign calls this after raising the active flag: scopes that
-     * began before the flag was visible translate mark-unaware, so the
-     * mover must let them drain before marking its first object.
-     */
-    void quiesceConcurrentAccessors();
+    void waitForGrace(GraceTicket &ticket);
 
     // --- handle faults (§7) ----------------------------------------------
     /**
@@ -398,12 +354,8 @@ class Runtime
     static HandleTableEntry *gTableBase;
     static std::atomic<bool> gBarrierPending;
     static Runtime *gRuntime;
-    /** Count of in-flight concurrent-relocation campaigns. */
-    static std::atomic<uint32_t> gConcurrentRelocCampaigns;
     /** Outstanding declareConcurrentDefrag() declarations. */
     static std::atomic<uint32_t> gConcurrentDefragDeclared;
-    /** Global campaign epoch (see advanceCampaignEpoch). */
-    static std::atomic<uint64_t> gCampaignEpoch;
 
   private:
     friend class ThreadRegistration;
@@ -424,15 +376,6 @@ class Runtime
 
     /** Serializes whole barriers against each other. */
     std::mutex barrierMutex_;
-
-    /** Raise the completed-grace high-water mark to @p horizon. */
-    void publishGraceHorizon(uint64_t horizon);
-
-    /**
-     * Highest campaign epoch for which a grace period has completed;
-     * waitForGrace() on an epoch at or below it returns immediately.
-     */
-    std::atomic<uint64_t> lastGraceEpoch_{0};
 
     /**
      * Allocation counts live in each registered thread's

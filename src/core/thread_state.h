@@ -93,14 +93,14 @@ struct ThreadState
     /**
      * The thread's published access epoch: odd while the thread is
      * inside a ConcurrentAccessScope, even when quiescent, advanced by
-     * one plain-RMW-free store at each outermost scope boundary (the
+     * one seq_cst increment at each outermost scope boundary (the
      * thread is the only writer). This is the reader half of the
-     * grace-period protocol (Runtime::waitForGrace): a relocation
-     * campaign waits until every thread whose epoch was odd at the wait
-     * has advanced, which proves every translation obtained before the
-     * wait began has been dropped. No per-object state is touched on
-     * the deref path — protection is one word per *thread*, not one
-     * RMW per access.
+     * grace-period protocol (Runtime::beginGrace): a relocation
+     * campaign frees a committed source only once every thread whose
+     * epoch was odd at the ticket's snapshot has advanced, which
+     * proves every translation obtained before the snapshot has been
+     * dropped. No per-object state is touched on the deref path —
+     * protection is one word per *thread*, not one RMW per access.
      */
     std::atomic<uint64_t> accessEpoch{0};
     /** This thread's allocation counts (see Runtime::stats). */

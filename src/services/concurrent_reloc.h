@@ -27,14 +27,16 @@
  *  - ConcurrentAccessScope + translateScoped(): scope one application
  *    operation; the *read* path. The scope's only shared-memory
  *    traffic is one epoch store at each outermost boundary
- *    (ThreadState::accessEpoch); derefs inside it are plain loads —
- *    never an RMW, not even against an in-flight move (a mover's mark
- *    is stripped, not cleared). Validity comes from grace-deferred
- *    reclamation: the source bytes a stale translation points at
- *    outlive every scope open at commit time. What epochs cannot
- *    order is a *store* — a write issued through a pre-mark
- *    translation after the mover's copy would land in the doomed
- *    source block and be lost when the commit publishes the copy.
+ *    (ThreadState::accessEpoch); every deref inside it is the same
+ *    plain load with the mover's mark stripped — never an RMW, and
+ *    the reader never needs to know whether a campaign runs. Validity
+ *    comes from grace-deferred reclamation: the source bytes a stale
+ *    translation points at outlive every scope open at commit time,
+ *    so a reader never delays a move, only the reclaim of its source.
+ *    What epochs cannot order is a *store* — a write issued through a
+ *    pre-mark translation after the mover's copy would land in the
+ *    doomed source block and be lost when the commit publishes the
+ *    copy.
  *  - ConcurrentPin: RAII atomic pin + mark-aware translate; the
  *    *write* path (and the raw-pointer escape hatch, pinned<T>). The
  *    pin/mark Dekker handshake closes the lost-store window: a pin
@@ -163,46 +165,29 @@ class ConcurrentPin
     void *raw_ = nullptr;
 };
 
-namespace creloc_detail
-{
-
-/**
- * True while the innermost ConcurrentAccessScope on this thread opened
- * with a campaign active (Runtime::concurrentRelocActive()): derefs
- * must then take the mark-aware load. Read by the translateScoped()
- * fast path; written only by the scope.
- * constinit: without it, every access from another TU calls the TLS
- * init wrapper, which costs ~20% on the translation fast path.
- */
-extern thread_local constinit bool tlsScopeMarkAware
-    __attribute__((tls_model("local-exec")));
-
-} // namespace creloc_detail
-
 /**
  * Brackets one application operation (e.g. one KV request) on a mutator
  * thread. On entry the scope publishes the thread as "accessing" by
- * advancing its epoch to odd (see ThreadState::accessEpoch) and samples
- * the global campaign flag; every translateScoped() inside the scope
- * then takes the mark-stripping load iff a campaign was active — never
- * a shared-memory RMW. On exit the epoch advances to even, which is
- * what a campaign's grace wait (Runtime::waitForGrace) observes: the
- * mover copies and commits without waiting for anyone, but it only
- * *frees* an evacuated source block after every scope open at commit
- * time has closed — so every translation obtained inside this scope
- * reads valid bytes (old copy or new, both correct) until the scope
- * ends. Stores are NOT covered: an epoch cannot stop a store through a
- * stale translation from landing in an already-copied source block.
- * Store through a pin (pinned<T>, the KV policies' write path), whose
- * handshake aborts the mover instead. Scopes nest; only the outermost
- * publishes and releases. Must not span a safepoint poll (a scope held
- * across a park would stall campaigns' grace periods for the barrier's
- * whole duration); use pinned<T> to keep a raw pointer across polls.
+ * advancing its epoch to odd (see ThreadState::accessEpoch); on exit
+ * the epoch advances to even, which is what a campaign's grace ticket
+ * (Runtime::beginGrace) observes. The mover marks, copies and commits
+ * without waiting for anyone — an open scope never delays a move — but
+ * it only *frees* an evacuated source block after every scope open at
+ * commit time has closed, so every translation obtained inside this
+ * scope reads valid bytes (old copy or new, both correct) until the
+ * scope ends. Stores are NOT covered: an epoch cannot stop a store
+ * through a stale translation from landing in an already-copied source
+ * block. Store through a pin (pinned<T>, the KV policies' write path),
+ * whose handshake aborts the mover instead. Scopes nest; only the
+ * outermost publishes and releases. Must not span a safepoint poll (a
+ * scope held across a park would stall campaigns' grace periods for
+ * the barrier's whole duration); use pinned<T> to keep a raw pointer
+ * across polls.
  *
- * Registered threads get the full drain protocol (campaign grace waits
- * cover their scopes). Unregistered threads are invisible to grace
- * waits and get no reclamation deferral; mutators racing a relocator
- * must be registered.
+ * Registered threads get the full drain protocol (campaign grace
+ * tickets cover their scopes). Unregistered threads are invisible to
+ * grace tickets and get no reclamation deferral; mutators racing a
+ * relocator must be registered.
  */
 class ConcurrentAccessScope
 {
@@ -220,37 +205,35 @@ class ConcurrentAccessScope
 };
 
 /**
- * The mutator *read* path for concurrent-relocation-aware code:
- * identical to translate() (one thread-local test more) when no
- * campaign runs, and still a plain load-translate when one does — a
- * mover's mark is stripped, never cleared, so this path costs no RMW
- * and aborts no move even mid-copy. Requires an enclosing
- * ConcurrentAccessScope on this thread — the scope's epoch, honored by
- * the mover's grace-deferred reclamation, is what keeps the returned
- * pointer readable; nothing per-object is recorded here. The pointer
- * is NOT writable while campaigns can run: a store may need to abort
- * an in-flight copy of this very object, which only the pin handshake
- * (translateConcurrent under ConcurrentPin/pinned<T>) can do.
+ * The mutator *read* path for concurrent-relocation-aware code: the
+ * same one-load translate() with a mover's mark stripped (one AND) —
+ * no RMW, no branch on whether a campaign runs, and no move aborted
+ * even mid-copy. A marked entry is an in-flight move whose source is
+ * still the authoritative bytes; a committed entry points at the copy.
+ * Requires an enclosing ConcurrentAccessScope on this thread — the
+ * scope's epoch, honored by the mover's grace-deferred reclamation, is
+ * what keeps the returned pointer readable; nothing per-object is
+ * recorded here. The pointer is NOT writable while campaigns can run:
+ * a store may need to abort an in-flight copy of this very object,
+ * which only the pin handshake (translateConcurrent under
+ * ConcurrentPin/pinned<T>) can do.
  */
 inline void *
 translateScoped(const void *maybe_handle)
 {
     telemetry::countHot(telemetry::Counter::DerefScoped);
-    if (__builtin_expect(!creloc_detail::tlsScopeMarkAware, 1))
-        return translate(maybe_handle);
-    // Campaign in flight: same shape as translate(), plus the mark
-    // strip (one AND). A marked entry is an in-flight move whose
-    // source is still the authoritative bytes; a committed entry
-    // points at the copy. Either read is correct — the source stays
-    // mapped until a grace period covers this scope (limbo).
     const uint64_t v = reinterpret_cast<uint64_t>(maybe_handle);
     if (static_cast<int64_t>(v) >= 0)
         return const_cast<void *>(maybe_handle);
     const HandleTableEntry &e =
         Runtime::gTableBase[(v >> 32) & (maxHandleId - 1)];
-    // acquire: a load that observes the mover's committed pointer must
-    // also observe the copied bytes it points at.
-    void *ptr = e.ptr.load(std::memory_order_acquire);
+    // seq_cst, not acquire: besides seeing the copied bytes behind a
+    // committed pointer, this load must be ordered after the scope's
+    // epoch increment against the mover's commit CAS and grace
+    // snapshot (a store-buffering shape across two locations). Then a
+    // scope the snapshot missed cannot read a pointer older than the
+    // commit. On x86 it is the same plain mov as acquire.
+    void *ptr = e.ptr.load(std::memory_order_seq_cst);
     return static_cast<char *>(reloc::unmarked(ptr)) +
            static_cast<uint32_t>(v);
 }

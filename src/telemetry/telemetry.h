@@ -118,9 +118,10 @@ struct CounterBlock {
 /**
  * This thread's cell block, nullptr before first use. After thread
  * teardown it points at a shared fallback block so late increments
- * (from other TLS destructors) stay counted. constinit + local-exec
- * for the same reason as tlsScopeMarkAware (services/concurrent_reloc.h):
- * the level-2 hot-path increment must not call the TLS wrapper.
+ * (from other TLS destructors) stay counted. constinit + local-exec:
+ * the level-2 hot-path increment must not call the TLS init wrapper
+ * (which cost ~20% on the translation fast path) or go through the GOT
+ * — this library only ever links statically into the executable.
  */
 extern thread_local constinit CounterBlock *tlsCounters
     __attribute__((tls_model("local-exec")));

@@ -181,10 +181,7 @@ TEST_F(ApiTest, ScopedDerefReadsThroughAMarkWithoutClearingIt)
         mem[2] = 99;
     }
 
-    // Simulate a campaign in flight (flag up, as relocateCampaign
-    // raises it) so the scope's derefs take the mark-aware strip path.
     Runtime::declareConcurrentDefrag();
-    Runtime::gConcurrentRelocCampaigns.fetch_add(1);
     {
         access_scope op;
         const int64_t *raw = api::deref(box.get());
@@ -200,7 +197,6 @@ TEST_F(ApiTest, ScopedDerefReadsThroughAMarkWithoutClearingIt)
             entry.ptr.load(std::memory_order_seq_cst)));
         entry.ptr.store(unmarked_ptr, std::memory_order_seq_cst);
     }
-    Runtime::gConcurrentRelocCampaigns.fetch_sub(1);
     Runtime::retireConcurrentDefrag();
 
     EXPECT_EQ(alaska::access<int64_t>(box)[2], 99);
@@ -295,18 +291,28 @@ TEST_F(ApiCampaignTest, AccessGuardHoldsCampaignOffUntilItCloses)
             stats = service_.relocateCampaign(SIZE_MAX);
             done.store(true, std::memory_order_seq_cst);
         });
-        // The campaign's first grace wait covers the guard's scope:
-        // give it ample time to prove it cannot finish or move the
-        // object while the guard is open.
+        // An open guard does not delay the move: the object commits
+        // to its new address while the guard still reads the old one.
+        auto home = [&] {
+            return static_cast<const void *>(
+                reloc::unmarked(entry.ptr.load(std::memory_order_seq_cst)));
+        };
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (home() == raw && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        EXPECT_NE(home(), raw);
+        // The old copy waits on the limbo list behind a grace ticket
+        // the guard's scope holds: give the campaign ample time to
+        // prove it cannot free that copy (or return) while the guard
+        // is open.
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         EXPECT_FALSE(done.load(std::memory_order_seq_cst));
         EXPECT_EQ(raw[0], 1234);
         EXPECT_EQ(raw[63], 5678);
         EXPECT_EQ(raw, guard.get()); // the guard's cached view is stable
-        EXPECT_EQ(reloc::unmarked(entry.ptr.load(std::memory_order_seq_cst)),
-                  static_cast<void *>(const_cast<int64_t *>(raw)));
     }
-    // Guard gone: the grace elapses and the campaign moves the object.
+    // Guard gone: the grace elapses and the campaign returns.
     campaign.join();
     Runtime::retireConcurrentDefrag();
     EXPECT_GT(stats.committed, 0u);
