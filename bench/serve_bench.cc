@@ -38,10 +38,10 @@
  * --out=FILE. A rate, window, SLO or pause target that is not a
  * positive number, a record, op, queue or value size below one (counts
  * parse signed, so -1 does not wrap to 2^64 - 1), more records than a
- * handle table of records x 4 entries can hold, or fewer than one
- * worker is a usage error (exit 2): the server, load generator and SLO
- * tracker would otherwise clamp it, hang on it, abort on it, or skip
- * the section it configures.
+ * handle table of records x 4 entries can hold, or a worker count
+ * outside [1, 256] is a usage error (exit 2): the server, load
+ * generator and SLO tracker would otherwise clamp it, hang on it,
+ * abort on it, or skip the section it configures.
  */
 
 #include <algorithm>
@@ -400,8 +400,9 @@ main(int argc, char **argv)
             if (!(opt.ratePerSec > 0))
                 return usage(argv[0]);
         } else if (const char *v = value("--threads=")) {
-            opt.workers = std::atoi(v);
-            if (opt.workers < 1)
+            // 256 is the shard clamp runServe's worker count meets in
+            // AnchorageService; a typo must not start 10^5 workers.
+            if (!bench::countArg(v, 1, opt.workers, 256))
                 return usage(argv[0]);
         } else if (const char *v = value("--records=")) {
             // runServe sizes the handle table at records x 4 entries.

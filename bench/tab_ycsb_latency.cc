@@ -35,7 +35,7 @@
  *     Single-mode runs and the adaptive-vs-fixed barrier budget live
  *     in serve_bench, under open-loop load.
  *
- * Flags: --smoke (tiny counts for CI), --threads=N (at least 1),
+ * Flags: --smoke (tiny counts for CI), --threads=N (1 to 256),
  * --shards=N (Anchorage shard count for the multi-thread section, a
  * power of two in [1, 256] — the counts AnchorageService runs as
  * given — default 8; a Concurrent run at shards=1 is always included
@@ -605,8 +605,9 @@ main(int argc, char **argv)
             mrecords = 2000;
             mops = 8000;
         } else if (const char *v = value("--threads=")) {
-            threads = std::atoi(v);
-            if (threads < 1)
+            // Bounded like serve_bench's workers: a typo must not start
+            // 10^5 mutator threads.
+            if (!alaska::bench::countArg(v, 1, threads, 256))
                 return usage(argv[0]);
         } else if (const char *v = value("--shards=")) {
             // AnchorageService rounds any other count up to a power of

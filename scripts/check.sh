@@ -137,9 +137,11 @@ usage_error() {
     fi
 }
 
-# Usage checks: a zero thread or shard count, a shard count the
-# service would round or clamp (its label would name a heap the run
-# does not have), an empty keyspace, a zero op count, an unknown
+# Usage checks: a thread count outside [1, 256] (rejected while
+# parsing, so the check starts no thread; --threads=100000 would start
+# that many), a zero shard count, a shard count the service would round
+# or clamp (its label would name a heap the run does not have), an
+# empty keyspace, a zero op count, an unknown
 # --mode= and an unknown flag must each be rejected, not crash or run
 # and pass. Counts parse signed: a -1 that wrapped to 2^64 - 1 ran
 # forever (serve_bench --records, its table sizing loop), ran
@@ -153,6 +155,7 @@ usage_error() {
 # adaptive-vs-fixed section; an empty value made workload F write
 # past its end).
 usage_error ./tab_ycsb_latency --smoke --threads=0
+usage_error ./tab_ycsb_latency --smoke --threads=257
 usage_error ./tab_ycsb_latency --smoke --single-only --records=0
 usage_error ./tab_ycsb_latency --smoke --single-only --records=-1
 usage_error ./tab_ycsb_latency --smoke --single-only --ops=0
@@ -176,6 +179,7 @@ usage_error ./serve_bench --smoke --ops=0
 usage_error ./serve_bench --smoke --ops=-1
 usage_error ./serve_bench --smoke --threads=0
 usage_error ./serve_bench --smoke --threads=-1
+usage_error ./serve_bench --smoke --threads=257
 usage_error ./serve_bench --smoke --queue-cap=0
 usage_error ./serve_bench --smoke --queue-cap=-1
 usage_error ./serve_bench --smoke --window-ms=0

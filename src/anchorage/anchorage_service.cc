@@ -57,6 +57,10 @@ AnchorageService::AnchorageService(AddressSpace &space,
                                    AnchorageConfig config)
     : space_(space), config_(config)
 {
+    if (config_.subHeapBytes > SubHeap::maxCapacity)
+        fatal("anchorage: subHeapBytes of %zu does not fit the 32-bit "
+              "block offset (at most %zu bytes)",
+              config_.subHeapBytes, SubHeap::maxCapacity);
     config_.shards =
         roundUpPow2(std::clamp<size_t>(config_.shards, 1, 256));
     shards_.reserve(config_.shards);
@@ -192,12 +196,18 @@ AnchorageService::rebuildDensityOrderLocked(Shard &sh)
 void *
 AnchorageService::alloc(uint32_t id, size_t size)
 {
+    // Oversized objects get a dedicated sub-heap, sized to the aligned
+    // request so that its first bump fits.
+    const size_t need = SubHeap::alignUp(size);
+    if (need > SubHeap::maxCapacity)
+        fatal("anchorage: a %zu-byte object needs a %zu-byte block, past "
+              "the 32-bit block offset (at most %zu bytes)",
+              size, need, SubHeap::maxCapacity);
+    const size_t heap_bytes = std::max(config_.subHeapBytes, need);
+
     const size_t shard_idx = homeShardIndex();
     Shard &sh = *shards_[shard_idx];
     auto guard = lockShard(sh);
-
-    // Oversized objects get a dedicated sub-heap.
-    const size_t heap_bytes = std::max(config_.subHeapBytes, size);
 
     // Telemetry: probes counts sub-heaps tried beyond the cursor; the
     // alloc_miss_depth histogram only sees the miss path, keeping the
@@ -338,7 +348,7 @@ AnchorageService::usableSize(const void *ptr) const
     auto guard = lockShard(*shards_[region->shard]);
     const int idx =
         region->heap->findBlock(reinterpret_cast<uint64_t>(ptr));
-    return idx < 0 ? 0 : region->heap->blocks()[idx].size;
+    return idx < 0 ? 0 : region->heap->block(idx).size;
 }
 
 size_t
@@ -527,22 +537,22 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
            barrier_budget > 0) {
         const HeapRef ref = pass.order_[pass.rank_];
         SubHeap &src = *ref.heap;
-        auto &blocks = src.blocks();
+        const int top = static_cast<int>(src.blockCount()) - 1;
         if (pass.cursor_ < 0) {
             // Entering this source fresh: snapshot its holes and start
             // at the top of its extent (§4.3 walks downward).
             pass.index_ = src.buildCompactionIndex();
-            pass.cursor_ = static_cast<int>(blocks.size()) - 1;
-        } else if (pass.cursor_ >= static_cast<int>(blocks.size())) {
+            pass.cursor_ = top;
+        } else if (pass.cursor_ > top) {
             // A trim between barriers popped trailing blocks past the
             // saved cursor; the blocks below it kept their indices.
-            pass.cursor_ = static_cast<int>(blocks.size()) - 1;
+            pass.cursor_ = top;
         }
         int i = pass.cursor_;
         for (; i >= 0 && barrier_budget > 0; i--) {
-            if (blocks[i].isFree())
+            if (src.isFreeAt(i))
                 continue;
-            const Block blk = blocks[i];
+            const Block blk = src.block(i);
             if (pinned.contains(blk.handleId)) {
                 stats.pinnedSkips++;
                 continue;
@@ -569,7 +579,7 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
                 src.popLowestFreeBelow(pass.index_, blk.size, blk.addr);
             if (dest_idx >= 0) {
                 src.claimBlock(dest_idx, blk.handleId, blk.size);
-                dest = {true, src.blocks()[dest_idx].addr};
+                dest = {true, src.block(dest_idx).addr};
             } else {
                 for (size_t r2 = pass.order_.size();
                      r2-- > pass.rank_ + 1;) {
@@ -771,16 +781,15 @@ AnchorageService::relocateCampaign(size_t max_bytes)
         {
             auto guard = lockShard(*shards_[src_ref.shard]);
             SubHeap &heap = *src_ref.heap;
-            const auto &blocks = heap.blocks();
             size_t snapshotted = 0;
-            for (size_t i = blocks.size();
+            for (size_t i = heap.blockCount();
                  i-- > 0 && snapshotted < budget;) {
-                if (blocks[i].isFree())
+                if (heap.isFreeAt(i))
                     continue;
-                candidates.push_back(
-                    Candidate{blocks[i].handleId, blocks[i].addr,
-                              blocks[i].size, src_ref, rank});
-                snapshotted += blocks[i].size;
+                const Block blk = heap.block(i);
+                candidates.push_back(Candidate{blk.handleId, blk.addr,
+                                               blk.size, src_ref, rank});
+                snapshotted += blk.size;
             }
             if (!candidates.empty())
                 index = heap.buildCompactionIndex();
@@ -911,15 +920,19 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
     {
         auto guard = lockShard(*shards_[cand.src.shard]);
         SubHeap &src = *cand.src.heap;
+        // Freed, and possibly reused, since the snapshot: skip it.
         const int src_idx = src.findBlock(cand.addr);
-        if (src_idx < 0 || src.blocks()[src_idx].handleId != cand.id)
-            return; // freed and possibly reused since the snapshot
-        bytes = src.blocks()[src_idx].size;
+        if (src_idx < 0)
+            return;
+        const Block blk = src.block(src_idx);
+        if (blk.handleId != cand.id)
+            return;
+        bytes = blk.size;
         const int dest_idx =
             src.popLowestFreeBelow(index, bytes, cand.addr);
         if (dest_idx >= 0) {
             src.claimBlock(dest_idx, cand.id, bytes);
-            dest_addr = src.blocks()[dest_idx].addr;
+            dest_addr = src.block(dest_idx).addr;
             dest_heap = &src;
             dest_shard = cand.src.shard;
         }
@@ -1149,7 +1162,7 @@ AnchorageService::freeBatch(PendingReclaim &batch, DefragStats &stats)
         auto guard = lockShard(*shards_[b.src.shard]);
         SubHeap &src = *b.src.heap;
         const int idx = src.findBlock(b.addr);
-        ALASKA_ASSERT(idx >= 0 && !src.blocks()[idx].isFree(),
+        ALASKA_ASSERT(idx >= 0 && !src.isFreeAt(idx),
                       "limbo source block vanished");
         src.freeBlockAt(idx);
     }
@@ -1162,7 +1175,7 @@ AnchorageService::finishSource(const HeapRef &src, DefragStats &stats)
 {
     // Trim-after-evacuation: coalesce the class-exact holes the
     // evacuation left (the compaction index is spent by now, so
-    // reindexing blocks_ is safe) and give the emptied tail back, so
+    // reindexing the blocks is safe) and give the emptied tail back, so
     // reclamation keeps pace with the campaign's walk.
     Shard &sh = *shards_[src.shard];
     auto guard = lockShard(sh);

@@ -13,8 +13,12 @@ static_assert(SubHeap::numClasses <= 32,
 SubHeap::SubHeap(AddressSpace &space, size_t capacity)
     : space_(space), capacity_(capacity)
 {
+    if (capacity > maxCapacity)
+        fatal("sub-heap: a capacity of %zu bytes does not fit the "
+              "32-bit block offset (at most %zu bytes)",
+              capacity, maxCapacity);
     base_ = space_.map(capacity);
-    blocks_.reserve(1024);
+    slots_.reserve(1024);
 }
 
 SubHeap::~SubHeap()
@@ -60,18 +64,18 @@ SubHeap::allocFromFreeList(uint32_t id, size_t size)
     auto &list = freeLists_[cls];
     if (!list.empty()) {
         const uint32_t idx = list.back();
-        Block &blk = blocks_[idx];
+        const size_t size = sizeAt(idx);
         // A same-class block can still be smaller than the request
         // (classes span [2^k, 2^(k+1))); the caller bumps in that case.
-        if (blk.size >= need) {
+        if (size >= need) {
             list.pop_back();
-            blk.handleId = id;
+            slots_[idx].handleId = id;
             uncountFree(cls);
-            freeBytes_ -= blk.size;
-            liveBytes_ += blk.size;
+            freeBytes_ -= size;
+            liveBytes_ += size;
             liveCount_++;
-            space_.touch(blk.addr, need);
-            return {true, blk.addr};
+            space_.touch(addrAt(idx), need);
+            return {true, addrAt(idx)};
         }
     }
     return {false, 0};
@@ -85,7 +89,7 @@ SubHeap::bumpAlloc(uint32_t id, size_t need)
         return {false, 0};
     const uint64_t addr = base_ + bump;
     bump_.store(bump + need, std::memory_order_relaxed);
-    blocks_.push_back(Block{addr, static_cast<uint32_t>(need), id});
+    slots_.push_back(Slot{static_cast<uint32_t>(bump), id});
     liveBytes_ += need;
     liveCount_++;
     space_.touch(addr, need);
@@ -101,8 +105,8 @@ SubHeap::pruneClassFront(int cls)
         // An index can outlive its block: trimTop() pops trailing
         // blocks, and a regrown heap may put a block of another class
         // there. Only a free block of this class is a live entry.
-        if (idx < blocks_.size() && blocks_[idx].isFree() &&
-            classOf(blocks_[idx].size) == cls)
+        if (idx < slots_.size() && isFreeAt(idx) &&
+            classOf(sizeAt(idx)) == cls)
             return;
         list.pop_back(); // stale: trimmed away, reused, or reclassed
     }
@@ -111,12 +115,16 @@ SubHeap::pruneClassFront(int cls)
 int
 SubHeap::findBlock(uint64_t addr) const
 {
-    auto it = std::lower_bound(
-        blocks_.begin(), blocks_.end(), addr,
-        [](const Block &b, uint64_t a) { return b.addr < a; });
-    if (it == blocks_.end() || it->addr != addr)
+    // Outside the region an offset would wrap or truncate into it.
+    if (!contains(addr))
         return -1;
-    return static_cast<int>(it - blocks_.begin());
+    const uint32_t offset = static_cast<uint32_t>(addr - base_);
+    auto it = std::lower_bound(
+        slots_.begin(), slots_.end(), offset,
+        [](const Slot &s, uint32_t o) { return s.offset < o; });
+    if (it == slots_.end() || it->offset != offset)
+        return -1;
+    return static_cast<int>(it - slots_.begin());
 }
 
 void
@@ -131,14 +139,14 @@ SubHeap::free(uint64_t addr)
 void
 SubHeap::freeBlockAt(int index)
 {
-    Block &blk = blocks_[index];
-    ALASKA_ASSERT(!blk.isFree(), "double free of block at %llx",
-                  static_cast<unsigned long long>(blk.addr));
-    blk.handleId = Block::freeMarker;
-    liveBytes_ -= blk.size;
+    ALASKA_ASSERT(!isFreeAt(index), "double free of block at %llx",
+                  static_cast<unsigned long long>(addrAt(index)));
+    slots_[index].handleId = Block::freeMarker;
+    const size_t size = sizeAt(index);
+    liveBytes_ -= size;
     liveCount_--;
-    freeBytes_ += blk.size;
-    const int cls = classOf(blk.size);
+    freeBytes_ += size;
+    const int cls = classOf(size);
     freeLists_[cls].push_back(static_cast<uint32_t>(index));
     countFree(cls);
 }
@@ -146,15 +154,15 @@ SubHeap::freeBlockAt(int index)
 void
 SubHeap::claimBlock(int index, uint32_t id, size_t size)
 {
-    Block &blk = blocks_[index];
-    ALASKA_ASSERT(blk.isFree(), "claim of live block");
-    ALASKA_ASSERT(blk.size >= size, "claimed block too small");
-    blk.handleId = id;
-    uncountFree(classOf(blk.size));
-    freeBytes_ -= blk.size;
-    liveBytes_ += blk.size;
+    ALASKA_ASSERT(isFreeAt(index), "claim of live block");
+    const size_t block_size = sizeAt(index);
+    ALASKA_ASSERT(block_size >= size, "claimed block too small");
+    slots_[index].handleId = id;
+    uncountFree(classOf(block_size));
+    freeBytes_ -= block_size;
+    liveBytes_ += block_size;
     liveCount_++;
-    space_.touch(blk.addr, size);
+    space_.touch(addrAt(index), size);
     // The matching free-list entry becomes stale and is pruned lazily.
 }
 
@@ -162,12 +170,11 @@ SubHeap::CompactionIndex
 SubHeap::buildCompactionIndex() const
 {
     CompactionIndex index;
-    for (uint32_t i = 0; i < blocks_.size(); i++) {
-        const Block &blk = blocks_[i];
-        if (blk.isFree())
-            index.sorted[classOf(blk.size)].push_back(i);
+    for (uint32_t i = 0; i < slots_.size(); i++) {
+        if (isFreeAt(i))
+            index.sorted[classOf(sizeAt(i))].push_back(i);
     }
-    // blocks_ is address-ordered, so each class list already is too.
+    // slots_ is address-ordered, so each class list already is too.
     return index;
 }
 
@@ -181,19 +188,18 @@ SubHeap::popLowestFreeBelow(CompactionIndex &index, size_t size,
     auto &cursor = index.cursor[cls];
     while (cursor < list.size()) {
         const uint32_t idx = list[cursor];
-        if (idx >= blocks_.size()) {
+        if (idx >= slots_.size()) {
             // Snapshot index outlived a trim (moveBatchLocked trims its
             // source when a batch ends mid-source, then resumes on the
             // same index next barrier): the block is gone.
             cursor++;
             continue;
         }
-        const Block &blk = blocks_[idx];
-        if (!blk.isFree() || blk.size < need) {
+        if (!isFreeAt(idx) || sizeAt(idx) < need) {
             cursor++; // reused meanwhile, or a smaller same-class block
             continue;
         }
-        if (blk.addr >= limit)
+        if (addrAt(idx) >= limit)
             return -1; // ascending addresses: nothing below limit left
         cursor++;
         return static_cast<int>(idx);
@@ -204,30 +210,22 @@ SubHeap::popLowestFreeBelow(CompactionIndex &index, size_t size,
 size_t
 SubHeap::coalesceHoles()
 {
-    // blocks_ is address-ordered and tiles the extent with no gaps
-    // (bump allocation appends back-to-back), so vector-adjacent free
-    // blocks are address-adjacent: one compaction sweep merges every
-    // run of holes in place.
+    // The slots tile the extent with no gaps, so vector-adjacent free
+    // blocks are address-adjacent: one compaction sweep that drops
+    // every free slot following a free slot merges every run of holes
+    // in place, each into the run's first slot.
     size_t merged = 0;
     size_t w = 0;
-    for (size_t r = 0; r < blocks_.size();) {
-        if (blocks_[r].isFree()) {
-            Block run = blocks_[r];
-            size_t r2 = r + 1;
-            while (r2 < blocks_.size() && blocks_[r2].isFree()) {
-                run.size += blocks_[r2].size;
-                r2++;
-            }
-            merged += (r2 - r) - 1;
-            blocks_[w++] = run;
-            r = r2;
-        } else {
-            blocks_[w++] = blocks_[r++];
+    for (size_t r = 0; r < slots_.size(); r++) {
+        if (w > 0 && isFreeAt(w - 1) && isFreeAt(r)) {
+            merged++;
+            continue;
         }
+        slots_[w++] = slots_[r];
     }
     if (merged == 0)
         return 0;
-    blocks_.resize(w);
+    slots_.resize(w);
     // Every index changed: rebuild the free lists and counts from
     // scratch. The reverse walk makes each class's back() (the O(1)
     // reuse slot) the lowest-addressed hole, which is also where
@@ -236,9 +234,9 @@ SubHeap::coalesceHoles()
         list.clear();
     freeCount_.fill(0);
     uint32_t mask = 0;
-    for (size_t i = blocks_.size(); i-- > 0;) {
-        if (blocks_[i].isFree()) {
-            const int cls = classOf(blocks_[i].size);
+    for (size_t i = slots_.size(); i-- > 0;) {
+        if (isFreeAt(i)) {
+            const int cls = classOf(sizeAt(i));
             freeLists_[cls].push_back(static_cast<uint32_t>(i));
             freeCount_[cls]++;
             mask |= 1u << cls;
@@ -253,12 +251,14 @@ SubHeap::trimTop()
 {
     const size_t old_bump = extent();
     size_t bump = old_bump;
-    while (!blocks_.empty() && blocks_.back().isFree()) {
-        const Block &blk = blocks_.back();
-        freeBytes_ -= blk.size;
-        uncountFree(classOf(blk.size));
-        bump = blk.addr - base_;
-        blocks_.pop_back();
+    while (!slots_.empty() && isFreeAt(slots_.size() - 1)) {
+        // The bump has not moved yet, so size the popped block from
+        // the local one.
+        const size_t offset = slots_.back().offset;
+        freeBytes_ -= bump - offset;
+        uncountFree(classOf(bump - offset));
+        bump = offset;
+        slots_.pop_back();
         // The free-list entries for popped indices go stale and are
         // pruned lazily on their next pop.
     }

@@ -13,9 +13,10 @@
  * its class-exact holes would otherwise cap how densely later moves
  * can repack it.
  *
- * Block metadata is kept out-of-band (a sorted vector per sub-heap)
- * rather than in headers so the same code runs over real and phantom
- * address spaces; see docs/ARCHITECTURE.md, layers 4 and 6.
+ * Block metadata is kept out-of-band (a sorted vector of 8-byte slots
+ * per sub-heap, SubHeap::Slot) rather than in headers so the same code
+ * runs over real and phantom address spaces; see docs/ARCHITECTURE.md,
+ * layers 4 and 6.
  *
  * Each sub-heap also publishes two fit hints, in the manner of TLSF's
  * per-class free bitmaps (Masmano et al., ECRTS 2004): a mask with bit
@@ -38,7 +39,10 @@
 namespace alaska::anchorage
 {
 
-/** Out-of-band metadata for one heap block. */
+/**
+ * One heap block, read by value from its slot (SubHeap::block()). Not
+ * a reference into the heap: the size is derived, not stored.
+ */
 struct Block
 {
     static constexpr uint32_t freeMarker = 0xffffffffu;
@@ -67,10 +71,29 @@ class SubHeap
     static constexpr int numClasses = 28;
     /** Block alignment. */
     static constexpr uint64_t alignment = 16;
+    /** Largest region: every block offset and the bump fit 32 bits. */
+    static constexpr size_t maxCapacity = UINT32_MAX;
+
+    /**
+     * The stored per-block record. Blocks tile the extent with no gaps:
+     * bumps append back to back, trimTop() pops from the top,
+     * coalesceHoles() merges neighbours, and a reused or claimed hole
+     * keeps its full size. So a block's address is base() + offset and
+     * its size is the next slot's offset (the bump, for the last slot)
+     * minus its own.
+     */
+    struct Slot
+    {
+        /** Start of the block, in bytes from base(). */
+        uint32_t offset;
+        /** Owning handle ID, or Block::freeMarker if free. */
+        uint32_t handleId;
+    };
+    static_assert(sizeof(Slot) == 8, "one 8-byte slot per block");
 
     /**
      * @param space backing address space (thread-safe; see sim/)
-     * @param capacity region size in bytes
+     * @param capacity region size in bytes; fatal() past maxCapacity
      */
     SubHeap(AddressSpace &space, size_t capacity);
     ~SubHeap();
@@ -103,7 +126,7 @@ class SubHeap
         return addr >= base_ && addr < base_ + capacity_;
     }
 
-    /** Find the index of the live block at addr; -1 if absent. */
+    /** Find the index of the block starting at addr; -1 if none. */
     int findBlock(uint64_t addr) const;
 
     /**
@@ -115,13 +138,15 @@ class SubHeap
 
     /**
      * Merge runs of address-adjacent free blocks into single holes and
-     * rebuild the free lists. Defrag-only (blocks_ indices change, so
+     * rebuild the free lists. Defrag-only (block indices change, so
      * the caller must hold the shard lock and must not have a live
      * CompactionIndex for this heap): called when a pass or campaign
      * finishes with a source sub-heap, so the class-exact holes its
      * evacuation left behind fuse into holes big enough for any later
      * placement — without this, concurrent campaigns floor out above
-     * the stop-the-world fragmentation floor. O(blocks).
+     * the stop-the-world fragmentation floor. O(blocks). A merged
+     * hole keeps its first slot; dropping the rest of the run is what
+     * extends that slot's derived size over them.
      * @return number of holes merged away.
      */
     size_t coalesceHoles();
@@ -146,9 +171,21 @@ class SubHeap
     /** Number of live blocks. */
     size_t liveBlocks() const { return liveCount_; }
 
-    /** All blocks, address-ordered (live and free). For defrag walks. */
-    std::vector<Block> &blocks() { return blocks_; }
-    const std::vector<Block> &blocks() const { return blocks_; }
+    /** Number of blocks, live and free; indices are address-ordered. */
+    size_t blockCount() const { return slots_.size(); }
+    /** The block at index i (0 <= i < blockCount()). */
+    Block
+    block(size_t i) const
+    {
+        return Block{addrAt(i), sizeAt(i), slots_[i].handleId};
+    }
+    /** Whether the block at index i is free; the defrag walks' skip
+     *  test, without deriving a size. */
+    bool
+    isFreeAt(size_t i) const
+    {
+        return slots_[i].handleId == Block::freeMarker;
+    }
 
     /**
      * Mark the free block at index as reallocated to handle id (a
@@ -195,8 +232,8 @@ class SubHeap
     // --- fit hints ---------------------------------------------------------
     //
     // Invariant: with no writer mid-operation, bit c of freeClassMask()
-    // is set iff blocks() holds a free block of class c, and extent()
-    // is the end of the last block. Only code that may mutate the heap
+    // is set iff a free block of class c exists, and extent() is the
+    // end of the last block. Only code that may mutate the heap
     // (the owning shard's lock holder, or the heap's only user) writes
     // them. Any thread holding a stable SubHeap* may read them without
     // the lock; such a read can be stale by the operations in flight,
@@ -227,12 +264,22 @@ class SubHeap
         return mayReuse(size) || extent() + alignUp(size) <= capacity_;
     }
 
-  private:
     /** size rounded up to the block alignment. */
     static size_t
     alignUp(size_t size)
     {
         return (size + alignment - 1) & ~(alignment - 1);
+    }
+
+  private:
+    uint64_t addrAt(size_t i) const { return base_ + slots_[i].offset; }
+    /** Size of the block at index i: the gap to the next slot. */
+    uint32_t
+    sizeAt(size_t i) const
+    {
+        const size_t end =
+            i + 1 < slots_.size() ? slots_[i + 1].offset : extent();
+        return static_cast<uint32_t>(end - slots_[i].offset);
     }
 
     SubHeapAlloc bumpAlloc(uint32_t id, size_t size);
@@ -253,9 +300,9 @@ class SubHeap
     size_t freeBytes_ = 0;
     size_t liveCount_ = 0;
 
-    /** Address-ordered block metadata; indices are stable except for
-     *  trailing pops in trimTop(). */
-    std::vector<Block> blocks_;
+    /** Address-ordered block slots; indices are stable except for
+     *  trailing pops in trimTop() and merges in coalesceHoles(). */
+    std::vector<Slot> slots_;
     /** LIFO free lists of block indices, one per power-of-two class.
      *  Entries may be stale (trimmed, reused, or — after a trim and a
      *  regrow — naming a block of another class); validated on pop. */

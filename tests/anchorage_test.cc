@@ -271,6 +271,54 @@ TEST_F(AnchorageTest, OversizedObjectsGetDedicatedSubHeaps)
     runtime_.hfree(h);
 }
 
+TEST_F(AnchorageTest, OversizedObjectsOfUnalignedSizeFit)
+{
+    // A dedicated sub-heap must hold the request rounded up to the
+    // block alignment: one of exactly the requested size cannot.
+    const size_t sizes[] = {(1u << 20) + 1, (1u << 20) + 17};
+    void *handles[2];
+    for (int i = 0; i < 2; i++) {
+        handles[i] = runtime_.halloc(sizes[i]);
+        EXPECT_GE(service_.usableSize(translate(handles[i])), sizes[i]);
+        auto *p = static_cast<char *>(translate(handles[i]));
+        p[0] = 'a';
+        p[sizes[i] - 1] = 'z';
+    }
+    service_.defrag(SIZE_MAX);
+    for (int i = 0; i < 2; i++) {
+        const auto *p = static_cast<const char *>(translate(handles[i]));
+        EXPECT_EQ(p[0], 'a');
+        EXPECT_EQ(p[sizes[i] - 1], 'z');
+        runtime_.hfree(handles[i]);
+    }
+}
+
+TEST(AnchorageLimitsTest, BlocksPastAThirtyTwoBitOffsetAreFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    PhantomAddressSpace space;
+    EXPECT_EXIT(
+        {
+            AnchorageService service(
+                space, AnchorageConfig{.subHeapBytes = size_t{1} << 32});
+        },
+        ::testing::ExitedWithCode(1), "subHeapBytes");
+
+    AnchorageService service(space,
+                             AnchorageConfig{.subHeapBytes = 1 << 20});
+    Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 10});
+    runtime.attachService(&service);
+    ThreadRegistration registration(runtime);
+    // The largest request whose aligned size still fits a block...
+    const size_t largest = maxObjectSize - SubHeap::alignment;
+    void *h = runtime.halloc(largest);
+    EXPECT_EQ(service.usableSize(translate(h)), largest);
+    runtime.hfree(h);
+    // ...and the 15 above it, which would round up to 4 GiB.
+    EXPECT_EXIT(runtime.halloc(maxObjectSize - 1),
+                ::testing::ExitedWithCode(1), "32-bit block offset");
+}
+
 /** Property: churn + periodic defrag never corrupts live objects. */
 class AnchorageChurn : public ::testing::TestWithParam<uint64_t>
 {

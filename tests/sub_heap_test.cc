@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for Anchorage sub-heaps: bump allocation, power-of-two free-list
- * reuse, tail trimming (§4.3), the compaction index defrag walks, and
- * the fit hints movers read without the shard lock.
+ * reuse, tail trimming (§4.3), the compaction index defrag walks, the
+ * fit hints movers read without the shard lock, and the 8-byte block
+ * slots whose sizes are derived from the next slot's offset.
  */
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 #include "anchorage/sub_heap.h"
 #include "base/rng.h"
@@ -16,6 +19,9 @@ namespace
 
 using namespace alaska;
 using namespace alaska::anchorage;
+
+static_assert(sizeof(SubHeap::Slot) == 8,
+              "a block's stored record is one 8-byte slot");
 
 class SubHeapTest : public ::testing::Test
 {
@@ -180,10 +186,10 @@ TEST_F(SubHeapTest, CompactionIndexFindsCompactionTargets)
     // The defrag walk wants the lowest hole below c, then the next.
     const int first = heap.popLowestFreeBelow(index, 64, c.addr);
     ASSERT_GE(first, 0);
-    EXPECT_EQ(heap.blocks()[first].addr, a.addr);
+    EXPECT_EQ(heap.block(first).addr, a.addr);
     const int second = heap.popLowestFreeBelow(index, 64, c.addr);
     ASSERT_GE(second, 0);
-    EXPECT_EQ(heap.blocks()[second].addr, b.addr);
+    EXPECT_EQ(heap.block(second).addr, b.addr);
     EXPECT_EQ(heap.popLowestFreeBelow(index, 64, c.addr), -1);
 }
 
@@ -201,13 +207,58 @@ TEST_F(SubHeapTest, CompactionIndexSkipsBlocksTrimmedAfterItWasBuilt)
     SubHeap::CompactionIndex index = heap.buildCompactionIndex();
     ASSERT_EQ(index.sorted[SubHeap::classOf(64)].size(), 2u);
     heap.trimTop(); // pops c's block; its index entry goes stale
-    ASSERT_EQ(heap.blocks().size(), 2u);
+    ASSERT_EQ(heap.blockCount(), 2u);
 
     const uint64_t top = heap.base() + heap.capacity();
     const int idx = heap.popLowestFreeBelow(index, 64, top);
     ASSERT_GE(idx, 0);
-    EXPECT_EQ(heap.blocks()[idx].addr, a.addr);
+    EXPECT_EQ(heap.block(idx).addr, a.addr);
     EXPECT_EQ(heap.popLowestFreeBelow(index, 64, top), -1);
+}
+
+TEST_F(SubHeapTest, FindBlockMatchesOnlyBlockStarts)
+{
+    SubHeap heap(space_, 1 << 20);
+    auto a = heap.alloc(1, 64);
+    auto b = heap.alloc(2, 64);
+    ASSERT_EQ(heap.findBlock(a.addr), 0);
+    ASSERT_EQ(heap.findBlock(b.addr), 1);
+    // Below the region, and at or past its end: none may wrap or
+    // truncate onto a 32-bit block offset.
+    const uint64_t wrap = uint64_t{1} << 32;
+    EXPECT_EQ(heap.findBlock(heap.base() - SubHeap::alignment), -1);
+    EXPECT_EQ(heap.findBlock(heap.base() - wrap), -1);
+    EXPECT_EQ(heap.findBlock(heap.base() + heap.capacity()), -1);
+    EXPECT_EQ(heap.findBlock(heap.base() + wrap), -1);
+    EXPECT_EQ(heap.findBlock(b.addr + wrap), -1);
+    // Inside a live block but not at its start.
+    EXPECT_EQ(heap.findBlock(a.addr + SubHeap::alignment), -1);
+    EXPECT_EQ(heap.findBlock(b.addr + 1), -1);
+}
+
+TEST_F(SubHeapTest, CoalescedHoleSpansTheRunItReplaced)
+{
+    SubHeap heap(space_, 1 << 20);
+    auto a = heap.alloc(1, 64);
+    auto b = heap.alloc(2, 100);  // 112 B
+    auto c = heap.alloc(3, 1000); // 1008 B
+    auto d = heap.alloc(4, 32);
+    heap.free(a.addr);
+    heap.free(b.addr);
+    heap.free(c.addr);
+    const size_t run = 64 + 112 + 1008;
+    EXPECT_EQ(heap.coalesceHoles(), 2u);
+    ASSERT_EQ(heap.blockCount(), 2u);
+    const Block hole = heap.block(0);
+    EXPECT_TRUE(hole.isFree());
+    EXPECT_EQ(hole.addr, a.addr);
+    EXPECT_EQ(hole.size, run);
+    EXPECT_EQ(heap.block(1).addr, d.addr);
+    EXPECT_EQ(heap.block(1).size, 32u);
+    EXPECT_EQ(heap.freeBytes(), run);
+    // The merged hole serves a request no single run member could.
+    auto e = heap.alloc(5, 1100);
+    EXPECT_EQ(e.addr, a.addr);
 }
 
 /**
@@ -218,25 +269,26 @@ class SubHeapChurn : public ::testing::TestWithParam<uint64_t>
 {
 };
 
-/** The class mask recounted from blocks(). */
+/** The class mask recounted from the blocks. */
 uint32_t
 recountClassMask(const SubHeap &heap)
 {
     uint32_t mask = 0;
-    for (const Block &blk : heap.blocks()) {
+    for (size_t i = 0; i < heap.blockCount(); i++) {
+        const Block blk = heap.block(i);
         if (blk.isFree())
             mask |= 1u << SubHeap::classOf(blk.size);
     }
     return mask;
 }
 
-/** The extent recounted from blocks(): they tile it with no gaps. */
+/** The extent recounted from the blocks: they tile it with no gaps. */
 size_t
 recountExtent(const SubHeap &heap)
 {
-    if (heap.blocks().empty())
+    if (heap.blockCount() == 0)
         return 0;
-    const Block &last = heap.blocks().back();
+    const Block last = heap.block(heap.blockCount() - 1);
     return last.addr + last.size - heap.base();
 }
 
@@ -248,6 +300,8 @@ TEST_P(SubHeapChurn, AccountingInvariants)
     SubHeap heap(space, 1 << 20);
     Rng rng(GetParam());
     std::vector<std::pair<uint64_t, size_t>> live;
+    /** live, keyed by address: the size each block was handed out at. */
+    std::unordered_map<uint64_t, size_t> handed_out;
     size_t expected_live_bytes = 0;
     uint32_t next_id = 1000;
 
@@ -256,8 +310,9 @@ TEST_P(SubHeapChurn, AccountingInvariants)
         // account what the heap actually handed out.
         const int idx = heap.findBlock(addr);
         ASSERT_GE(idx, 0);
-        const size_t actual = heap.blocks()[idx].size;
+        const size_t actual = heap.block(idx).size;
         live.emplace_back(addr, actual);
+        handed_out[addr] = actual;
         expected_live_bytes += actual;
     };
 
@@ -271,19 +326,20 @@ TEST_P(SubHeapChurn, AccountingInvariants)
         } else if (op < 90) {
             const size_t idx = rng.below(live.size());
             heap.free(live[idx].first);
+            handed_out.erase(live[idx].first);
             expected_live_bytes -= live[idx].second;
             live[idx] = live.back();
             live.pop_back();
         } else if (op < 96) {
             // A defrag claim: any free block, for a request it fits.
             std::vector<int> holes;
-            for (size_t i = 0; i < heap.blocks().size(); i++) {
-                if (heap.blocks()[i].isFree())
+            for (size_t i = 0; i < heap.blockCount(); i++) {
+                if (heap.isFreeAt(i))
                     holes.push_back(static_cast<int>(i));
             }
             if (!holes.empty()) {
                 const int idx = holes[rng.below(holes.size())];
-                const Block blk = heap.blocks()[idx];
+                const Block blk = heap.block(idx);
                 heap.claimBlock(idx, next_id++, 1 + rng.below(blk.size));
                 track(blk.addr);
             }
@@ -300,6 +356,19 @@ TEST_P(SubHeapChurn, AccountingInvariants)
         ASSERT_EQ(heap.freeClassMask(), recountClassMask(heap))
             << "step " << step;
         ASSERT_EQ(heap.extent(), recountExtent(heap)) << "step " << step;
+        // Every live block's derived size is still the size it was
+        // handed out at, whatever was bumped, trimmed or merged since.
+        size_t live_seen = 0;
+        for (size_t i = 0; i < heap.blockCount(); i++) {
+            const Block blk = heap.block(i);
+            if (blk.isFree())
+                continue;
+            const auto it = handed_out.find(blk.addr);
+            ASSERT_NE(it, handed_out.end()) << "step " << step;
+            ASSERT_EQ(blk.size, it->second) << "step " << step;
+            live_seen++;
+        }
+        ASSERT_EQ(live_seen, live.size()) << "step " << step;
         // ...and a "no" from them means the locked call fails.
         const size_t probe = 1 + rng.below(4096);
         if (!heap.mayReuse(probe)) {
