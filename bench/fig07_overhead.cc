@@ -18,11 +18,16 @@
 #include "kernels/registry.h"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace alaska;
     using namespace alaska::kernels;
     using namespace alaska::bench;
+
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
+    }
 
     std::printf("=== Figure 7: overhead of translation + tracking "
                 "(%% wall-clock increase vs raw pointers) ===\n");

@@ -16,10 +16,15 @@
 #include "sim/address_space.h"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace alaska;
     using namespace alaska::bench;
+
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
+    }
 
     std::printf("=== Figure 10: Anchorage's envelope of control ===\n");
     std::printf("Figure 9 workload; each curve is one controller "

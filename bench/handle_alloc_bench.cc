@@ -2,16 +2,15 @@
  * @file
  * Allocation throughput at 1–8 threads, in two sections.
  *
- * Section 1 — handle *ID* allocation, comparing three designs over the
- * same handle-table entry layout:
+ * Section 1 — handle *ID* allocation, comparing the library's two
+ * paths over the same handle table:
  *
- *   single-mutex : the pre-sharding design — one global mutex-protected
- *                  free list plus a bump cursor (the baseline).
- *   sharded      : HandleTable as shipped — per-thread free-list shards,
+ *   sharded      : HandleTable alone — per-thread free-list shards,
  *                  cache-line padded, plus the global bump cursor.
  *   magazine     : the full fast path — registered threads cache IDs in
  *                  a per-thread magazine and hit no shared state in
- *                  steady state (Runtime::allocateHandleId).
+ *                  steady state (Runtime::allocateHandleId). The
+ *                  speedup column is magazine over sharded.
  *
  * Section 2 — full halloc/hfree over the Anchorage service, comparing
  * a single-shard configuration (every allocation behind one service
@@ -27,12 +26,10 @@
  */
 
 #include <cstdio>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "anchorage/anchorage_service.h"
-#include "base/logging.h"
 #include "base/timer.h"
 #include "bench/bench_util.h"
 #include "core/handle_table.h"
@@ -47,64 +44,6 @@ using namespace alaska;
 constexpr uint32_t kTableCapacity = 1u << 20;
 constexpr int kWindow = 256;  // live IDs held per thread
 constexpr int kPairsPerThread = 200000;
-
-/**
- * The pre-sharding allocator, reproduced faithfully: one mutex, one
- * free list, one bump cursor, with the same always-on invariant checks
- * and live accounting the original HandleTable::allocate/release had.
- */
-class SingleMutexTable
-{
-  public:
-    explicit SingleMutexTable(uint32_t capacity)
-        : entries_(capacity), capacity_(capacity)
-    {}
-
-    uint32_t
-    allocate()
-    {
-        {
-            std::lock_guard<std::mutex> guard(freeMutex_);
-            if (!freeList_.empty()) {
-                const uint32_t id = freeList_.back();
-                freeList_.pop_back();
-                entries_[id].state.store(HandleTableEntry::Allocated,
-                                         std::memory_order_relaxed);
-                live_.fetch_add(1, std::memory_order_relaxed);
-                return id;
-            }
-        }
-        const uint32_t id = bump_.fetch_add(1, std::memory_order_relaxed);
-        if (id >= capacity_)
-            fatal("handle table exhausted (%u entries)", capacity_);
-        entries_[id].state.store(HandleTableEntry::Allocated,
-                                 std::memory_order_relaxed);
-        live_.fetch_add(1, std::memory_order_relaxed);
-        return id;
-    }
-
-    void
-    release(uint32_t id)
-    {
-        ALASKA_ASSERT(id < capacity_, "id %u out of range", id);
-        auto &e = entries_[id];
-        ALASKA_ASSERT(e.allocated(), "double free of handle %u", id);
-        e.ptr.store(nullptr, std::memory_order_relaxed);
-        e.size = 0;
-        e.state.store(0, std::memory_order_relaxed);
-        live_.fetch_sub(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> guard(freeMutex_);
-        freeList_.push_back(id);
-    }
-
-  private:
-    std::vector<HandleTableEntry> entries_;
-    uint32_t capacity_;
-    std::atomic<uint32_t> bump_{0};
-    std::atomic<uint32_t> live_{0};
-    std::mutex freeMutex_;
-    std::vector<uint32_t> freeList_;
-};
 
 /** Churn fn(): release+allocate pairs over a per-thread window. */
 template <typename AllocFn, typename ReleaseFn>
@@ -137,16 +76,6 @@ run(int nThreads, Fn &&fn)
         th.join();
     const double sec = watch.elapsedSec();
     return static_cast<double>(kPairsPerThread) * nThreads / sec / 1e6;
-}
-
-double
-benchSingleMutex(int nThreads)
-{
-    SingleMutexTable table(kTableCapacity);
-    return run(nThreads, [&table] {
-        churn([&table] { return table.allocate(); },
-              [&table](uint32_t id) { table.release(id); });
-    });
 }
 
 double
@@ -233,19 +162,17 @@ main(int argc, char **argv)
                 "(M release+allocate pairs per second)\n");
     std::printf("# window=%d live IDs/thread, %d pairs/thread\n\n",
                 kWindow, kPairsPerThread);
-    std::printf("%-8s %14s %14s %14s %10s\n", "threads", "single-mutex",
-                "sharded", "magazine", "speedup");
+    std::printf("%-8s %14s %14s %10s\n", "threads", "sharded",
+                "magazine", "speedup");
 
     for (int nThreads : {1, 2, 4, 8}) {
-        const double base = benchSingleMutex(nThreads);
         const double sharded = benchSharded(nThreads);
         const double magazine = benchMagazine(nThreads);
-        std::printf("%-8d %14.2f %14.2f %14.2f %9.2fx\n", nThreads, base,
-                    sharded, magazine, magazine / base);
+        std::printf("%-8d %14.2f %14.2f %9.2fx\n", nThreads, sharded,
+                    magazine, magazine / sharded);
         if (rp != nullptr) {
             const std::string prefix =
                 "id_alloc.t" + std::to_string(nThreads);
-            rp->add(prefix + ".single_mutex_mops", base, "Mops");
             rp->add(prefix + ".sharded_mops", sharded, "Mops");
             rp->add(prefix + ".magazine_mops", magazine, "Mops");
         }

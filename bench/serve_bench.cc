@@ -19,29 +19,17 @@
  * how many had defrag idle), queue depth, steals, backpressure, and
  * the mode's recovery/pause economics. --mode=NAME runs one mode only.
  *
- * The --target-pause-us section (always part of --smoke) runs the
- * StopTheWorld load twice with an oversized per-barrier byte cap: once
- * with the pause-SLO-adaptive barrier budget targeting that pause,
- * once with the static bound. Open-loop p999 is the money metric: the
- * fixed run's long barriers turn into queueing spikes the adaptive run
- * avoids. One wall-clock run cannot tell those apart on a contended
- * host, so the smoke asserts no latency relation between them (only
- * zero lost responses); the adapter's pause bound is gated
- * deterministically by policy_test on a virtual clock. See
- * BENCH_serve.json and docs/SERVING.md for the comparison.
- *
  * Flags: --smoke (small counts + assertions for CI), --mode=NAME,
  * --rate=N (req/s), --threads=N (workers), --records=N, --ops=N,
- * --slo-us=N, --window-ms=N, --target-pause-us=N,
- * --workload=a|b|c|f, --queue-cap=N, --value-size=N, --fixed-rate
- * (constant inter-arrival instead of Poisson), --trace=FILE,
- * --out=FILE. A rate, window, SLO or pause target that is not a
- * positive number, a record, op, queue or value size below one (counts
- * parse signed, so -1 does not wrap to 2^64 - 1), more records than a
- * handle table of records x 4 entries can hold, or a worker count
- * outside [1, 256] is a usage error (exit 2): the server, load
- * generator and SLO tracker would otherwise clamp it, hang on it,
- * abort on it, or skip the section it configures.
+ * --slo-us=N, --window-ms=N, --workload=a|b|c|f, --queue-cap=N,
+ * --value-size=N, --fixed-rate (constant inter-arrival instead of
+ * Poisson), --trace=FILE, --out=FILE. An unknown flag, a rate, window
+ * or SLO that is not a positive number, a record, op, queue or value
+ * size below one (counts parse signed, so -1 does not wrap to
+ * 2^64 - 1), more records than a handle table of records x 4 entries
+ * can hold, or a worker count outside [1, 256] is a usage error
+ * (exit 2): the server, load generator and SLO tracker would otherwise
+ * clamp it, hang on it or abort on it.
  */
 
 #include <algorithm>
@@ -50,7 +38,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -106,7 +93,6 @@ struct RunResult
     size_t barriers = 0;
     double pauseMs = 0;
     anchorage::DefragStats totals;
-    size_t batchBytesFinal = 0;
 };
 
 /** Next power of two at or above n. */
@@ -127,9 +113,7 @@ pow2AtLeast(uint64_t n)
  * so the two harnesses measure the same defrag configurations.
  */
 RunResult
-runServe(anchorage::DefragMode mode, const ServeOptions &opt,
-         const std::function<void(anchorage::ControlParams &)> &tweak =
-             nullptr)
+runServe(anchorage::DefragMode mode, const ServeOptions &opt)
 {
     RunResult result;
 
@@ -166,8 +150,6 @@ runServe(anchorage::DefragMode mode, const ServeOptions &opt,
     params.oUb = 1.0;
     params.alpha = 1.0;
     params.batchBytes = 256 << 10;
-    if (tweak)
-        tweak(params);
     ConcurrentRelocDaemon daemon(runtime, service, params);
     daemon.start();
     server.start();
@@ -245,7 +227,6 @@ runServe(anchorage::DefragMode mode, const ServeOptions &opt,
     result.barriers = daemon.barriers();
     result.pauseMs = daemon.totalPauseSec() * 1e3;
     result.totals = daemon.totals();
-    result.batchBytesFinal = daemon.batchBytesCurrent();
 
     {
         ThreadRegistration reg(runtime);
@@ -340,11 +321,6 @@ reportRun(bench::JsonReport &report, const std::string &prefix,
                static_cast<double>(r.totals.reclaimedBytes) / 1e6, "MB");
 }
 
-/** Oversized per-barrier cap for the adaptive-vs-fixed head-to-head:
- *  far above any sub-millisecond pause target, so the static bound's
- *  barriers land wherever the copy rate puts them. */
-constexpr size_t kOversizedBatchBytes = 8 << 20;
-
 /** Print the flag summary; returns the usage-error exit status. */
 int
 usage(const char *argv0)
@@ -353,7 +329,7 @@ usage(const char *argv0)
                  "usage: %s [--smoke] [--mode=stw|concurrent] "
                  "[--rate=N] [--threads=N] "
                  "[--records=N] [--ops=N] [--slo-us=N] [--window-ms=N] "
-                 "[--target-pause-us=N] [--workload=a|b|c|f] "
+                 "[--workload=a|b|c|f] "
                  "[--queue-cap=N] [--value-size=N] [--fixed-rate] "
                  "[--trace=FILE] [--out=FILE]\n",
                  argv0);
@@ -368,7 +344,6 @@ main(int argc, char **argv)
     ServeOptions opt;
     bool smoke = false;
     std::optional<anchorage::DefragMode> only_mode;
-    double target_pause_us = 0;
     const char *trace_file = nullptr;
     const char *out_file = nullptr;
 
@@ -386,8 +361,6 @@ main(int argc, char **argv)
             opt.records = 6000;
             opt.ops = 2500;
             opt.windowMs = 50;
-            if (target_pause_us == 0)
-                target_pause_us = 200;
         } else if (const char *v = value("--mode=")) {
             only_mode = anchorage::parseDefragMode(v);
             if (!only_mode) {
@@ -418,10 +391,6 @@ main(int argc, char **argv)
         } else if (const char *v = value("--window-ms=")) {
             opt.windowMs = std::atof(v);
             if (!(opt.windowMs > 0))
-                return usage(argv[0]);
-        } else if (const char *v = value("--target-pause-us=")) {
-            target_pause_us = std::atof(v);
-            if (!(target_pause_us > 0))
                 return usage(argv[0]);
         } else if (const char *v = value("--queue-cap=")) {
             if (!bench::countArg(v, 1, opt.queueCap))
@@ -477,43 +446,6 @@ main(int argc, char **argv)
             failures.push_back(std::string("mode ") + name + ": " +
                                std::to_string(r.lost) +
                                " lost responses");
-    }
-
-    if (!only_mode && target_pause_us > 0) {
-        std::printf(
-            "=== adaptive barrier budget vs fixed under open-loop "
-            "load: StopTheWorld, cap %zu KiB, target %.0fus ===\n\n",
-            kOversizedBatchBytes >> 10, target_pause_us);
-        const RunResult adaptive = runServe(
-            anchorage::DefragMode::StopTheWorld, opt,
-            [target_pause_us](anchorage::ControlParams &p) {
-                p.batchBytes = kOversizedBatchBytes;
-                p.targetBarrierPauseSec = target_pause_us * 1e-6;
-            });
-        const RunResult fixed = runServe(
-            anchorage::DefragMode::StopTheWorld, opt,
-            [](anchorage::ControlParams &p) {
-                p.batchBytes = kOversizedBatchBytes;
-            });
-        printRun("pause.adaptive", adaptive, opt.sloUs);
-        printRun("pause.fixed", fixed, opt.sloUs);
-        std::printf("adaptive final batch budget %zu KiB (fixed %zu "
-                    "KiB); all-op p999 %.0fus adaptive vs %.0fus "
-                    "fixed\n\n",
-                    adaptive.batchBytesFinal >> 10,
-                    fixed.batchBytesFinal >> 10, adaptive.all_p999,
-                    fixed.all_p999);
-        if (rp != nullptr) {
-            reportRun(*rp, "pause.adaptive", adaptive);
-            reportRun(*rp, "pause.fixed", fixed);
-            rp->add("pause.target_us", target_pause_us, "us");
-        }
-        // The p999 head-to-head is advisory: one wall-clock run on a
-        // contended host cannot separate a working adapter from a
-        // broken one (policy_test gates the adapter on a virtual
-        // clock), so the smoke holds these runs to lost responses only.
-        if (smoke && (adaptive.lost != 0 || fixed.lost != 0))
-            failures.push_back("pause section lost responses");
     }
 
     if (trace_file != nullptr) {

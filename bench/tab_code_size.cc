@@ -102,8 +102,13 @@ growthOf(void (*build)(Module &, int), int param, bool hoisting)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
+    }
+
     std::printf("=== par.5.2 (Q2): code growth from the Alaska "
                 "transformations (IR instruction count) ===\n\n");
     std::printf("%-22s %10s %12s\n", "program shape", "hoisting",

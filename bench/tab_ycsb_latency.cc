@@ -32,8 +32,7 @@
  *     Latencies are recorded into one telemetry::Histogram per thread
  *     and merged after the join: means are exact, tail percentiles
  *     bucket-resolution (within 2x, never above the largest sample).
- *     Single-mode runs and the adaptive-vs-fixed barrier budget live
- *     in serve_bench, under open-loop load.
+ *     Single-mode runs live in serve_bench, under open-loop load.
  *
  * Flags: --smoke (tiny counts for CI), --threads=N (1 to 256),
  * --shards=N (Anchorage shard count for the multi-thread section, a

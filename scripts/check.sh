@@ -148,12 +148,14 @@ usage_error() {
 # unbounded (--queue-cap) or was silently clamped
 # (--shards=0). serve_bench also rejects more records than its handle
 # table can index (records x 4 entries; 10^9 aborted on a table size
-# truncated to 0), a rate, window, SLO or pause target that is not a
-# positive number and a zero queue capacity or value size, which the
-# load generator, SLO tracker and server would otherwise hang on,
-# abort on, silently clamp, or skip (a bad pause target skipped the
-# adaptive-vs-fixed section; an empty value made workload F write
-# past its end).
+# truncated to 0), a rate, window or SLO that is not a positive number
+# and a zero queue capacity or value size, which the load generator,
+# SLO tracker and server would otherwise hang on, abort on or silently
+# clamp (an empty value made workload F write past its end). A flag
+# serve_bench no longer has fails like any unknown one, so a script
+# still passing it fails loudly. Every bench binary rejects an unknown
+# flag before any work: a mistyped --smoke must not start a full run.
+usage_error ./tab_ycsb_latency --smoke --bogus
 usage_error ./tab_ycsb_latency --smoke --threads=0
 usage_error ./tab_ycsb_latency --smoke --threads=257
 usage_error ./tab_ycsb_latency --smoke --single-only --records=0
@@ -168,6 +170,7 @@ usage_error ./tab_ycsb_latency --smoke --multi-only --mops=-1
 usage_error ./tab_ycsb_latency --smoke --multi-only --shards=0
 usage_error ./tab_ycsb_latency --smoke --multi-only --shards=3
 usage_error ./tab_ycsb_latency --smoke --multi-only --shards=512
+usage_error ./serve_bench --smoke --bogus
 usage_error ./serve_bench --smoke --mode=bogus
 usage_error ./serve_bench --smoke --mode=hybrid
 usage_error ./serve_bench --smoke --rate=0
@@ -184,14 +187,20 @@ usage_error ./serve_bench --smoke --queue-cap=0
 usage_error ./serve_bench --smoke --queue-cap=-1
 usage_error ./serve_bench --smoke --window-ms=0
 usage_error ./serve_bench --smoke --slo-us=-5
-usage_error ./serve_bench --smoke --target-pause-us=abc
-usage_error ./serve_bench --smoke --target-pause-us=-5
+usage_error ./serve_bench --smoke --target-pause-us=200
 usage_error ./serve_bench --smoke --value-size=0
 usage_error ./serve_bench --smoke --value-size=-5
 usage_error ./serve_bench --smoke --value-size=abc
 usage_error ./fig05_translate_cost --bogus
+usage_error ./fig07_overhead --bogus
 usage_error ./fig08_ablation --bogus
+usage_error ./fig09_redis_defrag --bogus
+usage_error ./fig10_control_envelope --bogus
+usage_error ./fig11_large_workload --bogus
+usage_error ./fig12_memcached_pauses --bogus
+usage_error ./handle_alloc_bench --bogus
 usage_error ./tab_ablations --bogus
+usage_error ./tab_code_size --bogus
 
 have_python=0
 if command -v python3 > /dev/null 2>&1; then
@@ -290,13 +299,11 @@ else
 fi
 
 # Serving smoke, last because it runs on the wall clock: open-loop
-# load over both defrag modes plus the adaptive-vs-fixed pause
-# head-to-head. The binary asserts one invariant — zero lost
-# responses in every run — and exits nonzero on violation, after
-# writing its trace and report, so the gates below still judge them.
-# It asserts no latency relation: one wall-clock run could not tell a
-# broken pause adapter from a working one, so policy_test gates the
-# adapter deterministically on a virtual clock instead. Every served
+# load over both defrag modes. The binary asserts one invariant —
+# zero lost responses in every run — and exits nonzero on violation,
+# after writing its trace and report, so the gates below still judge
+# them. It asserts no latency relation: one wall-clock run on a shared
+# host cannot tell a regression from noise. Every served
 # request must be bracketed by a request span; the by-construction
 # columns gate strictly (every offered request completes, lost == 0
 # exactly, and the offered count is fixed by the deterministic

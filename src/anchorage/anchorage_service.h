@@ -20,17 +20,21 @@
  * whichever thread next takes the shard lock (the mimalloc/snmalloc
  * message-passing free).
  *
- * Defragmentation is a cross-shard stealer. Two execution models share
- * the move loop's placement policy: defrag() stops the world and may
- * hold every shard lock at once (paper §4.3), while relocateCampaign()
- * moves the same candidates concurrently with running mutators using
- * the speculative mark/copy/CAS protocol of paper §7, holding at most
- * one shard lock at any instant — see
- * services/concurrent_reloc_daemon.h for the background-thread
- * packaging and anchorage/control.h for the mode knob. Either way a
- * sparse shard's sub-heaps can be evacuated into another shard's holes,
- * so an idle fragmented shard is reclaimed by work done on behalf of
- * the whole heap.
+ * Defragmentation is a cross-shard stealer with two execution models.
+ * defrag() stops the world and may hold every shard lock at once
+ * (paper §4.3), while relocateCampaign() moves the same candidates
+ * concurrently with running mutators using the speculative
+ * mark/copy/CAS protocol of paper §7, holding at most one shard lock at
+ * any instant — see services/concurrent_reloc_daemon.h for the
+ * background-thread packaging and anchorage/control.h for the mode
+ * knob. Both rank sources the same way and first try a lower hole in
+ * the object's own sub-heap; past that their destination orders
+ * differ. A barrier calls alloc() (a hole, else a bump) on each denser
+ * sub-heap, densest first. A campaign tries its cached destination,
+ * then a hole in every denser sub-heap, then a bump in each, densest
+ * first both times. Either way a sparse shard's sub-heaps can be
+ * evacuated into another shard's holes, so an idle fragmented shard is
+ * reclaimed by work done on behalf of the whole heap.
  */
 
 #ifndef ALASKA_ANCHORAGE_ANCHORAGE_SERVICE_H

@@ -70,52 +70,12 @@ parseDefragMode(std::string_view name)
     return std::nullopt;
 }
 
-// --- BarrierBudgetAdapter ---------------------------------------------------
-
-BarrierBudgetAdapter::BarrierBudgetAdapter(double targetPauseSec,
-                                           size_t capBytes)
-    : enabled_(targetPauseSec > 0), target_(targetPauseSec),
-      cap_(capBytes > 0 ? capBytes : SIZE_MAX),
-      floor_(std::min(kBatchBytesFloor, cap_))
-{
-    // Enabled: start at the floor and earn headroom (a conservative
-    // first barrier can only undershoot the target). Disabled: the
-    // static legacy bound (0 = unbatched).
-    current_ = enabled_ ? floor_ : cap_;
-}
-
-void
-BarrierBudgetAdapter::observe(double barrierPauseSec)
-{
-    if (!enabled_ || barrierPauseSec <= 0)
-        return;
-    if (barrierPauseSec > target_) {
-        // Multiplicative decrease, proportional to the overshoot and
-        // with a margin, so one observation lands the next barrier
-        // near (under) the target instead of creeping toward it.
-        auto next = static_cast<size_t>(
-            static_cast<double>(current_) *
-            (target_ / barrierPauseSec) * 0.9);
-        if (next >= current_ && current_ > floor_)
-            next = current_ - 1;
-        current_ = std::max(next, floor_);
-    } else if (barrierPauseSec < target_ * 0.5 && current_ < cap_) {
-        // Slow additive recovery while barriers run well under the
-        // target, so a transient bandwidth dip does not pin the batch
-        // at the floor forever.
-        const size_t step = cap_ == SIZE_MAX ? current_ / 8 + 1
-                                             : cap_ / 32 + 1;
-        current_ = cap_ - current_ < step ? cap_ : current_ + step;
-    }
-}
-
 // --- DefragController -------------------------------------------------------
 
 DefragController::DefragController(AnchorageService &service,
                                    const Clock &clock,
                                    ControlParams params)
-    : service_(service), clock_(clock), params_(params),
-      adapter_(params_.targetBarrierPauseSec, params_.batchBytes)
+    : service_(service), clock_(clock), params_(params)
 {
     nextWake_ = clock_.now();
 }
@@ -146,7 +106,6 @@ DefragController::runPass()
     telemetry::TraceSpan tick_span("controller_tick");
 
     ControlAction action;
-    const size_t batch = adapter_.current();
     // False while a StopTheWorld pass stays open for the next tick.
     bool pass_done = true;
     // The finished pass (or the tick) moved and reclaimed nothing.
@@ -163,7 +122,7 @@ DefragController::runPass()
             }
             // One barrier per tick: the overhead sleep between ticks
             // is what turns one long pause into many short ones.
-            record(action, params_, pass_->step(batch));
+            record(action, params_, pass_->step(params_.batchBytes));
             pass_done = pass_->done();
             if (pass_done) {
                 no_progress = pass_->totals().movedBytes == 0 &&
@@ -181,20 +140,8 @@ DefragController::runPass()
         }
     }
 
-    totalDefragSec_ += action.costSec;
-    totalPauseSec_ += action.pauseSec;
-    passes_++;
-    barriers_ += action.stats.barriers;
-    if (action.stats.barriers > 0) {
-        const double worst = params_.useModeledTime
-                                 ? action.stats.maxBarrierModeledSec
-                                 : action.stats.maxBarrierSec;
-        maxBarrierPauseSec_ = std::max(maxBarrierPauseSec_, worst);
-        // Pause-SLO feedback: the adapter steers the next barrier's
-        // byte bound from this tick's worst barrier in the charged
-        // time base (no-op unless targetBarrierPauseSec is set).
-        adapter_.observe(worst);
-    }
+    ledger_.totals.accumulate(action.stats);
+    ledger_.passes++;
 
     const double now = clock_.now();
     if (!pass_done) {

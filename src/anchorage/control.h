@@ -66,14 +66,6 @@ std::optional<DefragMode> parseDefragMode(std::string_view name);
 constexpr double kMinSleepSec = 100e-6;
 
 /**
- * Smallest per-barrier byte bound the pause-SLO adapter may choose.
- * The floor keeps pathological pause measurements (page-cache
- * hiccups, scheduler preemption) from collapsing barriers to
- * single-object moves that can never finish a pass.
- */
-constexpr size_t kBatchBytesFloor = 4 << 10;
-
-/**
  * Operator-tunable control parameters. Every knob is documented with
  * operational guidance in docs/TUNING.md. Plain data: set the fields
  * before constructing the controller and do not mutate them afterwards
@@ -105,23 +97,14 @@ struct ControlParams
      * Batched stop-the-world passes: max bytes moved inside any single
      * barrier. A logical pass (alpha × extent) is spread over
      * ceil(budget / batchBytes) short barriers — one per tick, with
-     * the overhead-control sleep between them — so each mutator-
-     * visible pause is bounded by roughly
+     * the overhead-control sleep between them — so the move work
+     * inside each barrier is bounded by roughly
      * kModelPauseFloor + batchBytes / copy-bandwidth instead of by the
-     * whole alpha fraction of the heap. 0 = monolithic (each pass one
-     * barrier, the pre-batching behavior).
+     * whole alpha fraction of the heap (the rendezvous that stops the
+     * world before it is not part of that bound). 0 = monolithic
+     * (each pass one barrier, the pre-batching behavior).
      */
     size_t batchBytes = 1 << 20;
-    /**
-     * Pause-SLO-adaptive barriers: when > 0, the per-barrier byte
-     * bound is no longer the static batchBytes but an online value
-     * steered toward this per-barrier pause target (seconds) from the
-     * measured pauses — multiplicative decrease on overshoot, slow
-     * additive recovery — clamped to [kBatchBytesFloor, batchBytes].
-     * 0 (default) keeps the static legacy bound. See
-     * BarrierBudgetAdapter below and docs/TUNING.md.
-     */
-    double targetBarrierPauseSec = 0;
 };
 
 /** What a controller tick did. Returned by value; no locking. */
@@ -145,41 +128,45 @@ struct ControlAction
 };
 
 /**
- * Online batchBytes adaptation toward a per-barrier pause target
- * (ControlParams::targetBarrierPauseSec). Disabled (target == 0): the
- * static legacy bound. Enabled: starts conservatively at the floor,
- * shrinks multiplicatively when a measured barrier overshoots the
- * target (proportional to the overshoot, with margin), and recovers
- * additively — slowly — while barriers run well under it, clamped to
- * [kBatchBytesFloor, batchBytes].
+ * What a controller has run so far: every defrag tick's stats folded
+ * into one DefragStats, and the number of such ticks. The charged
+ * reads pick the modeled or the measured field per
+ * ControlParams::useModeledTime, so the controller and a daemon that
+ * copies its ledger report the same numbers from the same code.
  */
-class BarrierBudgetAdapter
+struct DefragLedger
 {
-  public:
-    /**
-     * @param targetPauseSec 0 disables adaptation
-     * @param capBytes       static batchBytes; the adaptive ceiling
-     *                       and, disabled, the returned legacy bound
-     *                       (0 = unbatched, SIZE_MAX)
-     */
-    BarrierBudgetAdapter(double targetPauseSec, size_t capBytes);
+    DefragStats totals;
+    /** Ticks that did defrag work (in batched StopTheWorld mode each
+     *  such tick runs one barrier of a logical pass). */
+    size_t passes = 0;
 
-    /** The per-barrier byte bound to use for the next barrier. */
-    size_t current() const { return current_; }
+    /** Time charged to defragmentation, seconds. */
+    double
+    defragSec(const ControlParams &params) const
+    {
+        return params.useModeledTime ? totals.modeledSec
+                                     : totals.measuredSec;
+    }
 
-    /** True when a pause target is set. */
-    bool enabled() const { return enabled_; }
+    /** Mutator-visible stop-the-world time, seconds: every charged
+     *  second in StopTheWorld mode, none in Concurrent mode (a
+     *  campaign never stops the world). */
+    double
+    pauseSec(const ControlParams &params) const
+    {
+        return params.mode == DefragMode::StopTheWorld
+                   ? defragSec(params)
+                   : 0.0;
+    }
 
-    /** Feed one tick's worst measured barrier pause, seconds. */
-    void observe(double barrierPauseSec);
-
-  private:
-    bool enabled_;
-    double target_;
-    size_t cap_;
-    /** kBatchBytesFloor, or the cap when that is smaller. */
-    size_t floor_;
-    size_t current_;
+    /** Longest single barrier, seconds, in the charged time base. */
+    double
+    maxBarrierSec(const ControlParams &params) const
+    {
+        return params.useModeledTime ? totals.maxBarrierModeledSec
+                                     : totals.maxBarrierSec;
+    }
 };
 
 /**
@@ -192,9 +179,6 @@ class BarrierBudgetAdapter
  *    across ticks until it has spent its budget or walked every
  *    source, even when churn meanwhile pushed the metric below F_lb.
  *  - Concurrent: one relocation campaign on the alpha budget.
- *
- * The pause-SLO batch adaptation lives in the controller's
- * BarrierBudgetAdapter.
  *
  * Threading contract: the controller itself is NOT thread-safe — drive
  * tick() from one thread at a time (a loop, or the concurrent-reloc
@@ -248,26 +232,27 @@ class DefragController
         return params_.mode == DefragMode::Concurrent;
     }
 
+    /** Every tick's stats folded, and the count of defrag ticks. */
+    const DefragLedger &ledger() const { return ledger_; }
+    /** Every tick's stats folded over all shards. */
+    const DefragStats &totals() const { return ledger_.totals; }
     /** Total time charged to defragmentation so far, seconds. */
-    double totalDefragSec() const { return totalDefragSec_; }
+    double totalDefragSec() const { return ledger_.defragSec(params_); }
     /** Total mutator-visible stop-the-world time so far, seconds. */
-    double totalPauseSec() const { return totalPauseSec_; }
+    double totalPauseSec() const { return ledger_.pauseSec(params_); }
     /** Number of ticks that did defrag work (in batched StopTheWorld
      *  mode each such tick runs one barrier of a logical pass). */
-    size_t passes() const { return passes_; }
+    size_t passes() const { return ledger_.passes; }
     /** Stop-the-world barriers run so far (each bounded by
      *  batchBytes when batching is on). */
-    size_t barriers() const { return barriers_; }
+    size_t barriers() const { return ledger_.totals.barriers; }
     /** Longest single barrier charged so far, seconds (model or
      *  measured, per useModeledTime). */
-    double maxBarrierPauseSec() const { return maxBarrierPauseSec_; }
-
-    /**
-     * The per-barrier byte bound the next barrier will run under: the
-     * adaptive value when targetBarrierPauseSec is set, else the
-     * static batchBytes (SIZE_MAX when batching is off).
-     */
-    size_t batchBytesCurrent() const { return adapter_.current(); }
+    double
+    maxBarrierPauseSec() const
+    {
+        return ledger_.maxBarrierSec(params_);
+    }
 
   private:
     ControlAction runPass();
@@ -275,17 +260,11 @@ class DefragController
     AnchorageService &service_;
     const Clock &clock_;
     ControlParams params_;
-    /** Online batchBytes steering toward targetBarrierPauseSec. */
-    BarrierBudgetAdapter adapter_;
     /** StopTheWorld's batched pass while it is open across ticks. */
     std::optional<AnchorageService::BatchedPass> pass_;
     State state_ = State::Waiting;
     double nextWake_ = 0;
-    double totalDefragSec_ = 0;
-    double totalPauseSec_ = 0;
-    size_t passes_ = 0;
-    size_t barriers_ = 0;
-    double maxBarrierPauseSec_ = 0;
+    DefragLedger ledger_;
 };
 
 } // namespace alaska::anchorage

@@ -5,8 +5,8 @@
  * Each kernel is templated on a pointer policy P (policy.h) and an
  * array accessor Acc (access.h), runs a deterministic workload sized
  * by `scale`, and returns a checksum so baseline/handle equivalence is
- * testable. EXPERIMENTS.md maps each kernel to the paper benchmark
- * whose behaviour it stands in for.
+ * testable. The standsFor column of kernels/registry.cc names the
+ * paper benchmark whose behaviour each kernel stands in for.
  */
 
 #ifndef ALASKA_KERNELS_KERNELS_H

@@ -10,6 +10,10 @@ namespace
 constexpr size_t entryBytes = 48;
 /** sds header + nul. */
 constexpr size_t sdsOverhead = 9;
+/** Key length in bytes. */
+constexpr size_t keyLen = 16;
+/** Eviction sampling width (Redis's maxmemory-samples). */
+constexpr int evictionSamples = 5;
 
 } // anonymous namespace
 
@@ -31,8 +35,6 @@ CacheWorkload::~CacheWorkload()
 size_t
 CacheWorkload::valueSizeFor(uint64_t seq) const
 {
-    if (!config_.sizeDrift)
-        return config_.valueSize;
     // The mix cycles through size scales one phase at a time.
     static constexpr double scales[] = {1.0,  0.6, 1.4, 0.8,
                                         1.8, 1.2, 0.5, 1.6};
@@ -47,12 +49,12 @@ CacheWorkload::insertOne()
     Record record;
     const size_t value_size = valueSizeFor(nextSeq_);
     record.entry = model_.alloc(entryBytes);
-    record.key = model_.alloc(config_.keyLen + sdsOverhead);
+    record.key = model_.alloc(keyLen + sdsOverhead);
     record.value = model_.alloc(value_size + sdsOverhead);
     record.valueSize = static_cast<uint32_t>(value_size);
     record.seq = nextSeq_++;
     live_.push_back(record);
-    usedMemory_ += entryBytes + config_.keyLen + sdsOverhead +
+    usedMemory_ += entryBytes + keyLen + sdsOverhead +
                    value_size + sdsOverhead;
     growBucketsIfNeeded();
     evictIfNeeded();
@@ -78,7 +80,7 @@ CacheWorkload::freeRecord(const Record &record)
     model_.free(record.entry);
     model_.free(record.key);
     model_.free(record.value);
-    usedMemory_ -= entryBytes + config_.keyLen + sdsOverhead +
+    usedMemory_ -= entryBytes + keyLen + sdsOverhead +
                    record.valueSize + sdsOverhead;
 }
 
@@ -91,7 +93,7 @@ CacheWorkload::evictIfNeeded()
         // the trace fragment (exact LRU would free in allocation
         // order and let slab allocators off the hook).
         size_t victim = rng_.below(live_.size());
-        for (int s = 1; s < config_.evictionSamples; s++) {
+        for (int s = 1; s < evictionSamples; s++) {
             const size_t cand = rng_.below(live_.size());
             if (live_[cand].seq < live_[victim].seq)
                 victim = cand;
@@ -120,7 +122,7 @@ CacheWorkload::defragCycle(size_t budget)
         defragCursor_ = (defragCursor_ + 1) % live_.size();
         Record &record = live_[defragCursor_];
         maybe_move(record.entry, entryBytes);
-        maybe_move(record.key, config_.keyLen + sdsOverhead);
+        maybe_move(record.key, keyLen + sdsOverhead);
         maybe_move(record.value, record.valueSize + sdsOverhead);
     }
     if (model_.shouldMove(buckets_)) {

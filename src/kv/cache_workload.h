@@ -34,20 +34,14 @@ struct CacheWorkloadConfig
     /** Base value payload size ("inserts 100 GiB of data, 500 bytes
      *  at a time" in Figure 11). */
     size_t valueSize = 500;
-    /** Key length in bytes. */
-    size_t keyLen = 16;
-    /** Eviction sampling width (Redis's maxmemory-samples). */
-    int evictionSamples = 5;
     /**
-     * Slow drift of the value-size mix over time. Real cache request
-     * mixes drift, and drift is what defeats slab allocators: slots
-     * freed in yesterday's size class cannot serve today's requests.
-     * Without it, size-class-balanced churn lets non-moving allocator
-     * *models* reuse slots too perfectly to reproduce the paper's
-     * measured fragmentation ratios (see EXPERIMENTS.md).
+     * Inserts per phase of the value-size mix's slow drift. Real cache
+     * request mixes drift, and drift is what defeats slab allocators:
+     * slots freed in yesterday's size class cannot serve today's
+     * requests. Without it, size-class-balanced churn lets non-moving
+     * allocator *models* reuse slots too perfectly to reproduce the
+     * paper's measured fragmentation ratios.
      */
-    bool sizeDrift = true;
-    /** Inserts per drift phase. */
     uint64_t driftPeriod = 50000;
     uint64_t seed = 42;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 
 #include "base/logging.h"
 #include "core/translate.h"
@@ -83,7 +84,7 @@ anchorage::DefragStats
 ConcurrentRelocDaemon::totals() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return totals_;
+    return ledger_.totals;
 }
 
 anchorage::DefragStats
@@ -91,43 +92,42 @@ ConcurrentRelocDaemon::totalsFor(anchorage::MechanismKind kind) const
 {
     if (kind != mechanism_)
         return {};
-    std::lock_guard<std::mutex> guard(mutex_);
-    return totals_;
+    return totals();
 }
 
 size_t
 ConcurrentRelocDaemon::passes() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return passes_;
+    return ledger_.passes;
 }
 
 double
 ConcurrentRelocDaemon::totalPauseSec() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return totalPauseSec_;
+    return ledger_.pauseSec(controller_.params());
 }
 
 size_t
 ConcurrentRelocDaemon::barriers() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return barriers_;
+    return ledger_.totals.barriers;
 }
 
 double
 ConcurrentRelocDaemon::maxBarrierPauseSec() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return maxBarrierPauseSec_;
+    return ledger_.maxBarrierSec(controller_.params());
 }
 
 size_t
 ConcurrentRelocDaemon::batchBytesCurrent() const
 {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return batchBytesCurrent_;
+    const size_t batch = controller_.params().batchBytes;
+    return batch > 0 ? batch : SIZE_MAX;
 }
 
 telemetry::Histogram
@@ -148,17 +148,9 @@ ConcurrentRelocDaemon::run()
     for (;;) {
         poll();
         const anchorage::ControlAction action = controller_.tick();
-        {
-            std::lock_guard<std::mutex> guard(mutex_);
-            batchBytesCurrent_ = controller_.batchBytesCurrent();
-        }
         if (action.defragged) {
             std::lock_guard<std::mutex> guard(mutex_);
-            totals_.accumulate(action.stats);
-            passes_ = controller_.passes();
-            barriers_ = controller_.barriers();
-            totalPauseSec_ = controller_.totalPauseSec();
-            maxBarrierPauseSec_ = controller_.maxBarrierPauseSec();
+            ledger_ = controller_.ledger();
             if (action.stats.barriers > 0)
                 barrierPauses_.record(static_cast<uint64_t>(
                     action.stats.maxBarrierSec * 1e9));

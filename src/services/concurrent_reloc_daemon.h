@@ -16,7 +16,8 @@
  * controller's ControlParams::mode: StopTheWorld runs batched
  * barriers, Concurrent runs campaigns. The daemon declares the Scoped
  * translation discipline iff the controller requires it (Concurrent
- * mode), and folds every tick's stats into totals().
+ * mode), and copies the controller's ledger after every defrag tick,
+ * so totals() and the pause reads match the controller's own.
  *
  * Between ticks the daemon parks in external mode, so barriers (its
  * own StopTheWorld barriers included) never wait on its sleep.
@@ -45,7 +46,8 @@ namespace alaska
  * Threading contract: start()/stop()/running() and every stats
  * accessor may be called from any thread — the counters are snapshots
  * published by the daemon thread under the daemon's own mutex. The
- * hosted DefragController is touched only by the daemon thread, which
+ * hosted DefragController is touched only by the daemon thread (other
+ * threads read just its params(), fixed at construction), which
  * is also the single driver of relocation campaigns (preserving the
  * service's single-mover invariant). Campaigns themselves take the
  * service's per-shard locks one at a time, so the daemon never blocks
@@ -109,10 +111,9 @@ class ConcurrentRelocDaemon
      *  ControlParams::useModeledTime. Any thread. */
     double maxBarrierPauseSec() const;
 
-    /** The controller's current per-barrier batch budget in bytes —
-     *  the adaptive value when ControlParams::targetBarrierPauseSec
-     *  is set, else the static ControlParams::batchBytes bound.
-     *  Snapshot published per tick; any thread. */
+    /** The static per-barrier byte bound, ControlParams::batchBytes
+     *  (SIZE_MAX when batching is off). Kept only because repobench/
+     *  still reports it as `policy.batch_bytes`. Any thread. */
     size_t batchBytesCurrent() const;
 
     /**
@@ -156,13 +157,9 @@ class ConcurrentRelocDaemon
     bool stopRequested_ = false;
     bool running_ = false;
 
-    /** Snapshot counters, published by the daemon thread per tick. */
-    anchorage::DefragStats totals_;
-    size_t passes_ = 0;
-    size_t barriers_ = 0;
-    size_t batchBytesCurrent_ = 0;
-    double totalPauseSec_ = 0;
-    double maxBarrierPauseSec_ = 0;
+    /** Copy of the controller's ledger, published by the daemon
+     *  thread after each defrag tick. */
+    anchorage::DefragLedger ledger_;
     telemetry::Histogram barrierPauses_;
 };
 

@@ -236,6 +236,37 @@ TEST_F(ControlTest, BatchedPassBoundsEveryBarrier)
         runtime_.hfree(h);
 }
 
+TEST_F(ControlTest, ZeroBatchBytesRunsTheWholePassInOneBarrier)
+{
+    // batchBytes = 0 turns batching off: the first Defragmenting tick
+    // runs the whole alpha = 1 pass inside one barrier, which compacts
+    // the heap below F_lb, so the controller is back in Waiting.
+    auto survivors = fragmentHeap();
+    ControlParams params{.useModeledTime = true};
+    params.alpha = 1.0;
+    params.batchBytes = 0;
+    DefragController controller(service_, clock_, params);
+    ASSERT_GT(service_.fragmentation(), params.fUb);
+
+    const ControlAction action = controller.tick();
+    ASSERT_TRUE(action.defragged);
+    EXPECT_EQ(action.stats.barriers, 1u);
+    EXPECT_GT(action.stats.movedBytes, 0u);
+    EXPECT_EQ(action.stats.maxBarrierBytes, action.stats.movedBytes);
+    EXPECT_LT(service_.fragmentation(), params.fLb);
+    EXPECT_EQ(controller.state(), DefragController::State::Waiting);
+
+    // The pause reads are the folded stats in the modeled time base.
+    const DefragStats &totals = controller.totals();
+    EXPECT_EQ(controller.barriers(), totals.barriers);
+    EXPECT_EQ(controller.totalPauseSec(), totals.modeledSec);
+    EXPECT_EQ(controller.maxBarrierPauseSec(),
+              totals.maxBarrierModeledSec);
+    EXPECT_EQ(controller.passes(), 1u);
+    for (void *h : survivors)
+        runtime_.hfree(h);
+}
+
 TEST(DefragModeName, ParsesEveryModesNameAndNothingElse)
 {
     for (const DefragMode mode :
