@@ -27,28 +27,78 @@
 namespace alaska::bench
 {
 
-/** Median-of-reps wall time of fn(scale), with one warmup run. */
+/**
+ * Linear-interpolated percentile p (0..100) of ascending samples; 0
+ * for an empty set.
+ */
 inline double
-timeKernel(int64_t (*fn)(size_t), size_t scale, int reps = 5)
+percentile(const std::vector<double> &sorted, double p)
 {
-    volatile int64_t sink = fn(scale); // warmup
-    (void)sink;
-    std::vector<double> times;
-    times.reserve(static_cast<size_t>(reps));
-    for (int r = 0; r < reps; r++) {
-        Stopwatch watch;
-        sink = fn(scale);
-        times.push_back(watch.elapsedSec());
-    }
-    std::sort(times.begin(), times.end());
-    return times[times.size() / 2];
+    if (sorted.empty())
+        return 0.0;
+    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-/** Percent overhead of t over baseline. */
-inline double
-overheadPct(double baseline, double t)
+/** A sample set's median and interquartile range. */
+struct Spread
 {
-    return (t / baseline - 1.0) * 100.0;
+    double median = 0.0;
+    double iqr = 0.0;
+};
+
+inline Spread
+spreadOf(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return {percentile(samples, 50.0),
+            percentile(samples, 75.0) - percentile(samples, 25.0)};
+}
+
+/** A kernel configuration: runs the kernel at a scale. */
+using KernelFn = int64_t (*)(size_t);
+
+/**
+ * Time variants of one kernel in interleaved rounds: one warmup run of
+ * each, then every round runs each variant once, starting one variant
+ * later each round. A host phase (a frequency step, a noisy neighbour)
+ * thus lands on every variant of a round alike and cancels in that
+ * round's ratios, where timing all reps of one variant before the next
+ * would land it on one side only.
+ * @return secs[v][r]: variant v's wall time in round r.
+ */
+inline std::vector<std::vector<double>>
+timeInterleaved(const std::vector<KernelFn> &variants, size_t scale,
+                int rounds)
+{
+    volatile int64_t sink = 0;
+    for (KernelFn fn : variants)
+        sink = fn(scale); // warmup
+    const size_t n = variants.size();
+    std::vector<std::vector<double>> secs(n);
+    for (int r = 0; r < rounds; r++) {
+        for (size_t i = 0; i < n; i++) {
+            const size_t v = (static_cast<size_t>(r) + i) % n;
+            Stopwatch watch;
+            sink = variants[v](scale);
+            secs[v].push_back(watch.elapsedSec());
+        }
+    }
+    (void)sink;
+    return secs;
+}
+
+/** Per-round ratios t[r] / base[r] of two timeInterleaved() rows. */
+inline std::vector<double>
+roundRatios(const std::vector<double> &base, const std::vector<double> &t)
+{
+    std::vector<double> ratios(base.size());
+    for (size_t r = 0; r < base.size(); r++)
+        ratios[r] = t[r] / base[r];
+    return ratios;
 }
 
 /**
@@ -129,19 +179,6 @@ class JsonReport
     };
 
     static double
-    percentile(const std::vector<double> &sorted, double p)
-    {
-        if (sorted.empty())
-            return 0.0;
-        const double rank =
-            p / 100.0 * static_cast<double>(sorted.size() - 1);
-        const size_t lo = static_cast<size_t>(rank);
-        const size_t hi = std::min(lo + 1, sorted.size() - 1);
-        const double frac = rank - static_cast<double>(lo);
-        return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-    }
-
-    static double
     cvOf(const std::vector<double> &samples)
     {
         if (samples.size() < 2)
@@ -205,6 +242,18 @@ countArg(const char *value, long long min, T &out,
         return false;
     out = static_cast<T>(n);
     return true;
+}
+
+/**
+ * Parse a `--rounds=N` argument (1..1000) into rounds.
+ * @return false if arg is not that flag or N is out of range.
+ */
+inline bool
+roundsArg(const char *arg, int &rounds)
+{
+    constexpr const char prefix[] = "--rounds=";
+    return std::strncmp(arg, prefix, sizeof prefix - 1) == 0 &&
+           countArg(arg + sizeof prefix - 1, 1, rounds, 1000);
 }
 
 } // namespace alaska::bench

@@ -5,6 +5,13 @@
  * benchmark kernel suite, as percent wall-clock increase over the raw
  * baseline, with the per-suite layout and closing geomean row of the
  * paper's figure.
+ *
+ * Each kernel's base and alaska runs alternate within every round, and
+ * its overhead is the median of the per-round alaska/base ratios, with
+ * their interquartile range beside it, so a host phase moves both
+ * sides of a ratio together instead of one.
+ *
+ * Usage: fig07_overhead [--rounds=N]   (default 15 rounds)
  */
 
 #include <cstdio>
@@ -24,18 +31,23 @@ main(int argc, char **argv)
     using namespace alaska::kernels;
     using namespace alaska::bench;
 
-    if (argc > 1) {
-        std::fprintf(stderr, "usage: %s\n", argv[0]);
-        return 2;
+    int rounds = 15;
+    for (int i = 1; i < argc; i++) {
+        if (!roundsArg(argv[i], rounds)) {
+            std::fprintf(stderr, "usage: %s [--rounds=N (1..1000)]\n",
+                         argv[0]);
+            return 2;
+        }
     }
 
     std::printf("=== Figure 7: overhead of translation + tracking "
                 "(%% wall-clock increase vs raw pointers) ===\n");
     std::printf("service: none (malloc backing), hoisting on, "
-                "tracking on\n\n");
-    std::printf("%-9s %-14s %10s %10s %9s   %s\n", "suite", "kernel",
-                "base(ms)", "alaska(ms)", "overhead",
-                "stands in for");
+                "tracking on; %d interleaved rounds, median (IQR) of "
+                "the per-round alaska/base ratio\n\n", rounds);
+    std::printf("%-9s %-14s %9s %10s %7s %7s %9s   %s\n", "suite",
+                "kernel", "base(ms)", "alaska(ms)", "ratio", "IQR",
+                "overhead", "stands in for");
 
     MallocService service;
     Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 22});
@@ -45,20 +57,21 @@ main(int argc, char **argv)
     std::vector<double> ratios;
     std::string last_suite;
     for (const auto &entry : kernelRegistry()) {
-        const double base_s = timeKernel(entry.base, entry.scale);
-        const double alaska_s = timeKernel(entry.alaska, entry.scale);
-        const double pct = overheadPct(base_s, alaska_s);
-        ratios.push_back(alaska_s / base_s);
+        const auto secs =
+            timeInterleaved({entry.base, entry.alaska}, entry.scale, rounds);
+        const Spread ratio = spreadOf(roundRatios(secs[0], secs[1]));
+        ratios.push_back(ratio.median);
         if (last_suite != entry.suite && !last_suite.empty())
             std::printf("\n");
         last_suite = entry.suite;
-        std::printf("%-9s %-14s %10.2f %10.2f %8.1f%%   (%s)\n",
-                    entry.suite, entry.name, base_s * 1e3,
-                    alaska_s * 1e3, pct, entry.standsFor);
+        std::printf("%-9s %-14s %9.2f %10.2f %7.3f %7.3f %8.1f%%   (%s)\n",
+                    entry.suite, entry.name, spreadOf(secs[0]).median * 1e3,
+                    spreadOf(secs[1]).median * 1e3, ratio.median, ratio.iqr,
+                    (ratio.median - 1.0) * 100.0, entry.standsFor);
     }
 
     const double gm = geomean(ratios);
-    std::printf("\n%-9s %-14s %32.1f%%\n", "ALL", "geomean",
+    std::printf("\n%-9s %-14s %44.1f%%\n", "ALL", "geomean",
                 (gm - 1.0) * 100.0);
     std::printf("\npaper: geomean ~10%% (8%% excluding the "
                 "strict-aliasing outliers); near-zero for hoistable\n"

@@ -5,7 +5,11 @@
  * before every access). Hoisting is the dominant optimization; the
  * tracking machinery should cost little on top of translation.
  *
- * Usage: fig08_ablation (no flags)
+ * The four configurations of a kernel alternate within every round;
+ * each column is the median of the per-round ratios to the raw
+ * baseline, with their interquartile range.
+ *
+ * Usage: fig08_ablation [--rounds=N]   (default 15 rounds)
  */
 
 #include <cstdio>
@@ -25,14 +29,19 @@ main(int argc, char **argv)
     using namespace alaska::kernels;
     using namespace alaska::bench;
 
-    if (argc > 1) {
-        std::fprintf(stderr, "usage: %s\n", argv[0]);
-        return 2;
+    int rounds = 15;
+    for (int i = 1; i < argc; i++) {
+        if (!roundsArg(argv[i], rounds)) {
+            std::fprintf(stderr, "usage: %s [--rounds=N (1..1000)]\n",
+                         argv[0]);
+            return 2;
+        }
     }
 
     std::printf("=== Figure 8: ablation on SPEC-like kernels "
-                "(%% overhead vs raw baseline) ===\n\n");
-    std::printf("%-14s %9s %12s %12s\n", "kernel", "alaska",
+                "(%% overhead vs raw baseline; median (IQR, points) "
+                "of %d interleaved rounds) ===\n\n", rounds);
+    std::printf("%-14s %17s %17s %17s\n", "kernel", "alaska",
                 "notracking", "nohoisting");
 
     MallocService service;
@@ -40,25 +49,27 @@ main(int argc, char **argv)
     runtime.attachService(&service);
     ThreadRegistration reg(runtime);
 
-    std::vector<double> full, notrack, nohoist;
+    // Columns in print order; each is a ratio to variant 0, the base.
+    std::vector<double> geo[3];
     for (const auto &entry : kernelRegistry()) {
         if (std::strcmp(entry.suite, "spec") != 0)
             continue;
-        const double base_s = timeKernel(entry.base, entry.scale);
-        const double alaska_s = timeKernel(entry.alaska, entry.scale);
-        const double notrack_s = timeKernel(entry.notrack, entry.scale);
-        const double nohoist_s = timeKernel(entry.nohoist, entry.scale);
-        full.push_back(alaska_s / base_s);
-        notrack.push_back(notrack_s / base_s);
-        nohoist.push_back(nohoist_s / base_s);
-        std::printf("%-14s %8.1f%% %11.1f%% %11.1f%%\n", entry.name,
-                    overheadPct(base_s, alaska_s),
-                    overheadPct(base_s, notrack_s),
-                    overheadPct(base_s, nohoist_s));
+        const auto secs = timeInterleaved(
+            {entry.base, entry.alaska, entry.notrack, entry.nohoist},
+            entry.scale, rounds);
+        std::printf("%-14s", entry.name);
+        for (size_t col = 0; col < 3; col++) {
+            const Spread ratio =
+                spreadOf(roundRatios(secs[0], secs[col + 1]));
+            geo[col].push_back(ratio.median);
+            std::printf(" %8.1f%% (%5.1f)", (ratio.median - 1.0) * 100.0,
+                        ratio.iqr * 100.0);
+        }
+        std::printf("\n");
     }
-    std::printf("\n%-14s %8.1f%% %11.1f%% %11.1f%%\n", "geomean",
-                (geomean(full) - 1) * 100, (geomean(notrack) - 1) * 100,
-                (geomean(nohoist) - 1) * 100);
+    std::printf("\n%-14s %8.1f%% %16.1f%% %16.1f%%\n", "geomean",
+                (geomean(geo[0]) - 1) * 100, (geomean(geo[1]) - 1) * 100,
+                (geomean(geo[2]) - 1) * 100);
     std::printf("\npaper: disabling hoisting roughly doubles most "
                 "overheads; removing tracking helps little except for\n"
                 "kernels hit by the experimental StackMaps machinery "

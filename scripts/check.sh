@@ -273,6 +273,11 @@ smoke ./fig05_translate_cost --out=bench_translate.json
 diff_bench ../BENCH_translate.json bench_translate.json \
     --strict-metrics='*_ratio' --band=0.2
 
+# Whole-program overhead (fig07): base and alaska alternate within each
+# round and each kernel reports its median per-round ratio and IQR. A
+# smoke only: it must run to completion, and its numbers are advisory.
+smoke ./fig07_overhead --rounds=5
+
 # Example smoke: every example binary must run to completion — the
 # examples are the typed-API documentation that compiles, so they may
 # not bit-rot either. example_kv_cache_server also exits 1 when the

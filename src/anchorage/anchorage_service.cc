@@ -563,18 +563,19 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
             // claimed-but-uncommitted destinations (entry still points
             // at the marked source). Blindly moving either would copy
             // stale bytes over the object's live location. A *marked*
-            // source still pointing here is fair game — our store
-            // clobbers the mark and the campaign's commit CAS aborts.
-            void *cur = runtime_->table().entry(blk.handleId)
-                            .ptr.load(std::memory_order_seq_cst);
-            if (reloc::unmarked(cur) !=
-                reinterpret_cast<void *>(blk.addr))
+            // source still pointing here is fair game — our move CAS
+            // clears the mark and the campaign's commit CAS aborts. The
+            // word is the one contains() just read, so this load hits.
+            auto &entry = runtime_->table().entry(blk.handleId);
+            void *cur = entry.ptr.load(std::memory_order_seq_cst);
+            if (reloc::unmarked(cur) != reinterpret_cast<void *>(blk.addr))
                 continue;
 
             // First choice: a hole strictly below the object in its own
             // sub-heap (classic compaction). Second: any denser sub-heap
             // in the global ranking, densest last.
             SubHeapAlloc dest{false, 0};
+            SubHeap *dest_heap = &src;
             const int dest_idx =
                 src.popLowestFreeBelow(pass.index_, blk.size, blk.addr);
             if (dest_idx >= 0) {
@@ -594,6 +595,7 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
                         continue;
                     dest = cand.alloc(blk.handleId, blk.size);
                     if (dest.ok) {
+                        dest_heap = &cand;
                         touched[pass.order_[r2].shard] = true;
                         break;
                     }
@@ -602,12 +604,19 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
             if (!dest.ok)
                 continue;
 
-            // Move: copy bytes, then a single HTE store republishes the
-            // object at its new address for every alias.
+            // Move: copy bytes, then a single HTE CAS republishes the
+            // object at its new address for every alias. A CAS, not a
+            // store: an unregistered thread may pin the object (or a
+            // campaign mark or commit it) since the load above, and a
+            // store would erase that pin or publish over that commit.
+            // Either way the move yields and the copy is dropped.
             space_.copy(dest.addr, blk.addr, blk.size);
-            runtime_->table().entry(blk.handleId)
-                .ptr.store(reinterpret_cast<void *>(dest.addr),
-                           std::memory_order_release);
+            if (!entry.ptr.compare_exchange_strong(
+                    cur, reinterpret_cast<void *>(dest.addr),
+                    std::memory_order_seq_cst)) {
+                dest_heap->free(dest.addr);
+                continue;
+            }
             src.freeBlockAt(i);
             stats.movedObjects++;
             stats.movedBytes += blk.size;
@@ -898,10 +907,12 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
 
     // Revalidate against the live entry: the object may have been
     // freed, reallocated elsewhere, or already moved since the
-    // snapshot. A stale candidate is skipped without counting.
-    void *old_ptr = entry.ptr.load(std::memory_order_acquire);
-    if (reinterpret_cast<uint64_t>(old_ptr) != cand.addr)
+    // snapshot. A stale candidate is skipped without counting; pins
+    // are the mark CAS's to refuse.
+    if ((entry.word(std::memory_order_acquire) &
+         ~HandleTableEntry::pinCountMask) != cand.addr)
         return;
+    void *const old_ptr = reinterpret_cast<void *>(cand.addr);
 
     // Phase A.1: claim a strictly better destination — a lower hole in
     // the source sub-heap, else a hole (then a bump) in any denser
@@ -1027,36 +1038,23 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
         dest_heap->free(dest_addr);
     };
 
-    // Phase A.2: mark. Failure means an accessor (or the free path)
-    // beat us between the load and the CAS.
+    // Phase A.2: mark, in a CAS that expects the bare address — no
+    // pins, no mark. Pinned objects cannot move: a pin (pinned<T> /
+    // ConcurrentPin / the KV policies' write() — the only per-object
+    // pins left) taken before our mark holds a raw pointer its holder
+    // may store through, and fails this CAS; one taken after clears
+    // the mark and fails the commit CAS. This pair of CASes is the
+    // whole write-side handshake — it is why no grace period is needed
+    // before the copy below. Any other failure means an accessor or
+    // the free path beat us since the load.
     stats.attempts++;
-    if (!entry.ptr.compare_exchange_strong(old_ptr,
-                                           reloc::marked(old_ptr),
+    void *seen = old_ptr;
+    if (!entry.ptr.compare_exchange_strong(seen, reloc::marked(old_ptr),
                                            std::memory_order_seq_cst)) {
         releaseDest();
         stats.aborted++;
-        telemetry::count(telemetry::Counter::CampaignAbort);
-        return;
-    }
-    auto abortUnmark = [&] {
-        void *expected = reloc::marked(old_ptr);
-        entry.ptr.compare_exchange_strong(expected, old_ptr,
-                                          std::memory_order_seq_cst);
-    };
-
-    // Pinned objects cannot move: a pin (pinned<T> / ConcurrentPin /
-    // the KV policies' write() — the only per-object pins left) taken
-    // before our mark holds a raw pointer its holder may store
-    // through; one taken after will clear the mark and fail the
-    // commit CAS anyway. This pair of checks is the whole write-side
-    // handshake — it is why no grace period is needed before the copy
-    // below.
-    if (entry.state.load(std::memory_order_seq_cst) >>
-        HandleTableEntry::pinCountShift) {
-        abortUnmark();
-        releaseDest();
-        stats.aborted++;
-        stats.pinnedSkips++;
+        if (HandleTableEntry::pinCountOf(HandleTableEntry::bitsOf(seen)))
+            stats.pinnedSkips++;
         telemetry::count(telemetry::Counter::CampaignAbort);
         return;
     }

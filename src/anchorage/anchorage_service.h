@@ -249,10 +249,10 @@ class AnchorageService : public Service
      */
     void free(uint32_t id, void *ptr) override;
     const char *name() const override { return "anchorage"; }
+    /** Block size backing ptr; 0 if unknown. Locks the owning shard. */
+    size_t usableSize(const void *ptr) const override;
 
     // --- heap metadata -----------------------------------------------------
-    /** Block size backing ptr; 0 if unknown. Locks the owning shard. */
-    size_t usableSize(const void *ptr) const;
     /** Total used extent, summed shard by shard (transiently skewed
      *  under concurrent mutation; exact at quiescence). */
     size_t heapExtent() const;
@@ -368,8 +368,9 @@ class AnchorageService : public Service
      * One concurrent relocation campaign (paper §7, epoch-based):
      * move up to max_bytes of objects from sparse sub-heaps (of any
      * shard) to strictly better locations — no barrier, no stopped
-     * world, and no waiting on the move path. Each move is mark ->
-     * pin-check -> copy -> CAS-commit, back to back: the abort window
+     * world, and no waiting on the move path. Each move is mark (a
+     * CAS that expects no pins) -> copy -> CAS-commit, back to back:
+     * the abort window
      * is the microsecond-scale copy, not a grace period, so mutators
      * touching the object mid-move are the only abort source. The
      * committed *source* block is not freed inline — it parks on a
@@ -383,9 +384,10 @@ class AnchorageService : public Service
      * translation of a parked source has closed, so scoped readers
      * never observe freed memory. Writers are excluded by the pin
      * handshake
-     * (pinned<T> / the KV policies' write()) — a pin seen at the
-     * pin-check defers the move; a pin taken later aborts it via the
-     * mark — which is why the grace wait can come *after* commit.
+     * (pinned<T> / the KV policies' write()) — a pin already in the
+     * entry's word fails the mark CAS and defers the move; a pin taken
+     * later clears the mark and aborts it — which is why the grace
+     * wait can come *after* commit.
      *
      * Holds at most one shard lock at any instant and never a lock
      * across a grace wait: destinations are claimed under the

@@ -243,11 +243,11 @@ class pinned
             // Additionally take an atomic pin (ConcurrentPin's
             // handshake): campaigns check pin counts, not other
             // threads' stacks, so this is what makes an in-flight
-            // mover abort; the mark-aware re-translation replaces a
-            // possibly marked pointer from the plain path. pinFor
-            // counts the deref_pinned telemetry for this branch.
-            entry_ = ConcurrentPin::pinFor(maybe_handle);
-            raw_ = static_cast<T *>(translateConcurrent(maybe_handle));
+            // mover abort; the pin's own translation replaces the one
+            // from the plain path. pinFor counts the deref_pinned
+            // telemetry for this branch.
+            raw_ = static_cast<T *>(
+                ConcurrentPin::pinFor(maybe_handle, entry_));
         } else {
             telemetry::countHot(telemetry::Counter::DerefPinned);
         }

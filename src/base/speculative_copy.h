@@ -4,7 +4,7 @@
  *
  * A mover copies object bytes between its mark CAS and its commit
  * CAS, so the copy may race a writer that pinned (and thereby cleared
- * the mover's mark via translateConcurrent) in that window. The
+ * the mover's mark, in the pin's own RMW) in that window. The
  * protocol makes the race benign — a cleared mark fails the commit
  * CAS and the torn copy is discarded unread — but ThreadSanitizer
  * cannot see protocol arguments, only the racing plain accesses.

@@ -49,7 +49,7 @@ HandleTable::HandleTable(uint32_t capacity) : capacity_(capacity)
         fatal("handle table: cannot reserve %zu bytes", bytes);
     table_ = static_cast<HandleTableEntry *>(mem);
     // Anonymous mappings are zero-filled, which is exactly the initial
-    // entry state we need (ptr == nullptr, state == 0).
+    // entry state we need: no address, no flags, no pins.
 }
 
 HandleTable::~HandleTable()
@@ -154,28 +154,25 @@ void
 HandleTable::activate(uint32_t id)
 {
     ALASKA_ASSERT(id < capacity_, "id %u out of range", id);
-    auto &e = table_[id];
-    ALASKA_ASSERT(!e.allocated(), "activate of live handle %u", id);
-    // fetch_or, not store: scoped concurrent pins may already be
-    // counted in the state word (see deactivate).
-    e.state.fetch_or(HandleTableEntry::Allocated,
-                     std::memory_order_relaxed);
+    // An RMW, not a store: a stale accessor may still hold an atomic
+    // pin on this recycled entry (see deactivate).
+    const uint64_t old =
+        table_[id].exchangeBacking(HandleTableEntry::Invalid);
+    ALASKA_ASSERT(!HandleTableEntry::allocatedWord(old),
+                  "activate of live handle %u", id);
 }
 
-void
+uint64_t
 HandleTable::deactivate(uint32_t id)
 {
     ALASKA_ASSERT(id < capacity_, "id %u out of range", id);
-    auto &e = table_[id];
-    ALASKA_ASSERT(e.allocated(), "double free of handle %u", id);
-    e.ptr.store(nullptr, std::memory_order_relaxed);
-    e.size = 0;
-    // Clear only the flag bits: a racing accessor may hold a scoped
-    // concurrent pin on this entry and will unpin (fetch_sub) after we
-    // ran — wiping the whole word would make that unpin underflow.
-    e.state.fetch_and(~(HandleTableEntry::Allocated |
-                        HandleTableEntry::Invalid),
-                      std::memory_order_relaxed);
+    // Clear everything but the pin count: a racing accessor may hold a
+    // concurrent pin on this entry and will unpin after we ran —
+    // wiping the whole word would make that unpin underflow.
+    const uint64_t old = table_[id].exchangeBacking(0);
+    ALASKA_ASSERT(HandleTableEntry::allocatedWord(old),
+                  "double free of handle %u", id);
+    return old;
 }
 
 HandleTableEntry &

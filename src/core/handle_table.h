@@ -13,7 +13,9 @@
  * per-thread magazines (see ThreadState) move IDs in and out in bulk,
  * so the steady-state allocate/release path touches no shared state.
  * The table keeps no live-entry count: an entry is live while its
- * Allocated bit is set, and liveCount() scans for those bits.
+ * word holds an address or Invalid, and liveCount() scans for those
+ * bits. An entry is one 8-byte word (HandleTableEntry), so a 4 KiB
+ * page of the table maps 512 handles.
  */
 
 #ifndef ALASKA_CORE_HANDLE_TABLE_H
@@ -25,75 +27,20 @@
 #include <mutex>
 #include <vector>
 
+#include "base/logging.h"
 #include "core/handle.h"
 
 namespace alaska
 {
 
 /**
- * One handle table entry (HTE).
- *
- * The paper's minimal HTE is just the backing pointer (8 bytes/object);
- * we carry the object size and a flags/state word so services and the
- * handle-fault path (§7) do not need a side table.
- */
-struct HandleTableEntry
-{
-    /** Flag bits stored in state. */
-    enum StateBits : uint32_t
-    {
-        Allocated = 1U << 0,
-        /** Set by a service to force translation through the fault
-         *  path (the "handle faults" mechanism of §7). */
-        Invalid = 1U << 1,
-    };
-
-    /** Current backing memory; updated by services when objects move. */
-    std::atomic<void *> ptr{nullptr};
-    /** Object size in bytes as requested at halloc time. */
-    uint32_t size = 0;
-    /**
-     * Entry state. The low bits are StateBits; the remaining bits are
-     * an atomic pin count. Since the epoch rework of scoped
-     * translation, the count is fed only by pinned<T> (via
-     * ConcurrentPin — the API's one per-object pin); campaigns veto a
-     * move when the count is nonzero, everything else rides epoch
-     * grace.
-     */
-    std::atomic<uint32_t> state{0};
-
-    static constexpr uint32_t pinCountShift = 8;
-    static constexpr uint32_t pinCountOne = 1U << pinCountShift;
-
-    bool
-    allocated() const
-    {
-        return state.load(std::memory_order_relaxed) & Allocated;
-    }
-
-    bool
-    invalid() const
-    {
-        return state.load(std::memory_order_acquire) & Invalid;
-    }
-
-    uint32_t
-    atomicPinCount() const
-    {
-        return state.load(std::memory_order_relaxed) >> pinCountShift;
-    }
-};
-
-static_assert(sizeof(HandleTableEntry) == 16,
-              "HTE should stay one load wide plus metadata");
-
-/**
  * The concurrent-relocation mark (paper §7): a mover tags the low bit
- * of an entry's backing pointer while it speculatively copies the
- * object (objects are 16-byte aligned, so the bit is free). Accessors
- * and the free path clear the mark to abort the in-flight move. The
- * helpers live here so the runtime's hfree/hrealloc, the low-level
- * relocation protocol, and Anchorage campaigns agree on the encoding.
+ * of an entry's word while it speculatively copies the object (objects
+ * are 16-byte aligned, so the bit is free). A pin clears the mark to
+ * abort the in-flight move, and so do the free and resize paths, which
+ * replace the address. The helpers live here so the runtime, the
+ * accessor half of the protocol and Anchorage campaigns agree on the
+ * encoding.
  */
 namespace reloc
 {
@@ -121,6 +68,174 @@ isMarked(const void *ptr)
 }
 
 } // namespace reloc
+
+/**
+ * One handle table entry (HTE): the paper's minimal entry, one 8-byte
+ * word per object, with the protocol state folded into bits the
+ * backing address never uses:
+ *
+ *   bits 63..48 : atomic pin count (ConcurrentPin, the API's one
+ *                 per-object pin; campaigns and barriers never move
+ *                 an object whose count is nonzero)
+ *   bits 47..2  : backing address (below 2^48; objects are 16-byte
+ *                 aligned, and the word needs bits 1..0 clear)
+ *   bit  1      : Invalid — translateChecked() traps into the
+ *                 runtime's handle-fault path (§7)
+ *   bit  0      : the mover's mark (reloc::markBit)
+ *
+ * A live entry that is unpinned, valid and unmarked holds exactly its
+ * backing address, and every translation strips the other bits with
+ * one AND. An entry is allocated while it holds an address or Invalid
+ * (a swapped-out object, or a handle between activation and its first
+ * backing). The object's size is not kept here: Service::usableSize()
+ * answers it from the service's own block metadata.
+ *
+ * Every read-modify-write is a CAS on the whole word (update(), or a
+ * mover's own mark, commit and move CASes), so a pin and a mark, a
+ * commit or a free can never both win: the mover marks only a word
+ * with no pins, a pin clears the mark, the free, resize and swap paths
+ * carry the pin count over, and a move publishes only over the word it
+ * validated.
+ */
+struct HandleTableEntry
+{
+    /** Set by a service to force translation through the fault path
+     *  (the "handle faults" mechanism of §7). */
+    static constexpr uint64_t Invalid = 1ULL << 1;
+    static constexpr int pinCountShift = 48;
+    static constexpr uint64_t pinCountOne = 1ULL << pinCountShift;
+    static constexpr uint64_t pinCountMask = ~(pinCountOne - 1);
+    static constexpr uint32_t maxPinCount = 0xffff;
+    /** The bits a translation keeps. */
+    static constexpr uint64_t addressMask =
+        (pinCountOne - 1) & ~(reloc::markBit | Invalid);
+
+    /** The entry's word: typed as a pointer because an unpinned,
+     *  valid, unmarked entry is exactly its backing pointer. */
+    std::atomic<void *> ptr{nullptr};
+
+    static uint64_t
+    bitsOf(const void *word)
+    {
+        return reinterpret_cast<uint64_t>(word);
+    }
+
+    /** The backing address a word names (null if none). */
+    static void *
+    addressOf(uint64_t word)
+    {
+        return reinterpret_cast<void *>(word & addressMask);
+    }
+
+    static bool
+    allocatedWord(uint64_t word)
+    {
+        return word & (addressMask | Invalid);
+    }
+
+    static uint32_t
+    pinCountOf(uint64_t word)
+    {
+        return static_cast<uint32_t>(word >> pinCountShift);
+    }
+
+    uint64_t
+    word(std::memory_order order = std::memory_order_relaxed) const
+    {
+        return bitsOf(ptr.load(order));
+    }
+
+    /** The backing address, mark, pins and Invalid stripped. */
+    void *
+    address(std::memory_order order = std::memory_order_relaxed) const
+    {
+        return addressOf(word(order));
+    }
+
+    bool allocated() const { return allocatedWord(word()); }
+
+    bool
+    invalid() const
+    {
+        return word(std::memory_order_acquire) & Invalid;
+    }
+
+    uint32_t atomicPinCount() const { return pinCountOf(word()); }
+
+    /**
+     * Atomically replace the word w with next(w) (seq_cst, so every
+     * RMW on the entry sits in one total order with the mover's mark,
+     * commit and the scoped readers' loads).
+     * @return the word replaced.
+     */
+    template <typename F>
+    uint64_t
+    update(F next)
+    {
+        void *old = ptr.load(std::memory_order_relaxed);
+        while (!ptr.compare_exchange_weak(
+            old, reinterpret_cast<void *>(next(bitsOf(old))),
+            std::memory_order_seq_cst, std::memory_order_relaxed)) {
+        }
+        return bitsOf(old);
+    }
+
+    /**
+     * Replace everything but the pin count (address, mark and Invalid)
+     * with bits: a pin taken by a racing accessor survives a free, a
+     * resize or a swap, and its unpin leaves a clean word.
+     * @return the word replaced.
+     */
+    uint64_t
+    exchangeBacking(uint64_t bits)
+    {
+        return update(
+            [bits](uint64_t w) { return (w & pinCountMask) | bits; });
+    }
+
+    /**
+     * Publish backing as the object's address (clearing Invalid and
+     * any mark, keeping pins). fatal()s on an address that does not
+     * fit the word: at or above 2^48, or not 4-byte aligned.
+     * @return the word replaced.
+     */
+    uint64_t
+    install(void *backing)
+    {
+        const uint64_t bits = bitsOf(backing);
+        if (__builtin_expect((bits & ~addressMask) != 0, 0))
+            fatal("handle table: backing address %p does not fit an "
+                  "entry (it must be 4-byte aligned and below 2^48)",
+                  backing);
+        return exchangeBacking(bits);
+    }
+
+    /**
+     * Take one atomic pin and clear any mark in one RMW, aborting an
+     * in-flight move (see ConcurrentPin). fatal()s past maxPinCount.
+     * @return the word replaced, whose address the pinner translates.
+     */
+    uint64_t
+    pin()
+    {
+        return update([](uint64_t w) {
+            if (__builtin_expect(pinCountOf(w) == maxPinCount, 0))
+                fatal("handle table: more than %u concurrent pins on "
+                      "one object", maxPinCount);
+            return (w + pinCountOne) & ~reloc::markBit;
+        });
+    }
+
+    /** Drop a pin taken by pin(). */
+    void
+    unpin()
+    {
+        update([](uint64_t w) { return w - pinCountOne; });
+    }
+};
+
+static_assert(sizeof(HandleTableEntry) == 8,
+              "an HTE is one word: the backing pointer and its tag bits");
 
 /**
  * The single-level handle table.
@@ -170,10 +285,10 @@ class HandleTable
      * Reserve up to want IDs for the calling thread, consulting its
      * free-list shard first and bumping the cursor for the remainder.
      * Reserved IDs are *not* yet allocated: they are invisible to
-     * liveCount() until activate()d, and must be returned with
-     * unreserveBatch() if never used. Fatals only if the table is
-     * completely exhausted (all shards empty and the cursor at
-     * capacity); otherwise returns at least one ID.
+     * liveCount() until activate()d or given a backing address, and
+     * must be returned with unreserveBatch() if never used. Fatals
+     * only if the table is completely exhausted (all shards empty and
+     * the cursor at capacity); otherwise returns at least one ID.
      *
      * Reserved IDs parked in per-thread magazines are unreachable to
      * other threads, so size the table with headroom of roughly
@@ -186,17 +301,22 @@ class HandleTable
     /** Return unused reserved IDs to the calling thread's shard. */
     void unreserveBatch(const uint32_t *ids, uint32_t count);
 
-    /** Mark a reserved ID as a live allocation. */
+    /**
+     * Mark a reserved ID as a live allocation that has no backing yet:
+     * its word becomes Invalid until HandleTableEntry::install() gives
+     * it an address.
+     */
     void activate(uint32_t id);
 
     /**
      * Clear a live entry back to the reserved state *without* putting it
      * on any free list — the caller keeps the ID (in its magazine).
-     * Any atomic pin count in the entry's state survives: a concurrent
-     * accessor that pinned the entry must be able to unpin it after the
-     * free without corrupting the state word.
+     * Any atomic pin count in the word survives: a concurrent accessor
+     * that pinned the entry must be able to unpin it after the free
+     * without corrupting the word.
+     * @return the word replaced; its address is the caller's to free.
      */
-    void deactivate(uint32_t id);
+    uint64_t deactivate(uint32_t id);
 
     /** Access an entry by ID (bounds-checked in debug). */
     HandleTableEntry &entry(uint32_t id);
@@ -213,7 +333,8 @@ class HandleTable
 
     /**
      * Number of currently live (allocated) entries: an O(watermark())
-     * scan for the Allocated bit, meant for tests and quiescent leak
+     * scan for words holding an address or Invalid, meant for tests
+     * and quiescent leak
      * checks. Concurrent callers may see a transiently skewed count;
      * quiescent reads are exact.
      */

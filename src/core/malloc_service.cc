@@ -1,5 +1,7 @@
 #include "core/malloc_service.h"
 
+#include <malloc.h>
+
 #include <cstdlib>
 
 namespace alaska
@@ -28,6 +30,12 @@ MallocService::free(uint32_t id, void *ptr)
 {
     (void)id;
     std::free(ptr);
+}
+
+size_t
+MallocService::usableSize(const void *ptr) const
+{
+    return malloc_usable_size(const_cast<void *>(ptr));
 }
 
 } // namespace alaska

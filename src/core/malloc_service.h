@@ -25,6 +25,8 @@ class MallocService : public Service
     void free(uint32_t id, void *ptr) override;
 
     const char *name() const override { return "malloc"; }
+    /** malloc_usable_size(ptr). */
+    size_t usableSize(const void *ptr) const override;
 };
 
 } // namespace alaska

@@ -115,15 +115,7 @@ Runtime::service()
 uint32_t
 Runtime::allocateHandleId()
 {
-    ThreadState *ts = tlsState;
-    if (ts == nullptr)
-        return table_.allocate();
-    HandleMagazine &mag = ts->magazine;
-    if (mag.empty()) {
-        mag.count = table_.reserveBatch(mag.ids, HandleMagazine::capacity);
-        telemetry::count(telemetry::Counter::MagazineRefill);
-    }
-    const uint32_t id = mag.ids[--mag.count];
+    const uint32_t id = takeHandleId();
     table_.activate(id);
     return id;
 }
@@ -131,13 +123,36 @@ Runtime::allocateHandleId()
 void
 Runtime::releaseHandleId(uint32_t id)
 {
+    table_.deactivate(id);
+    recycleHandleId(id);
+}
+
+uint32_t
+Runtime::takeHandleId()
+{
     ThreadState *ts = tlsState;
     if (ts == nullptr) {
-        table_.release(id);
+        uint32_t id;
+        table_.reserveBatch(&id, 1);
+        return id;
+    }
+    HandleMagazine &mag = ts->magazine;
+    if (mag.empty()) {
+        mag.count = table_.reserveBatch(mag.ids, HandleMagazine::capacity);
+        telemetry::count(telemetry::Counter::MagazineRefill);
+    }
+    return mag.ids[--mag.count];
+}
+
+void
+Runtime::recycleHandleId(uint32_t id)
+{
+    ThreadState *ts = tlsState;
+    if (ts == nullptr) {
+        table_.unreserveBatch(&id, 1);
         return;
     }
     HandleMagazine &mag = ts->magazine;
-    table_.deactivate(id);
     if (mag.full()) {
         // Flush the older half, keeping hysteresis: an allocate/release
         // pattern oscillating at the boundary stays off the shards.
@@ -159,13 +174,15 @@ Runtime::halloc(size_t size)
     if (size >= maxObjectSize)
         fatal("halloc: object of %zu bytes exceeds the 4 GiB handle "
               "offset range; use paging for such regions", size);
-    const uint32_t id = allocateHandleId();
+    const uint32_t id = takeHandleId();
     void *backing = service().alloc(id, size);
     ALASKA_ASSERT(backing != nullptr, "service %s failed to allocate %zu",
                   service().name(), size);
-    auto &e = table_.entry(id);
-    e.size = static_cast<uint32_t>(size);
-    e.ptr.store(backing, std::memory_order_release);
+    // One RMW activates the entry and publishes the address; a stale
+    // pin on the recycled ID carries over.
+    const uint64_t old = table_.entry(id).install(backing);
+    ALASKA_ASSERT(!HandleTableEntry::allocatedWord(old),
+                  "halloc into live handle %u", id);
     countEvent(sharedAllocs_, &AllocCounts::hallocs);
     return reinterpret_cast<void *>(makeHandle(id, 0));
 }
@@ -179,7 +196,7 @@ Runtime::hcalloc(size_t count, size_t size)
               "offset range", count, size);
     void *h = halloc(bytes);
     auto &e = table_.entry(handleId(reinterpret_cast<uint64_t>(h)));
-    std::memset(e.ptr.load(std::memory_order_relaxed), 0, bytes ? bytes : 1);
+    std::memset(e.address(), 0, bytes ? bytes : 1);
     return h;
 }
 
@@ -206,24 +223,26 @@ Runtime::hrealloc(void *handle, size_t size)
     const uint32_t id = handleId(v);
     auto &e = table_.entry(id);
     ALASKA_ASSERT(e.allocated(), "hrealloc of freed handle %u", id);
-    // Claim the backing pointer atomically, like hfree: a clear-the-mark
+    // A swapped-out object has no backing to copy from: fault it in.
+    if (e.invalid())
+        handleFault(id);
+    // Claim the backing address atomically, like hfree: a clear-the-mark
     // loop would only handle a relocation already in flight, while a
     // mover that marks *after* our load could still commit and free the
-    // old block under us (double free + copy from freed memory). With
-    // the exchange the entry briefly holds nullptr; a mover validating
-    // its candidate skips it, and its commit CAS cannot succeed.
-    void *old_ptr =
-        reloc::unmarked(e.ptr.exchange(nullptr,
-                                       std::memory_order_seq_cst));
-    const size_t old_size = e.size;
+    // old block under us (double free + copy from freed memory). The
+    // entry holds Invalid and no address until the new block is
+    // installed; a mover validating its candidate skips it, and its
+    // commit CAS cannot succeed.
+    void *old_ptr = HandleTableEntry::addressOf(
+        e.exchangeBacking(HandleTableEntry::Invalid));
+    const size_t old_size = service().usableSize(old_ptr);
 
     void *new_ptr = service().alloc(id, size);
     ALASKA_ASSERT(new_ptr != nullptr, "service %s failed to allocate %zu",
                   service().name(), size);
     std::memcpy(new_ptr, old_ptr, std::min(old_size, size));
     // The handle value is unchanged: movement is a single HTE update.
-    e.size = static_cast<uint32_t>(size);
-    e.ptr.store(new_ptr, std::memory_order_release);
+    e.install(new_ptr);
     service().free(id, old_ptr);
     countEvent(sharedAllocs_, &AllocCounts::hreallocs);
     return handle;
@@ -243,17 +262,15 @@ Runtime::hfree(void *handle)
                   "hfree of an interior handle (offset %u)",
                   handleOffset(v));
     const uint32_t id = handleId(v);
-    auto &e = table_.entry(id);
-    ALASKA_ASSERT(e.allocated(), "double hfree of handle %u", id);
-    // Claim the backing pointer atomically. A plain load would race a
-    // concurrent relocator: between the load and the service free the
-    // mover could commit and free the old block itself (double free).
-    // The exchange takes ownership — if the entry was mid-relocation
-    // (mark bit set) the mover's commit CAS now fails and it discards
-    // its copy, so freeing the unmarked pointer here is the only free.
-    void *ptr = e.ptr.exchange(nullptr, std::memory_order_acq_rel);
-    service().free(id, reloc::unmarked(ptr));
-    releaseHandleId(id);
+    // Claim the backing address and clear the entry in one RMW. A plain
+    // load would race a concurrent relocator: between the load and the
+    // service free the mover could commit and free the old block itself
+    // (double free). If the entry was mid-relocation (mark bit set) the
+    // mover's commit CAS now fails and it discards its copy, so freeing
+    // the address here is the only free.
+    void *ptr = HandleTableEntry::addressOf(table_.deactivate(id));
+    service().free(id, ptr);
+    recycleHandleId(id);
     countEvent(sharedAllocs_, &AllocCounts::hfrees);
 }
 
@@ -263,7 +280,8 @@ Runtime::usableSize(void *handle) const
     const uint64_t v = reinterpret_cast<uint64_t>(handle);
     if (!isHandle(v))
         return 0;
-    return table_.entry(handleId(v)).size;
+    void *backing = table_.entry(handleId(v)).address();
+    return backing ? service_->usableSize(backing) : 0;
 }
 
 // --- threads --------------------------------------------------------------

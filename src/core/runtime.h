@@ -70,11 +70,13 @@ struct RuntimeConfig
 
 /**
  * The handles a barrier must not move: those held in any thread's pin
- * frames, plus those whose HTE atomic pin count is nonzero
- * (ConcurrentPin, which pinned<T> takes under Scoped). The frame pins
- * are collected when the world stops; the atomic count is read per
- * query, so a barrier never sweeps the handle table. Valid only inside
- * the barrier callback.
+ * frames, plus those whose entry word carries a nonzero atomic pin
+ * count (ConcurrentPin, which pinned<T> takes under Scoped). The frame
+ * pins are collected when the world stops; the pin count is read per
+ * query from the very word a mover loads next to validate its
+ * candidate, so a query costs no cache miss of its own and a barrier
+ * never sweeps the handle table. Valid only inside the barrier
+ * callback.
  */
 class PinnedSet
 {
@@ -169,7 +171,13 @@ class Runtime
     /** Free an allocation made by halloc. */
     void hfree(void *handle);
 
-    /** Size requested for a live handle at halloc/hrealloc time. */
+    /**
+     * Usable size of a live handle's block: at least the size last
+     * requested by halloc/hrealloc, and possibly more (the service
+     * rounds up, and Service::usableSize() answers from its own block
+     * metadata; the handle table keeps no sizes). 0 for a raw pointer
+     * or an object with no resident backing (swapped out).
+     */
     size_t usableSize(void *handle) const;
 
     // --- handle ID allocation --------------------------------------------
@@ -365,6 +373,16 @@ class Runtime
 
     /** Collect the frame-pinned IDs from all threads' pin frames. */
     PinnedSet unifyPinSets();
+
+    /**
+     * Take a reserved handle ID from the calling thread's magazine (or
+     * the table's shards) without activating it; halloc activates it
+     * with the same RMW that publishes the backing address.
+     */
+    uint32_t takeHandleId();
+
+    /** Return a deactivated ID to the magazine (or the table's shards). */
+    void recycleHandleId(uint32_t id);
 
     RuntimeConfig config_;
     HandleTable table_;

@@ -6,10 +6,11 @@
  * to a pluggable service through this interface. The paper describes the
  * interface as "eight callback functions: two lifetime management
  * functions (init/deinit), two backing memory management functions
- * (alloc/free), and four metadata functions". The runtime calls six
+ * (alloc/free), and four metadata functions". The runtime calls seven
  * through this class: the four lifetime and memory callbacks, name(),
- * and the optional handle-fault hook discussed in §7. Object sizes live
- * in the handle table (Runtime::usableSize reads the entry), and heap
+ * usableSize(), and the optional handle-fault hook discussed in §7.
+ * Object sizes live with the service's own block metadata, not in the
+ * handle table, whose entry is the backing word alone (§4.2.1); heap
  * metadata such as extent and live bytes lives on the concrete service
  * that keeps it (AnchorageService), for the callers that hold one.
  */
@@ -50,6 +51,12 @@ class Service
     // --- metadata --------------------------------------------------------
     /** Human-readable service name. */
     virtual const char *name() const = 0;
+    /**
+     * Usable size of the block at ptr, a pointer alloc() returned and
+     * free() has not yet taken: at least the size requested, possibly
+     * rounded up. Serves hrealloc's copy and Runtime::usableSize().
+     */
+    virtual size_t usableSize(const void *ptr) const = 0;
 
     // --- optional: handle faults (§7) -----------------------------------
     /**

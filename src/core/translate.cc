@@ -11,13 +11,14 @@ translateChecked(const void *maybe_handle)
         return const_cast<void *>(maybe_handle);
     const uint32_t id = (v >> 32) & (maxHandleId - 1);
     telemetry::countHot(telemetry::Counter::TranslateFast);
-    const HandleTableEntry &e = Runtime::gTableBase[id];
-    if (__builtin_expect(e.invalid(), 0)) {
+    const uint64_t word =
+        Runtime::gTableBase[id].word(std::memory_order_acquire);
+    if (__builtin_expect(word & HandleTableEntry::Invalid, 0)) {
         // Trap to the runtime; the service restores the object.
         void *base = Runtime::gRuntime->handleFault(id);
         return static_cast<char *>(base) + static_cast<uint32_t>(v);
     }
-    return static_cast<char *>(e.ptr.load(std::memory_order_relaxed)) +
+    return static_cast<char *>(HandleTableEntry::addressOf(word)) +
            static_cast<uint32_t>(v);
 }
 

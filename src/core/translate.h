@@ -5,9 +5,11 @@
  *
  * translate() compiles to the paper's shape on x64: a sign test and
  * branch, a shift+mask to extract the handle ID, a 32-bit truncation of
- * the offset, one load from the handle table, and an add. The branch is
- * the "is this a handle at all?" check that lets handles and raw
- * pointers coexist in the same variables.
+ * the offset, one load from the handle table, and an add — plus one AND
+ * that strips the pin count, Invalid and the mover's mark from the
+ * entry's word (HandleTableEntry). The branch is the "is this a handle
+ * at all?" check that lets handles and raw pointers coexist in the same
+ * variables.
  */
 
 #ifndef ALASKA_CORE_TRANSLATE_H
@@ -25,8 +27,8 @@ namespace alaska
  * Translate a maybe-handle to a raw pointer.
  *
  * If the value is a raw pointer it is returned unchanged; if it is a
- * handle, the backing pointer is loaded from the handle table and the
- * offset applied. The caller is responsible for having pinned the handle
+ * handle, the entry's word is loaded from the handle table, its address
+ * bits kept and the offset applied. The caller is responsible for having pinned the handle
  * first (see pin.h) if the translation outlives the next safepoint.
  *
  * At ALASKA_TELEMETRY_LEVEL >= 2 every handle hit bumps the
@@ -42,8 +44,7 @@ translate(const void *maybe_handle)
     telemetry::countHot(telemetry::Counter::TranslateFast);
     const HandleTableEntry &e =
         Runtime::gTableBase[(v >> 32) & (maxHandleId - 1)];
-    return static_cast<char *>(e.ptr.load(std::memory_order_relaxed)) +
-           static_cast<uint32_t>(v);
+    return static_cast<char *>(e.address()) + static_cast<uint32_t>(v);
 }
 
 /**
@@ -51,7 +52,9 @@ translate(const void *maybe_handle)
  *
  * If the entry has been marked Invalid by a service (e.g. the object was
  * swapped out), control traps into the runtime, which asks the service
- * to restore the object. The paper measures this extra check at ~1-2%.
+ * to restore the object. Invalid is a bit of the same word, so the
+ * check costs a test and a branch, never a second load. The paper
+ * measures this extra check at ~1-2%.
  */
 void *translateChecked(const void *maybe_handle);
 

@@ -64,7 +64,7 @@ struct RawWriteRef
  * through a pre-mark translation after the mover's copy would land in
  * the doomed source block and be lost at commit. The pin closes
  * exactly that window — the mover aborts on a pre-mark pin, and a
- * post-mark pin's mark-aware translation aborts the mover. Under
+ * post-mark pin clears the mark, which aborts the mover. Under
  * Direct a store only ever races stop-the-world barriers, which park
  * at safepoints a KV operation never polls, so the guard is the plain
  * one-load translation and pins nothing. Unlike pinned<T> there is no
@@ -80,8 +80,8 @@ class HandleWriteRef
         if (__builtin_expect(Runtime::translationDiscipline() ==
                                  TranslationDiscipline::Scoped,
                              0)) {
-            entry_ = ConcurrentPin::pinFor(maybe_handle);
-            raw_ = static_cast<T *>(translateConcurrent(maybe_handle));
+            raw_ = static_cast<T *>(
+                ConcurrentPin::pinFor(maybe_handle, entry_));
         } else {
             raw_ = static_cast<T *>(
                 translate(static_cast<const void *>(maybe_handle)));

@@ -6,12 +6,12 @@
  * Shenandoah's concurrent compaction:
  *
  *   1. the mover marks the handle's entry (we set the low bit of the
- *      backing pointer — objects are 16-byte aligned), checks the
- *      entry's pin count, and immediately speculatively copies the
- *      bytes to a new location — no drain, no wait: the abort window
- *      is the copy itself, microseconds;
- *   2. a *pinning* accessor that translates meanwhile detects the
- *      mark, and atomically clears it — aborting the relocation —
+ *      entry's word — objects are 16-byte aligned) with a CAS that
+ *      expects the word to carry no pins, and immediately
+ *      speculatively copies the bytes to a new location — no drain,
+ *      no wait: the abort window is the copy itself, microseconds;
+ *   2. a *pinning* accessor that pins meanwhile clears the mark in
+ *      the same RMW that takes its pin — aborting the relocation —
  *      then proceeds on the old memory;
  *   3. the mover finally tries to CAS {marked old} -> {new}. Success
  *      publishes the move, but the old memory is NOT freed inline: the
@@ -37,11 +37,12 @@
  *    pre-mark translation after the mover's copy would land in the
  *    doomed source block and be lost when the commit publishes the
  *    copy.
- *  - ConcurrentPin: RAII atomic pin + mark-aware translate; the
- *    *write* path (and the raw-pointer escape hatch, pinned<T>). The
- *    pin/mark Dekker handshake closes the lost-store window: a pin
- *    taken before the mover's mark fails its pin check; one taken
- *    after clears the mark and fails its commit CAS. Either way the
+ *  - ConcurrentPin: RAII atomic pin + translate in one RMW; the
+ *    *write* path (and the raw-pointer escape hatch, pinned<T>). Pin,
+ *    mark and commit are all RMWs on the entry's one word, so they
+ *    are totally ordered and the lost-store window closes: a pin
+ *    taken before the mover's mark fails the mark CAS; one taken
+ *    after clears the mark and fails the commit CAS. Either way the
  *    pinned translation is writable for the pin's lifetime.
  *
  * This is the discipline the campaign expects mutators on: reads
@@ -60,54 +61,16 @@ namespace alaska
 {
 
 /**
- * The write-capable translation under concurrent relocation: if the
- * entry is marked, the accessor aborts the in-flight move and wins,
- * then proceeds on the old memory. Callers that intend to store must
- * pair this with a pin taken *first* (ConcurrentPin::pinFor) — the
- * clearing CAS here is the accessor half of the mover handshake, and
- * the pin is what makes it cover the store's whole duration rather
- * than the translation instant. Read-only callers want
- * translateScoped() instead, which never RMWs.
- *
- * Defined inline so guards composed from it (pinned<T>, the KV write
- * path) pay no call overhead; cold keeps it out of the way of the
- * read-path loops it shares headers with.
- */
-__attribute__((cold)) inline void *
-translateConcurrent(const void *maybe_handle)
-{
-    const uint64_t v = reinterpret_cast<uint64_t>(maybe_handle);
-    if (static_cast<int64_t>(v) >= 0)
-        return const_cast<void *>(maybe_handle);
-    HandleTableEntry &e =
-        Runtime::gTableBase[(v >> 32) & (maxHandleId - 1)];
-
-    // seq_cst, not acquire: this load must participate in the single
-    // total order with the mover's mark/grace/commit sequence (and,
-    // for pinned<T>, with the caller's pin increment and the mover's
-    // pin check — a Dekker handshake across two locations). With a
-    // weaker load, non-TSO hardware could let the accessor and the
-    // mark go mutually unseen, and a write through this translation
-    // would land in an abandoned copy.
-    void *ptr = e.ptr.load(std::memory_order_seq_cst);
-    while (reloc::isMarked(ptr)) {
-        // Abort the in-flight relocation: clear the mark. Whether our
-        // CAS or the mover's commit wins, the loop re-reads a stable
-        // pointer.
-        void *expected = ptr;
-        e.ptr.compare_exchange_strong(expected, reloc::unmarked(ptr),
-                                      std::memory_order_seq_cst);
-        ptr = e.ptr.load(std::memory_order_acquire);
-    }
-    return static_cast<char *>(ptr) + static_cast<uint32_t>(v);
-}
-
-/**
- * Pin guard for mutators racing with concurrent relocation. Orders an
- * atomic pin-count increment before the translation so a mover always
- * observes either the pin or the mark-clear. This is the one
- * implementation of the pin half of the mover handshake; the typed
- * api guards hold one rather than re-deriving the protocol. Inline
+ * Pin guard for mutators racing with concurrent relocation: the *write*
+ * path. One RMW on the entry's word takes an atomic pin and clears any
+ * mover's mark, and the translation comes from that RMW's result, so a
+ * mover always observes either the pin (its mark CAS, which expects no
+ * pins, fails) or the cleared mark (its commit CAS fails). Clearing the
+ * mark is what makes a pin and unpin inside one copy safe: they would
+ * otherwise restore the exact marked word, and the commit would
+ * publish a copy that misses the pinner's store. This is the one
+ * implementation of the pin half of the mover handshake; the typed api
+ * guards hold one rather than re-deriving the protocol. Inline
  * (including the destructor) so guards composed from it stay
  * optimizable in translation-heavy loops.
  */
@@ -115,8 +78,7 @@ class ConcurrentPin
 {
   public:
     explicit ConcurrentPin(const void *maybe_handle)
-        : entry_(pinFor(maybe_handle)),
-          raw_(translateConcurrent(maybe_handle))
+        : raw_(pinFor(maybe_handle, entry_))
     {
     }
 
@@ -129,35 +91,32 @@ class ConcurrentPin
 
     /**
      * The pin half of the handshake, for guards composed from this
-     * protocol (the typed api guards): pin the value's entry and
-     * return it, or nullptr for raw pointers. Pair with unpin(); the
-     * caller must translate through translateConcurrent() *after* the
-     * pin so the mover observes either the pin or the mark-clear.
+     * protocol (the typed api guards): pin the value's entry, clearing
+     * any mark, and return the translation — writable until unpin().
+     * Sets entry to the pinned entry, or nullptr for a raw pointer,
+     * which is returned unchanged.
      */
-    static HandleTableEntry *
-    pinFor(const void *maybe_handle)
+    static void *
+    pinFor(const void *maybe_handle, HandleTableEntry *&entry)
     {
         const uint64_t v = reinterpret_cast<uint64_t>(maybe_handle);
-        if (!isHandle(v))
-            return nullptr;
+        if (!isHandle(v)) {
+            entry = nullptr;
+            return const_cast<void *>(maybe_handle);
+        }
         telemetry::count(telemetry::Counter::DerefPinned);
-        HandleTableEntry *entry =
-            &Runtime::gRuntime->table().entry(handleId(v));
-        // seq_cst: the increment must be globally ordered against the
-        // mover's mark/pin-check pair.
-        entry->state.fetch_add(HandleTableEntry::pinCountOne,
-                               std::memory_order_seq_cst);
-        return entry;
+        entry = &Runtime::gRuntime->table().entry(handleId(v));
+        return static_cast<char *>(HandleTableEntry::addressOf(
+                   entry->pin())) +
+               handleOffset(v);
     }
 
     /** Drop a pin taken by pinFor(); nullptr is a no-op. */
     static void
     unpin(HandleTableEntry *entry)
     {
-        if (entry) {
-            entry->state.fetch_sub(HandleTableEntry::pinCountOne,
-                                   std::memory_order_seq_cst);
-        }
+        if (entry)
+            entry->unpin();
     }
 
   private:
@@ -215,8 +174,7 @@ class ConcurrentAccessScope
  * what keeps the returned pointer readable; nothing per-object is
  * recorded here. The pointer is NOT writable while campaigns can run:
  * a store may need to abort an in-flight copy of this very object,
- * which only the pin handshake (translateConcurrent under
- * ConcurrentPin/pinned<T>) can do.
+ * which only the pin handshake (ConcurrentPin/pinned<T>) can do.
  */
 inline void *
 translateScoped(const void *maybe_handle)
@@ -233,8 +191,7 @@ translateScoped(const void *maybe_handle)
     // snapshot (a store-buffering shape across two locations). Then a
     // scope the snapshot missed cannot read a pointer older than the
     // commit. On x86 it is the same plain mov as acquire.
-    void *ptr = e.ptr.load(std::memory_order_seq_cst);
-    return static_cast<char *>(reloc::unmarked(ptr)) +
+    return static_cast<char *>(e.address(std::memory_order_seq_cst)) +
            static_cast<uint32_t>(v);
 }
 

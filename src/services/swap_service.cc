@@ -27,6 +27,7 @@ SwapService::alloc(uint32_t id, size_t size)
     void *p = std::malloc(size ? size : 1);
     if (p) {
         std::lock_guard<std::mutex> guard(mutex_);
+        hot_.emplace(p, size);
         hotBytes_ += size;
     }
     return p;
@@ -43,8 +44,19 @@ SwapService::free(uint32_t id, void *ptr)
         cold_.erase(it);
         return;
     }
-    hotBytes_ -= runtime_->table().entry(id).size;
+    auto hot = hot_.find(ptr);
+    ALASKA_ASSERT(hot != hot_.end(), "free of unknown block %p", ptr);
+    hotBytes_ -= hot->second;
+    hot_.erase(hot);
     std::free(ptr);
+}
+
+size_t
+SwapService::usableSize(const void *ptr) const
+{
+    std::lock_guard<std::mutex> guard(mutex_);
+    auto it = hot_.find(ptr);
+    return it == hot_.end() ? 0 : it->second;
 }
 
 size_t
@@ -69,20 +81,21 @@ SwapService::swapOut(uint32_t id)
         return false;
     auto &entry = runtime_->table().entry(id);
     ALASKA_ASSERT(entry.allocated(), "swapOut of freed handle %u", id);
-    void *ptr = entry.ptr.load(std::memory_order_acquire);
-    const size_t size = entry.size;
+    // Mark the entry Invalid and drop its address in one RMW *before*
+    // dropping the backing memory; the checked translation path will
+    // trap to fault().
+    void *ptr = HandleTableEntry::addressOf(
+        entry.exchangeBacking(HandleTableEntry::Invalid));
+    auto hot = hot_.find(ptr);
+    ALASKA_ASSERT(hot != hot_.end(), "swapOut of unknown block %p", ptr);
+    const size_t size = hot->second;
+    hot_.erase(hot);
 
     std::vector<unsigned char> bytes(size);
     std::memcpy(bytes.data(), ptr, size);
     cold_.emplace(id, std::move(bytes));
     coldBytes_ += size;
     hotBytes_ -= size;
-
-    // Mark the entry Invalid *before* dropping the backing memory; the
-    // checked translation path will trap to fault().
-    entry.state.fetch_or(HandleTableEntry::Invalid,
-                         std::memory_order_release);
-    entry.ptr.store(nullptr, std::memory_order_release);
     std::free(ptr);
     return true;
 }
@@ -114,7 +127,7 @@ SwapService::fault(uint32_t id)
     auto it = cold_.find(id);
     if (it == cold_.end()) {
         // Another thread faulted it in between our check and the lock.
-        void *ptr = entry.ptr.load(std::memory_order_acquire);
+        void *ptr = entry.address(std::memory_order_acquire);
         ALASKA_ASSERT(ptr != nullptr, "fault on handle %u with no cold "
                       "copy and no backing", id);
         return ptr;
@@ -126,10 +139,10 @@ SwapService::fault(uint32_t id)
     coldBytes_ -= size;
     hotBytes_ += size;
     cold_.erase(it);
+    hot_.emplace(fresh, size);
 
-    entry.ptr.store(fresh, std::memory_order_release);
-    entry.state.fetch_and(~HandleTableEntry::Invalid,
-                          std::memory_order_release);
+    // Publishing the address clears Invalid in the same RMW.
+    entry.install(fresh);
     swapIns_++;
     return fresh;
 }

@@ -39,6 +39,8 @@ class SwapService : public Service
     void *alloc(uint32_t id, size_t size) override;
     void free(uint32_t id, void *ptr) override;
     const char *name() const override { return "swap"; }
+    /** Size requested for the resident block at ptr; 0 if unknown. */
+    size_t usableSize(const void *ptr) const override;
 
     /**
      * Restore a swapped-out object (the handle-fault slow path).
@@ -67,6 +69,8 @@ class SwapService : public Service
   private:
     Runtime *runtime_ = nullptr;
     mutable std::mutex mutex_;
+    /** Hot store: resident block -> size requested. */
+    std::unordered_map<const void *, size_t> hot_;
     /** Cold store: id -> evicted bytes. */
     std::unordered_map<uint32_t, std::vector<unsigned char>> cold_;
     size_t hotBytes_ = 0;

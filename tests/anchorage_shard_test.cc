@@ -7,7 +7,10 @@
  * both the stop-the-world and the concurrent-campaign execution
  * models, including a campaign reading sub-heap fit hints without the
  * shard lock while a mutator grows the destination shard's chain, and
- * a destination hole whose remote free is still in its shard's inbox.
+ * a destination hole whose remote free is still in its shard's inbox;
+ * and the one-word pin/mark/commit handshake under deterministic
+ * mid-copy interleavings (a pin, a free, or a pin held across a free
+ * and the ID's reuse).
  */
 
 #include <gtest/gtest.h>
@@ -737,6 +740,177 @@ TEST(AnchorageHintRaceTest, DestinationHoleFreedRemotelyAfterRankingIsUsed)
             runtime.hfree(h);
     }
     EXPECT_EQ(service.activeBytes(), 0u);
+}
+
+/**
+ * Runs a one-shot hook right after a mover's copy — between the copy
+ * and the commit, the window the one-word pin/mark/commit handshake
+ * must close — so each interleaving below is deterministic rather
+ * than a race a stress test may or may not hit.
+ */
+class CopyHookedSpace : public RealAddressSpace
+{
+  public:
+    void
+    copy(uint64_t dst, uint64_t src, size_t len) override
+    {
+        RealAddressSpace::copy(dst, src, len);
+        if (hook) {
+            const std::function<void()> run = std::move(hook);
+            hook = nullptr;
+            run();
+        }
+    }
+
+    std::function<void()> hook;
+};
+
+class MidCopyTest : public ::testing::Test
+{
+  protected:
+    static constexpr size_t kSize = 256;
+
+    MidCopyTest()
+        : service_(space_, AnchorageConfig{.subHeapBytes = 64 << 10,
+                                           .shards = 1}),
+          runtime_(RuntimeConfig{.tableCapacity = 1u << 12}),
+          registration_(runtime_)
+    {
+        runtime_.attachService(&service_);
+    }
+
+    /**
+     * A movable target: filler then target, filler freed, so both
+     * movers want to slide the target down into the hole. Its bytes
+     * read 0x11.
+     */
+    void *
+    movableTarget()
+    {
+        void *filler = runtime_.halloc(kSize);
+        void *target = runtime_.halloc(kSize);
+        std::memset(translate(target), 0x11, kSize);
+        runtime_.hfree(filler);
+        return target;
+    }
+
+    HandleTableEntry &
+    entryOf(void *h)
+    {
+        return runtime_.table().entry(handleId(reinterpret_cast<uint64_t>(h)));
+    }
+
+    // Declaration order matters: the service must outlive the runtime.
+    CopyHookedSpace space_;
+    AnchorageService service_;
+    Runtime runtime_;
+    ThreadRegistration registration_;
+};
+
+TEST_F(MidCopyTest, PinStoreUnpinInsideCampaignCopyAbortsTheMove)
+{
+    // The pinner arrives after the mover marked and copied: its pin
+    // clears the mark, so even though it unpins before the commit, the
+    // word no longer matches and the copy (which missed the store) is
+    // never published.
+    void *target = movableTarget();
+    void *const home = translate(target);
+    bool fired = false;
+    space_.hook = [&] {
+        fired = true;
+        ConcurrentPin pin(target);
+        EXPECT_EQ(pin.get(), home);
+        static_cast<unsigned char *>(pin.get())[7] = 0x77;
+    };
+    const DefragStats stats = service_.relocateCampaign(SIZE_MAX);
+    ASSERT_TRUE(fired);
+    EXPECT_EQ(stats.committed, 0u);
+    EXPECT_EQ(stats.aborted, 1u);
+    EXPECT_EQ(translate(target), home);
+    EXPECT_EQ(entryOf(target).word(), HandleTableEntry::bitsOf(home));
+    EXPECT_EQ(static_cast<const unsigned char *>(translate(target))[7], 0x77);
+    EXPECT_EQ(static_cast<const unsigned char *>(translate(target))[6], 0x11);
+
+    // With no pinner, the same move commits.
+    EXPECT_EQ(service_.relocateCampaign(SIZE_MAX).committed, 1u);
+    EXPECT_NE(translate(target), home);
+    EXPECT_EQ(static_cast<const unsigned char *>(translate(target))[7], 0x77);
+    runtime_.hfree(target);
+    EXPECT_EQ(service_.activeBytes(), 0u);
+}
+
+TEST_F(MidCopyTest, HfreeInsideCampaignCopyAbortsTheMove)
+{
+    // hfree claims the marked word mid-copy and frees the source
+    // itself; the commit CAS then fails and the campaign frees only
+    // its own destination. A commit here would park the freed source
+    // on limbo and free it twice.
+    void *target = movableTarget();
+    const uint32_t live_before = runtime_.table().liveCount();
+    bool fired = false;
+    space_.hook = [&] {
+        fired = true;
+        runtime_.hfree(target);
+    };
+    const DefragStats stats = service_.relocateCampaign(SIZE_MAX);
+    ASSERT_TRUE(fired);
+    EXPECT_EQ(stats.committed, 0u);
+    EXPECT_EQ(stats.aborted, 1u);
+    EXPECT_EQ(runtime_.table().liveCount(), live_before - 1);
+    EXPECT_EQ(entryOf(target).word(), 0u);
+    EXPECT_EQ(service_.activeBytes(), 0u);
+}
+
+TEST_F(MidCopyTest, PinInsideBarrierCopyKeepsTheObjectInPlace)
+{
+    // The barrier read no pin, then a pin lands during its copy (as an
+    // unregistered thread's would): the move CAS sees it and yields,
+    // where a plain store would erase the pin and move the object out
+    // from under the pinner.
+    void *target = movableTarget();
+    void *const home = translate(target);
+    HandleTableEntry *pinned_entry = nullptr;
+    void *raw = nullptr;
+    space_.hook = [&] {
+        raw = ConcurrentPin::pinFor(target, pinned_entry);
+    };
+    const DefragStats stats = service_.defrag(SIZE_MAX);
+    ASSERT_NE(pinned_entry, nullptr);
+    EXPECT_EQ(raw, home);
+    EXPECT_EQ(stats.movedObjects, 0u);
+    EXPECT_EQ(translate(target), home);
+    EXPECT_EQ(pinned_entry->atomicPinCount(), 1u);
+    static_cast<unsigned char *>(raw)[3] = 0x33;
+    ConcurrentPin::unpin(pinned_entry);
+    EXPECT_EQ(entryOf(target).word(), HandleTableEntry::bitsOf(home));
+
+    // Unpinned, the next barrier moves it, store included.
+    EXPECT_EQ(service_.defrag(SIZE_MAX).movedObjects, 1u);
+    EXPECT_NE(translate(target), home);
+    EXPECT_EQ(static_cast<const unsigned char *>(translate(target))[3], 0x33);
+    runtime_.hfree(target);
+    EXPECT_EQ(service_.activeBytes(), 0u);
+}
+
+TEST_F(MidCopyTest, PinHeldAcrossHfreeAndReallocLeavesACleanWord)
+{
+    // A stale accessor's pin outlives the free of its object and the
+    // reuse of the ID: free and halloc carry the pin count over, so
+    // the late unpin leaves exactly the new object's address.
+    void *h = runtime_.halloc(kSize);
+    HandleTableEntry *entry = nullptr;
+    ConcurrentPin::pinFor(h, entry);
+    runtime_.hfree(h);
+    EXPECT_EQ(entry->word(), HandleTableEntry::pinCountOne);
+    EXPECT_FALSE(entry->allocated());
+
+    void *again = runtime_.halloc(kSize);
+    ASSERT_EQ(again, h); // the magazine hands the ID straight back
+    EXPECT_EQ(entry->atomicPinCount(), 1u);
+    ConcurrentPin::unpin(entry);
+    EXPECT_EQ(entry->word(), HandleTableEntry::bitsOf(translate(again)));
+    runtime_.hfree(again);
+    EXPECT_EQ(entry->word(), 0u);
 }
 
 namespace stress

@@ -386,8 +386,9 @@ TEST_F(ApiTest, VectorLivesBehindOneMovableHandle)
     auto &entry = runtime_.table().entry(
         handleId(reinterpret_cast<uint64_t>(backing)));
     void *old_spot = entry.ptr.load();
-    void *new_spot = std::malloc(entry.size);
-    std::memcpy(new_spot, old_spot, entry.size);
+    const size_t bytes = runtime_.usableSize(backing);
+    void *new_spot = std::malloc(bytes);
+    std::memcpy(new_spot, old_spot, bytes);
     entry.ptr.store(new_spot);
     std::free(old_spot);
 

@@ -47,19 +47,57 @@ TEST(HandleTable, ReleaseClearsEntry)
     HandleTable table(64);
     const uint32_t id = table.allocate();
     auto &e = table.entry(id);
-    e.ptr.store(reinterpret_cast<void *>(0xdeadbeef),
-                std::memory_order_relaxed);
-    e.size = 99;
+    e.install(reinterpret_cast<void *>(0xdeadbef0));
+    EXPECT_EQ(e.address(), reinterpret_cast<void *>(0xdeadbef0));
     table.release(id);
     EXPECT_EQ(e.ptr.load(std::memory_order_relaxed), nullptr);
-    EXPECT_EQ(e.size, 0u);
     EXPECT_FALSE(e.allocated());
 }
 
-TEST(HandleTable, EntriesAreSixteenBytes)
+TEST(HandleTable, EntriesAreOneWord)
 {
-    // One translation = one load; keep the entry compact.
-    EXPECT_EQ(sizeof(HandleTableEntry), 16u);
+    // The paper's minimal entry: the backing pointer alone.
+    EXPECT_EQ(sizeof(HandleTableEntry), 8u);
+}
+
+/**
+ * The word's tag bits never leak into a translation: a pinned, marked
+ * or Invalid entry still names its address, and each bit reads back
+ * through its own accessor.
+ */
+TEST(HandleTable, WordKeepsAddressBesideTagBits)
+{
+    HandleTable table(64);
+    const uint32_t id = table.allocate();
+    auto &e = table.entry(id);
+    void *const backing = reinterpret_cast<void *>(0x7fff12345670);
+    e.install(backing);
+    EXPECT_EQ(e.word(), HandleTableEntry::bitsOf(backing));
+
+    e.pin();
+    e.pin();
+    EXPECT_EQ(e.atomicPinCount(), 2u);
+    EXPECT_EQ(e.address(), backing);
+    e.unpin();
+    e.unpin();
+    EXPECT_EQ(e.word(), HandleTableEntry::bitsOf(backing));
+
+    e.ptr.store(reloc::marked(backing));
+    EXPECT_EQ(e.address(), backing);
+    // A pin clears the mark in the same RMW.
+    e.pin();
+    EXPECT_FALSE(reloc::isMarked(e.ptr.load()));
+    e.unpin();
+    EXPECT_EQ(e.word(), HandleTableEntry::bitsOf(backing));
+
+    EXPECT_EQ(HandleTableEntry::addressOf(
+                  e.exchangeBacking(HandleTableEntry::Invalid)),
+              backing);
+    EXPECT_TRUE(e.invalid());
+    EXPECT_TRUE(e.allocated());
+    EXPECT_EQ(e.address(), nullptr);
+    table.release(id);
+    EXPECT_EQ(e.word(), 0u);
 }
 
 TEST(HandleTable, LargeCapacityIsVirtuallyReserved)
@@ -94,10 +132,10 @@ TEST(HandleTable, ConcurrentAllocateYieldsUniqueIds)
 }
 
 /**
- * liveCount() counts entries with the Allocated bit set, not entries
- * with a nonzero state word: a reserved ID is not live, and an entry
- * freed while a concurrent accessor still pins it keeps pin-count bits
- * with Allocated clear until the accessor unpins.
+ * liveCount() counts entries whose word holds an address or Invalid,
+ * not entries with a nonzero word: a reserved ID is not live, and an
+ * entry freed while a concurrent accessor still pins it keeps its pin
+ * count with no address until the accessor unpins.
  */
 TEST(HandleTable, LiveCountCountsOnlyAllocatedEntries)
 {
@@ -111,11 +149,10 @@ TEST(HandleTable, LiveCountCountsOnlyAllocatedEntries)
     auto &e = table.entry(id);
     table.activate(id);
     // An atomic pin, as ConcurrentPin::pinFor takes it, outlives the
-    // free: the state word keeps the pin count, Allocated clears.
-    e.state.fetch_add(HandleTableEntry::pinCountOne,
-                      std::memory_order_seq_cst);
+    // free: the word keeps the pin count, the rest clears.
+    e.pin();
     table.deactivate(id);
-    ASSERT_EQ(e.state.load(), HandleTableEntry::pinCountOne);
+    ASSERT_EQ(e.word(), HandleTableEntry::pinCountOne);
     EXPECT_EQ(table.liveCount(), 0u);
 
     // Re-activating the still-pinned entry counts it exactly once.
@@ -123,8 +160,7 @@ TEST(HandleTable, LiveCountCountsOnlyAllocatedEntries)
     EXPECT_EQ(e.atomicPinCount(), 1u);
     EXPECT_EQ(table.liveCount(), 1u);
 
-    e.state.fetch_sub(HandleTableEntry::pinCountOne,
-                      std::memory_order_seq_cst);
+    e.unpin();
     table.deactivate(id);
     table.unreserveBatch(ids, 2);
     EXPECT_EQ(table.liveCount(), 0u);

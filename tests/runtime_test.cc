@@ -79,7 +79,7 @@ TEST_F(RuntimeTest, HreallocPreservesHandleValueAndContents)
     // The whole point of handles: growth does not change the "pointer".
     EXPECT_EQ(h2, h);
     EXPECT_EQ(std::memcmp(translate(h), "fifteen bytes..", 16), 0);
-    EXPECT_EQ(runtime_.usableSize(h), 4096u);
+    EXPECT_GE(runtime_.usableSize(h), 4096u);
     runtime_.hfree(h);
 }
 

@@ -105,6 +105,32 @@ TEST_F(SwapTest, FreeingASwappedObjectDropsTheColdCopy)
     EXPECT_EQ(service_.coldBytes(), 0u);
 }
 
+TEST_F(SwapTest, HreallocOfASwappedObjectFaultsItInFirst)
+{
+    // A swapped-out entry holds Invalid and no address: hrealloc must
+    // restore the object before it copies, not copy from null.
+    void *h = runtime_.halloc(64);
+    auto *p = static_cast<unsigned char *>(translate(h));
+    for (int i = 0; i < 64; i++)
+        p[i] = static_cast<unsigned char>(i);
+    const uint32_t id = handleId(reinterpret_cast<uint64_t>(h));
+    runtime_.barrier([&](const PinnedSet &) { service_.swapOut(id); });
+    ASSERT_EQ(service_.coldBytes(), 64u);
+    ASSERT_EQ(service_.hotBytes(), 0u);
+
+    EXPECT_EQ(runtime_.hrealloc(h, 128), h);
+    EXPECT_FALSE(runtime_.table().entry(id).invalid());
+    EXPECT_EQ(service_.swapIns(), 1u);
+    EXPECT_EQ(service_.coldBytes(), 0u);
+    EXPECT_EQ(service_.hotBytes(), 128u);
+    EXPECT_EQ(runtime_.usableSize(h), 128u);
+    const auto *q = static_cast<const unsigned char *>(translate(h));
+    for (int i = 0; i < 64; i++)
+        ASSERT_EQ(q[i], static_cast<unsigned char>(i));
+    runtime_.hfree(h);
+    EXPECT_EQ(service_.hotBytes(), 0u);
+}
+
 TEST_F(SwapTest, WorkingSetSwapsInUnderChurn)
 {
     // Evict everything, then touch a working set; only it returns.
@@ -151,8 +177,15 @@ TEST_F(RelocTest, AccessorAbortsInFlightRelocation)
     // Mover phase 1 (mark).
     entry.ptr.store(reinterpret_cast<void *>(
         reinterpret_cast<uint64_t>(old_ptr) | 1));
-    // Accessor arrives: translateConcurrent clears the mark.
-    EXPECT_EQ(translateConcurrent(h), old_ptr);
+    // Accessor arrives: its pin clears the mark in the same RMW, and
+    // translates to the old memory.
+    {
+        ConcurrentPin pin(h);
+        EXPECT_EQ(pin.get(), old_ptr);
+        EXPECT_EQ(runtime_.table().entry(id).atomicPinCount(), 1u);
+    }
+    // Unpinned, the word is the bare address again: the mover's commit
+    // CAS, which expects the marked word, fails.
     EXPECT_EQ(entry.ptr.load(), old_ptr);
     runtime_.hfree(h);
 }

@@ -81,7 +81,9 @@ TEST(TranslateMaxIdTest, LastRepresentableIdTranslates)
     Runtime runtime(RuntimeConfig{.tableCapacity = maxHandleId});
 
     const uint32_t id = maxHandleId - 1;
-    char backing[8];
+    // Backing memory is 16-byte aligned, as every service hands out:
+    // the entry's low bits are the mark and Invalid, not address.
+    alignas(16) char backing[8];
     auto &e = runtime.table().entry(id);
     e.ptr.store(backing, std::memory_order_release);
 
