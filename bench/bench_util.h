@@ -244,18 +244,6 @@ countArg(const char *value, long long min, T &out,
     return true;
 }
 
-/**
- * Parse a `--rounds=N` argument (1..1000) into rounds.
- * @return false if arg is not that flag or N is out of range.
- */
-inline bool
-roundsArg(const char *arg, int &rounds)
-{
-    constexpr const char prefix[] = "--rounds=";
-    return std::strncmp(arg, prefix, sizeof prefix - 1) == 0 &&
-           countArg(arg + sizeof prefix - 1, 1, rounds, 1000);
-}
-
 } // namespace alaska::bench
 
 #endif // ALASKA_BENCH_BENCH_UTIL_H

@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,9 @@ main(int argc, char **argv)
 
     int rounds = 15;
     for (int i = 1; i < argc; i++) {
-        if (!roundsArg(argv[i], rounds)) {
+        constexpr const char prefix[] = "--rounds=";
+        if (std::strncmp(argv[i], prefix, sizeof prefix - 1) != 0 ||
+            !countArg(argv[i] + sizeof prefix - 1, 1, rounds, 1000)) {
             std::fprintf(stderr, "usage: %s [--rounds=N (1..1000)]\n",
                          argv[0]);
             return 2;

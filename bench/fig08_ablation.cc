@@ -9,7 +9,7 @@
  * each column is the median of the per-round ratios to the raw
  * baseline, with their interquartile range.
  *
- * Usage: fig08_ablation [--rounds=N]   (default 15 rounds)
+ * Usage: fig08_ablation (no flags; 15 rounds)
  */
 
 #include <cstdio>
@@ -29,13 +29,10 @@ main(int argc, char **argv)
     using namespace alaska::kernels;
     using namespace alaska::bench;
 
-    int rounds = 15;
-    for (int i = 1; i < argc; i++) {
-        if (!roundsArg(argv[i], rounds)) {
-            std::fprintf(stderr, "usage: %s [--rounds=N (1..1000)]\n",
-                         argv[0]);
-            return 2;
-        }
+    constexpr int rounds = 15;
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
     }
 
     std::printf("=== Figure 8: ablation on SPEC-like kernels "

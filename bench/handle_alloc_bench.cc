@@ -9,8 +9,10 @@
  *                  cache-line padded, plus the global bump cursor.
  *   magazine     : the full fast path — registered threads cache IDs in
  *                  a per-thread magazine and hit no shared state in
- *                  steady state (Runtime::allocateHandleId). The
- *                  speedup column is magazine over sharded.
+ *                  steady state (Runtime::allocateHandleId and
+ *                  releaseHandleId, around the entry install and
+ *                  deactivate that halloc/hfree pay). The speedup
+ *                  column is magazine over sharded.
  *
  * Section 2 — full halloc/hfree over the Anchorage service, comparing
  * a single-shard configuration (every allocation behind one service
@@ -94,10 +96,20 @@ benchMagazine(int nThreads)
     MallocService service;
     Runtime runtime(RuntimeConfig{.tableCapacity = kTableCapacity});
     runtime.attachService(&service);
-    return run(nThreads, [&runtime] {
+    HandleTable &table = runtime.table();
+    return run(nThreads, [&runtime, &table] {
         ThreadRegistration reg(runtime);
-        churn([&runtime] { return runtime.allocateHandleId(); },
-              [&runtime](uint32_t id) { runtime.releaseHandleId(id); });
+        alignas(16) char backing[16];
+        churn(
+            [&] {
+                const uint32_t id = runtime.allocateHandleId();
+                table.entry(id).install(backing);
+                return id;
+            },
+            [&](uint32_t id) {
+                table.deactivate(id);
+                runtime.releaseHandleId(id);
+            });
     });
 }
 

@@ -564,12 +564,14 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
             // at the marked source). Blindly moving either would copy
             // stale bytes over the object's live location. A *marked*
             // source still pointing here is fair game — our move CAS
-            // clears the mark and the campaign's commit CAS aborts. The
-            // word is the one contains() just read, so this load hits.
+            // replaces the mark and the campaign's commit CAS aborts.
+            // The word is the one contains() just read, so this load
+            // hits.
             auto &entry = runtime_->table().entry(blk.handleId);
             void *cur = entry.ptr.load(std::memory_order_seq_cst);
             if (reloc::unmarked(cur) != reinterpret_cast<void *>(blk.addr))
                 continue;
+            void *const marked = reloc::marked(cur);
 
             // First choice: a hole strictly below the object in its own
             // sub-heap (classic compaction). Second: any denser sub-heap
@@ -604,15 +606,24 @@ AnchorageService::moveBatchLocked(BatchedPass &pass,
             if (!dest.ok)
                 continue;
 
-            // Move: copy bytes, then a single HTE CAS republishes the
-            // object at its new address for every alias. A CAS, not a
-            // store: an unregistered thread may pin the object (or a
-            // campaign mark or commit it) since the load above, and a
-            // store would erase that pin or publish over that commit.
-            // Either way the move yields and the copy is dropped.
+            // Move with the campaign's handshake: mark, copy, then one
+            // CAS from the marked word republishes the object at its
+            // new address for every alias. An unregistered thread may
+            // still pin the object: a pin before the mark fails the
+            // mark CAS, and one during the copy clears the mark (also
+            // when it unpins before the copy ends), so the move CAS
+            // fails, and so does a campaign's commit that beat us. In
+            // each case the move yields and the copy is dropped.
+            if (cur != marked &&
+                !entry.ptr.compare_exchange_strong(
+                    cur, marked, std::memory_order_seq_cst)) {
+                dest_heap->free(dest.addr);
+                continue;
+            }
             space_.copy(dest.addr, blk.addr, blk.size);
+            void *expected = marked;
             if (!entry.ptr.compare_exchange_strong(
-                    cur, reinterpret_cast<void *>(dest.addr),
+                    expected, reinterpret_cast<void *>(dest.addr),
                     std::memory_order_seq_cst)) {
                 dest_heap->free(dest.addr);
                 continue;
@@ -1064,8 +1075,8 @@ AnchorageService::relocateOneConcurrent(const Candidate &cand,
     // *reading* pre-mark translations throughout (the source bytes
     // survive on limbo until their batch's grace elapses), any writer
     // pins: pre-mark pins were caught above, a pin taken during the
-    // copy clears our mark and the CAS below fails, discarding the
-    // torn copy.
+    // copy counts itself in the word and clears our mark, so the CAS
+    // below fails, discarding the torn copy.
     Stopwatch copy_watch;
     space_.copy(dest_addr, cand.addr, bytes);
     telemetry::record(telemetry::Hist::CampaignCopyNs,

@@ -101,43 +101,15 @@ SubHeap::pruneClassFront(int cls)
 {
     auto &list = freeLists_[cls];
     while (!list.empty()) {
+        const uint32_t idx = list.back();
         // An index can outlive its block: trimTop() pops trailing
         // blocks, and a regrown heap may put a block of another class
         // there. Only a free block of this class is a live entry.
-        if (isFreeOfClass(list.back(), cls))
+        if (idx < slots_.size() && isFreeAt(idx) &&
+            classOf(sizeAt(idx)) == cls)
             return;
         list.pop_back(); // stale: trimmed away, reused, or reclassed
     }
-}
-
-void
-SubHeap::dropStaleEntries(int cls)
-{
-    // Keep only what a pop could take: each free block of this class
-    // once, at its newest entry. An older entry for the same block lies
-    // deeper in the LIFO, so the newer one is always popped first (and
-    // the block is live by the time the older one surfaces); a stale
-    // entry turns valid again only through a free, which pushes a newer
-    // one. So every later pop takes the same block it would have taken
-    // with the stale entries in place, and placement does not change.
-    // Kept blocks carry seenMarker during the walk, so a deeper
-    // duplicate reads as not free.
-    constexpr uint32_t seenMarker = Block::freeMarker - 1;
-    auto &list = freeLists_[cls];
-    size_t keep = list.size();
-    for (size_t r = list.size(); r-- > 0;) {
-        const uint32_t idx = list[r];
-        if (isFreeOfClass(idx, cls)) {
-            slots_[idx].handleId = seenMarker;
-            list[--keep] = idx;
-        }
-    }
-    list.erase(list.begin(), list.begin() + static_cast<long>(keep));
-    for (uint32_t idx : list)
-        slots_[idx].handleId = Block::freeMarker;
-    ALASKA_ASSERT(list.size() == freeCount_[cls],
-                  "class %d list keeps %zu entries for %u free blocks",
-                  cls, list.size(), freeCount_[cls]);
 }
 
 int
@@ -169,20 +141,13 @@ SubHeap::freeBlockAt(int index)
 {
     ALASKA_ASSERT(!isFreeAt(index), "double free of block at %llx",
                   static_cast<unsigned long long>(addrAt(index)));
-    const size_t size = sizeAt(index);
-    const int cls = classOf(size);
-    auto &list = freeLists_[cls];
-    // Claims and trims leave stale entries behind, and a list only
-    // grows here: drop them first — before the push, so stale entries
-    // never grow a list's capacity, and while this block still reads
-    // as live, so its own older entries go too.
-    if (list.size() >= 2 * static_cast<size_t>(freeCount_[cls]) + staleSlack)
-        dropStaleEntries(cls);
     slots_[index].handleId = Block::freeMarker;
+    const size_t size = sizeAt(index);
     liveBytes_ -= size;
     liveCount_--;
     freeBytes_ += size;
-    list.push_back(static_cast<uint32_t>(index));
+    const int cls = classOf(size);
+    freeLists_[cls].push_back(static_cast<uint32_t>(index));
     countFree(cls);
 }
 

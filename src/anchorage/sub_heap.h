@@ -173,20 +173,6 @@ class SubHeap
 
     /** Number of blocks, live and free; indices are address-ordered. */
     size_t blockCount() const { return slots_.size(); }
-    /** Entries across the free lists, stale ones included (a list
-     *  grows past 2x its free blocks plus staleSlack only when none of
-     *  its entries is stale). */
-    size_t
-    freeListEntries() const
-    {
-        size_t n = 0;
-        for (const auto &list : freeLists_)
-            n += list.size();
-        return n;
-    }
-    /** Stale entries a class list may hold beyond twice its free
-     *  blocks before freeBlockAt() drops them. */
-    static constexpr size_t staleSlack = 32;
     /** The block at index i (0 <= i < blockCount()). */
     Block
     block(size_t i) const
@@ -297,20 +283,9 @@ class SubHeap
     }
 
     SubHeapAlloc bumpAlloc(uint32_t id, size_t size);
-    /** Whether a class-cls list entry naming idx may be popped: the
-     *  block exists, is free, and is of that class. */
-    bool
-    isFreeOfClass(uint32_t idx, int cls) const
-    {
-        return idx < slots_.size() && isFreeAt(idx) &&
-               classOf(sizeAt(idx)) == cls;
-    }
     /** Drop stale indices from the front of a class list: trimmed,
      *  reused, or naming a block of another class. */
     void pruneClassFront(int cls);
-    /** Drop every entry of a class list no pop could take, keeping
-     *  the order of the rest. */
-    void dropStaleEntries(int cls);
     /** A free block of class cls appeared / went away: keep the count
      *  and publish the class bit when it flips. */
     void countFree(int cls);
@@ -330,8 +305,7 @@ class SubHeap
     std::vector<Slot> slots_;
     /** LIFO free lists of block indices, one per power-of-two class.
      *  Entries may be stale (trimmed, reused, or — after a trim and a
-     *  regrow — naming a block of another class); validated on pop,
-     *  and dropped in bulk once a list outgrows its free blocks. */
+     *  regrow — naming a block of another class); validated on pop. */
     std::array<std::vector<uint32_t>, numClasses> freeLists_;
     /** Exact number of free blocks per class (not list entries). */
     std::array<uint32_t, numClasses> freeCount_{};

@@ -70,6 +70,41 @@ isMarked(const void *ptr)
 } // namespace reloc
 
 /**
+ * An entry's word, held as an integer atomic so a pin and an unpin are
+ * one fetch_add / fetch_sub each, and loaded, stored and compared as a
+ * pointer, since an unpinned, valid, unmarked entry is exactly its
+ * backing pointer.
+ */
+struct EntryWord
+{
+    std::atomic<uint64_t> bits{0};
+
+    void *
+    load(std::memory_order order = std::memory_order_seq_cst) const
+    {
+        return reinterpret_cast<void *>(bits.load(order));
+    }
+
+    void
+    store(void *word, std::memory_order order = std::memory_order_seq_cst)
+    {
+        bits.store(reinterpret_cast<uint64_t>(word), order);
+    }
+
+    bool
+    compare_exchange_strong(
+        void *&expected, void *desired,
+        std::memory_order order = std::memory_order_seq_cst)
+    {
+        uint64_t seen = reinterpret_cast<uint64_t>(expected);
+        const bool ok = bits.compare_exchange_strong(
+            seen, reinterpret_cast<uint64_t>(desired), order);
+        expected = reinterpret_cast<void *>(seen);
+        return ok;
+    }
+};
+
+/**
  * One handle table entry (HTE): the paper's minimal entry, one 8-byte
  * word per object, with the protocol state folded into bits the
  * backing address never uses:
@@ -90,12 +125,13 @@ isMarked(const void *ptr)
  * backing). The object's size is not kept here: Service::usableSize()
  * answers it from the service's own block metadata.
  *
- * Every read-modify-write is a CAS on the whole word (update(), or a
- * mover's own mark, commit and move CASes), so a pin and a mark, a
- * commit or a free can never both win: the mover marks only a word
- * with no pins, a pin clears the mark, the free, resize and swap paths
- * carry the pin count over, and a move publishes only over the word it
- * validated.
+ * A pin and an unpin are one fetch_add / fetch_sub on the pin field
+ * (a pin that finds a mark also clears it); every other
+ * read-modify-write is a CAS on the whole word (update(), or a mover's
+ * own mark, commit and move CASes). So a pin and a mark, a commit or a
+ * free can never both win: a mover marks only a word with no pins and
+ * commits only over its marked, pin-free word, a pin clears the mark,
+ * and the free, resize and swap paths carry the pin count over.
  */
 struct HandleTableEntry
 {
@@ -110,9 +146,8 @@ struct HandleTableEntry
     static constexpr uint64_t addressMask =
         (pinCountOne - 1) & ~(reloc::markBit | Invalid);
 
-    /** The entry's word: typed as a pointer because an unpinned,
-     *  valid, unmarked entry is exactly its backing pointer. */
-    std::atomic<void *> ptr{nullptr};
+    /** The entry's word. */
+    EntryWord ptr;
 
     static uint64_t
     bitsOf(const void *word)
@@ -142,7 +177,7 @@ struct HandleTableEntry
     uint64_t
     word(std::memory_order order = std::memory_order_relaxed) const
     {
-        return bitsOf(ptr.load(order));
+        return ptr.bits.load(order);
     }
 
     /** The backing address, mark, pins and Invalid stripped. */
@@ -172,12 +207,12 @@ struct HandleTableEntry
     uint64_t
     update(F next)
     {
-        void *old = ptr.load(std::memory_order_relaxed);
-        while (!ptr.compare_exchange_weak(
-            old, reinterpret_cast<void *>(next(bitsOf(old))),
-            std::memory_order_seq_cst, std::memory_order_relaxed)) {
+        uint64_t old = ptr.bits.load(std::memory_order_relaxed);
+        while (!ptr.bits.compare_exchange_weak(old, next(old),
+                                               std::memory_order_seq_cst,
+                                               std::memory_order_relaxed)) {
         }
-        return bitsOf(old);
+        return old;
     }
 
     /**
@@ -211,26 +246,33 @@ struct HandleTableEntry
     }
 
     /**
-     * Take one atomic pin and clear any mark in one RMW, aborting an
-     * in-flight move (see ConcurrentPin). fatal()s past maxPinCount.
-     * @return the word replaced, whose address the pinner translates.
+     * Take one atomic pin, clearing any mark, aborting an in-flight
+     * move (see ConcurrentPin). fatal()s past maxPinCount.
+     * @return the word the pin was added to, whose address the pinner
+     *         translates.
      */
     uint64_t
     pin()
     {
-        return update([](uint64_t w) {
-            if (__builtin_expect(pinCountOf(w) == maxPinCount, 0))
-                fatal("handle table: more than %u concurrent pins on "
-                      "one object", maxPinCount);
-            return (w + pinCountOne) & ~reloc::markBit;
-        });
+        const uint64_t old =
+            ptr.bits.fetch_add(pinCountOne, std::memory_order_seq_cst);
+        if (__builtin_expect(pinCountOf(old) == maxPinCount, 0))
+            fatal("handle table: more than %u concurrent pins on one "
+                  "object", maxPinCount);
+        // The commit CAS expects no pins, so it already fails while
+        // this pin is counted; the clear keeps it failing after the
+        // unpin, which would otherwise restore the exact marked word.
+        // No mover can mark again while the pin is held.
+        if (old & reloc::markBit)
+            ptr.bits.fetch_and(~reloc::markBit, std::memory_order_seq_cst);
+        return old;
     }
 
     /** Drop a pin taken by pin(). */
     void
     unpin()
     {
-        update([](uint64_t w) { return w - pinCountOne; });
+        ptr.bits.fetch_sub(pinCountOne, std::memory_order_seq_cst);
     }
 };
 

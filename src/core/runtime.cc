@@ -115,21 +115,6 @@ Runtime::service()
 uint32_t
 Runtime::allocateHandleId()
 {
-    const uint32_t id = takeHandleId();
-    table_.activate(id);
-    return id;
-}
-
-void
-Runtime::releaseHandleId(uint32_t id)
-{
-    table_.deactivate(id);
-    recycleHandleId(id);
-}
-
-uint32_t
-Runtime::takeHandleId()
-{
     ThreadState *ts = tlsState;
     if (ts == nullptr) {
         uint32_t id;
@@ -145,7 +130,7 @@ Runtime::takeHandleId()
 }
 
 void
-Runtime::recycleHandleId(uint32_t id)
+Runtime::releaseHandleId(uint32_t id)
 {
     ThreadState *ts = tlsState;
     if (ts == nullptr) {
@@ -174,7 +159,7 @@ Runtime::halloc(size_t size)
     if (size >= maxObjectSize)
         fatal("halloc: object of %zu bytes exceeds the 4 GiB handle "
               "offset range; use paging for such regions", size);
-    const uint32_t id = takeHandleId();
+    const uint32_t id = allocateHandleId();
     void *backing = service().alloc(id, size);
     ALASKA_ASSERT(backing != nullptr, "service %s failed to allocate %zu",
                   service().name(), size);
@@ -270,7 +255,7 @@ Runtime::hfree(void *handle)
     // the address here is the only free.
     void *ptr = HandleTableEntry::addressOf(table_.deactivate(id));
     service().free(id, ptr);
-    recycleHandleId(id);
+    releaseHandleId(id);
     countEvent(sharedAllocs_, &AllocCounts::hfrees);
 }
 

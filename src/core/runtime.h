@@ -182,15 +182,21 @@ class Runtime
 
     // --- handle ID allocation --------------------------------------------
     /**
-     * Allocate a handle table entry for the calling thread. Threads
-     * registered via ThreadRegistration go through their magazine (see
-     * ThreadState): steady-state calls touch no shared state and refill
-     * in batches from the table's free-list shards. Unregistered
-     * threads fall back to the table's sharded allocate().
+     * Take a reserved handle ID for the calling thread, not yet live:
+     * halloc() makes it live with the RMW that installs the backing
+     * address (HandleTableEntry::install). Threads registered via
+     * ThreadRegistration go through their magazine (see ThreadState):
+     * steady-state calls touch no shared state and refill in batches
+     * from the table's free-list shards. Unregistered threads reserve
+     * from the table's shards directly.
      */
     uint32_t allocateHandleId();
 
-    /** Release a handle ID allocated by allocateHandleId(). */
+    /**
+     * Return an ID taken by allocateHandleId() whose entry is not live
+     * (never installed, or cleared by HandleTable::deactivate, as
+     * hfree() does first) to the magazine or the table's shards.
+     */
     void releaseHandleId(uint32_t id);
 
     // --- handle table ----------------------------------------------------
@@ -373,16 +379,6 @@ class Runtime
 
     /** Collect the frame-pinned IDs from all threads' pin frames. */
     PinnedSet unifyPinSets();
-
-    /**
-     * Take a reserved handle ID from the calling thread's magazine (or
-     * the table's shards) without activating it; halloc activates it
-     * with the same RMW that publishes the backing address.
-     */
-    uint32_t takeHandleId();
-
-    /** Return a deactivated ID to the magazine (or the table's shards). */
-    void recycleHandleId(uint32_t id);
 
     RuntimeConfig config_;
     HandleTable table_;

@@ -10,9 +10,10 @@
  *      expects the word to carry no pins, and immediately
  *      speculatively copies the bytes to a new location — no drain,
  *      no wait: the abort window is the copy itself, microseconds;
- *   2. a *pinning* accessor that pins meanwhile clears the mark in
- *      the same RMW that takes its pin — aborting the relocation —
- *      then proceeds on the old memory;
+ *   2. a *pinning* accessor that pins meanwhile counts its pin in
+ *      the word, so the commit CAS (which expects no pins) fails, and
+ *      clears the mark — aborting the relocation — then proceeds on
+ *      the old memory;
  *   3. the mover finally tries to CAS {marked old} -> {new}. Success
  *      publishes the move, but the old memory is NOT freed inline: the
  *      campaign parks it on a limbo list and reclaims it only after a
@@ -37,12 +38,12 @@
  *    pre-mark translation after the mover's copy would land in the
  *    doomed source block and be lost when the commit publishes the
  *    copy.
- *  - ConcurrentPin: RAII atomic pin + translate in one RMW; the
- *    *write* path (and the raw-pointer escape hatch, pinned<T>). Pin,
- *    mark and commit are all RMWs on the entry's one word, so they
- *    are totally ordered and the lost-store window closes: a pin
+ *  - ConcurrentPin: RAII atomic pin + translate from one fetch_add;
+ *    the *write* path (and the raw-pointer escape hatch, pinned<T>).
+ *    Pin, mark and commit are all RMWs on the entry's one word, so
+ *    they are totally ordered and the lost-store window closes: a pin
  *    taken before the mover's mark fails the mark CAS; one taken
- *    after clears the mark and fails the commit CAS. Either way the
+ *    after fails the commit CAS and clears the mark. Either way the
  *    pinned translation is writable for the pin's lifetime.
  *
  * This is the discipline the campaign expects mutators on: reads
@@ -62,13 +63,14 @@ namespace alaska
 
 /**
  * Pin guard for mutators racing with concurrent relocation: the *write*
- * path. One RMW on the entry's word takes an atomic pin and clears any
- * mover's mark, and the translation comes from that RMW's result, so a
- * mover always observes either the pin (its mark CAS, which expects no
- * pins, fails) or the cleared mark (its commit CAS fails). Clearing the
- * mark is what makes a pin and unpin inside one copy safe: they would
- * otherwise restore the exact marked word, and the commit would
- * publish a copy that misses the pinner's store. This is the one
+ * path. One fetch_add on the entry's word takes an atomic pin, and the
+ * translation comes from the word it returned; a mark found there is
+ * then cleared. A mover always observes the pin or the cleared mark:
+ * its mark and commit CASes both expect no pins, and the cleared mark
+ * keeps the commit failing after the unpin. Clearing the mark is what
+ * makes a pin and unpin inside one copy safe: they would otherwise
+ * restore the exact marked word, and the commit would publish a copy
+ * that misses the pinner's store. This is the one
  * implementation of the pin half of the mover handshake; the typed api
  * guards hold one rather than re-deriving the protocol. Inline
  * (including the destructor) so guards composed from it stay

@@ -864,9 +864,9 @@ TEST_F(MidCopyTest, HfreeInsideCampaignCopyAbortsTheMove)
 TEST_F(MidCopyTest, PinInsideBarrierCopyKeepsTheObjectInPlace)
 {
     // The barrier read no pin, then a pin lands during its copy (as an
-    // unregistered thread's would): the move CAS sees it and yields,
-    // where a plain store would erase the pin and move the object out
-    // from under the pinner.
+    // unregistered thread's would): the pin clears the barrier's mark,
+    // so the move CAS fails and yields, where a plain store would
+    // erase the pin and move the object out from under the pinner.
     void *target = movableTarget();
     void *const home = translate(target);
     HandleTableEntry *pinned_entry = nullptr;
@@ -888,6 +888,36 @@ TEST_F(MidCopyTest, PinInsideBarrierCopyKeepsTheObjectInPlace)
     EXPECT_EQ(service_.defrag(SIZE_MAX).movedObjects, 1u);
     EXPECT_NE(translate(target), home);
     EXPECT_EQ(static_cast<const unsigned char *>(translate(target))[3], 0x33);
+    runtime_.hfree(target);
+    EXPECT_EQ(service_.activeBytes(), 0u);
+}
+
+TEST_F(MidCopyTest, PinStoreUnpinInsideBarrierCopyKeepsTheStore)
+{
+    // As in the campaign case: a pin, a store and an unpin all inside
+    // the barrier's copy leave the word pin-free, but the pin cleared
+    // the barrier's mark, so the copy that missed the store is never
+    // published.
+    void *target = movableTarget();
+    void *const home = translate(target);
+    bool fired = false;
+    space_.hook = [&] {
+        fired = true;
+        ConcurrentPin pin(target);
+        EXPECT_EQ(pin.get(), home);
+        static_cast<unsigned char *>(pin.get())[5] = 0x55;
+    };
+    const DefragStats stats = service_.defrag(SIZE_MAX);
+    ASSERT_TRUE(fired);
+    EXPECT_EQ(stats.movedObjects, 0u);
+    EXPECT_EQ(translate(target), home);
+    EXPECT_EQ(entryOf(target).word(), HandleTableEntry::bitsOf(home));
+    EXPECT_EQ(static_cast<const unsigned char *>(translate(target))[5], 0x55);
+
+    EXPECT_EQ(service_.defrag(SIZE_MAX).movedObjects, 1u);
+    EXPECT_NE(translate(target), home);
+    EXPECT_EQ(static_cast<const unsigned char *>(translate(target))[5], 0x55);
+    EXPECT_EQ(static_cast<const unsigned char *>(translate(target))[4], 0x11);
     runtime_.hfree(target);
     EXPECT_EQ(service_.activeBytes(), 0u);
 }

@@ -84,7 +84,7 @@ TEST(HandleTable, WordKeepsAddressBesideTagBits)
 
     e.ptr.store(reloc::marked(backing));
     EXPECT_EQ(e.address(), backing);
-    // A pin clears the mark in the same RMW.
+    // A pin clears the mark it finds.
     e.pin();
     EXPECT_FALSE(reloc::isMarked(e.ptr.load()));
     e.unpin();

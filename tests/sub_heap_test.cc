@@ -2,9 +2,8 @@
  * @file
  * Tests for Anchorage sub-heaps: bump allocation, power-of-two free-list
  * reuse, tail trimming (§4.3), the compaction index defrag walks, the
- * fit hints movers read without the shard lock, the 8-byte block
- * slots whose sizes are derived from the next slot's offset, and the
- * bound on stale free-list entries.
+ * fit hints movers read without the shard lock, and the 8-byte block
+ * slots whose sizes are derived from the next slot's offset.
  */
 
 #include <gtest/gtest.h>
@@ -150,29 +149,6 @@ TEST_F(SubHeapTest, StaleFreeListEntriesAreHarmless)
     ASSERT_TRUE(b.ok);
     EXPECT_EQ(b.addr, a.addr); // re-bumped over the same space
     EXPECT_EQ(heap.liveBytes(), 64u);
-}
-
-TEST_F(SubHeapTest, ClaimedAndTrimmedEntriesDoNotAccumulate)
-{
-    // A defrag claim and a trim each leave a stale entry behind; a list
-    // that only prunes on pop would hold one per cycle.
-    SubHeap heap(space_, 1 << 20);
-    const auto a = heap.alloc(1, 64);
-    heap.alloc(2, 64); // keeps a below the top
-    const int idx = heap.findBlock(a.addr);
-    for (int i = 0; i < 10000; i++) {
-        heap.freeBlockAt(idx);
-        heap.claimBlock(idx, 3, 64);
-        const auto top = heap.alloc(4, 64);
-        heap.free(top.addr);
-        heap.trimTop();
-    }
-    EXPECT_LE(heap.freeListEntries(), 2 * (SubHeap::staleSlack + 1));
-    // The entries that survive still serve reuse, LIFO.
-    heap.freeBlockAt(idx);
-    const auto b = heap.alloc(5, 64);
-    ASSERT_TRUE(b.ok);
-    EXPECT_EQ(b.addr, a.addr);
 }
 
 TEST_F(SubHeapTest, ClassListYieldsOnlyBlocksOfItsClass)

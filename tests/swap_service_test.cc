@@ -177,8 +177,8 @@ TEST_F(RelocTest, AccessorAbortsInFlightRelocation)
     // Mover phase 1 (mark).
     entry.ptr.store(reinterpret_cast<void *>(
         reinterpret_cast<uint64_t>(old_ptr) | 1));
-    // Accessor arrives: its pin clears the mark in the same RMW, and
-    // translates to the old memory.
+    // Accessor arrives: its pin clears the mark and translates to the
+    // old memory.
     {
         ConcurrentPin pin(h);
         EXPECT_EQ(pin.get(), old_ptr);
